@@ -21,7 +21,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import io as gio
@@ -40,10 +39,11 @@ from .fock import (
     build_coherent_product,
     build_perturbation_state,
     entangled_coherent_pairs,
+    oracle_size_error,
     state_fidelity,
 )
 from .seeding import LABEL_ACCIDENTAL_DET1, LABEL_ACCIDENTAL_DET2
-from .timing import detect_peaks, fit_comb, resolution_estimate
+from .timing import CombFit, detect_peaks, fit_comb, resolution_estimate
 
 # Largest n_points * n_modes product accepted for direct summation;
 # beyond this the quadratic cost stops being desk-scale.
@@ -74,7 +74,6 @@ def _write_manifest(out: Path, cfg: RunConfig, command: str, outputs: list[str])
             "versions": {
                 "python": ".".join(map(str, sys.version_info[:3])),
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "ghostcomb": __version__,
             },
             "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
@@ -103,7 +102,7 @@ def _applicable_methods(cfg: RunConfig) -> list[str]:
         methods.append("direct")
     if cfg.delta_nu_hz > 0.0:
         methods.append("mc")
-    if cfg.n_modes <= 4:
+    if cfg.delta_nu_hz == 0.0 and oracle_size_error(cfg.n_modes, cfg.oracle_cutoff) is None:
         methods.append("fock")
     return methods
 
@@ -190,6 +189,21 @@ def cmd_curve(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
+def _fit_dict(fit: CombFit) -> dict:
+    """The comb fit as written to results.json and fit.json."""
+    return {
+        "nu_b_est_hz": fit.nu_b_est,
+        "offset_est_s": fit.offset_est,
+        "offset_stderr_s": fit.offset_stderr,
+        "offset_period_s": fit.offset_period,
+        "residual_rms_s": fit.residual_rms,
+        "n_peaks_used": fit.n_peaks_used,
+        "peak_positions": [
+            {"n": n, "center_s": c, "stderr_s": s} for n, c, s in fit.peak_positions
+        ],
+    }
+
+
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     lattice = cfg.lattice()
     geom = cfg.geometry()
@@ -243,18 +257,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         "n_events_d2": len(s2),
         "total_pairs_in_range": int(hist.total_pairs),
         "geometry_offset_s": geom.retarded_offset,
-        "fit": {
-            "nu_b_est_hz": fit.nu_b_est,
-            "offset_est_s": fit.offset_est,
-            "offset_stderr_s": fit.offset_stderr,
-            "offset_period_s": fit.offset_period,
-            "residual_rms_s": fit.residual_rms,
-            "n_peaks_used": fit.n_peaks_used,
-            "peak_positions": [
-                {"n": n, "center_s": c, "stderr_s": s}
-                for n, c, s in fit.peak_positions
-            ],
-        },
+        "fit": _fit_dict(fit),
         "resolution_estimate_s": resolution_estimate(lattice, pairs_per_peak),
         "pairs_per_peak": pairs_per_peak,
     }
@@ -339,21 +342,7 @@ def cmd_fit(cfg: RunConfig, out: Path, hist_path: str, meta_path: str | None) ->
     peaks = detect_peaks(hist, cfg.min_prominence)
     hint = float(hist.metadata["nu_b"]) if "nu_b" in hist.metadata else None
     fit = fit_comb(peaks, nu_b_hint=hint)
-    gio.write_json(
-        out / "fit.json",
-        {
-            "nu_b_est_hz": fit.nu_b_est,
-            "offset_est_s": fit.offset_est,
-            "offset_stderr_s": fit.offset_stderr,
-            "offset_period_s": fit.offset_period,
-            "residual_rms_s": fit.residual_rms,
-            "n_peaks_used": fit.n_peaks_used,
-            "peak_positions": [
-                {"n": n, "center_s": c, "stderr_s": s}
-                for n, c, s in fit.peak_positions
-            ],
-        },
-    )
+    gio.write_json(out / "fit.json", _fit_dict(fit))
     _write_manifest(out, cfg, "fit", ["fit.json"])
     print(
         f"fit n_peaks={fit.n_peaks_used} nu_b_est={fit.nu_b_est:.6f} Hz "

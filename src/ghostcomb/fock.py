@@ -240,6 +240,24 @@ def _annihilate(arr: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def oracle_size_error(
+    pair_count: int, cutoff: int, basis_cap: int = _DEFAULT_BASIS_CAP
+) -> str | None:
+    """Why FockOracle cannot take this many pairs at this cutoff, or None.
+
+    The oracle expands the state into a dense basis of
+    (cutoff + 1)^(2 pair_count) kets, which must stay within basis_cap.
+    """
+    if pair_count > _MAX_PAIRS:
+        return f"at most {_MAX_PAIRS} pairs are supported"
+    if not 0 <= cutoff <= _MAX_CUTOFF:
+        return f"cutoff must be in [0, {_MAX_CUTOFF}]"
+    full_dim = (cutoff + 1) ** (2 * pair_count)
+    if full_dim > basis_cap:
+        return f"basis size {full_dim} exceeds the cap of {basis_cap}"
+    return None
+
+
 class FockOracle:
     """Exact normally ordered intensity correlation for a small lattice.
 
@@ -264,17 +282,12 @@ class FockOracle:
             raise ValueError("lattice must have one mode pair per state pair")
         if lattice.delta_nu != 0.0:
             raise ValueError("the oracle models single-frequency modes only")
-        if state.pair_count > _MAX_PAIRS:
-            raise ValueError(f"at most {_MAX_PAIRS} pairs are supported")
-        if state.cutoff > _MAX_CUTOFF:
-            raise ValueError(f"cutoff must not exceed {_MAX_CUTOFF}")
+        error = oracle_size_error(state.pair_count, state.cutoff, basis_cap)
+        if error is not None:
+            raise ValueError(error)
         p = state.pair_count
         dim_per = state.cutoff + 1
         full_dim = dim_per ** (2 * p)
-        if full_dim > basis_cap:
-            raise ValueError(
-                f"basis size {full_dim} exceeds the cap of {basis_cap}"
-            )
         self.lattice = lattice
         self.state = state
 

@@ -8,6 +8,7 @@ thread count, including 1.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
@@ -16,8 +17,13 @@ R = TypeVar("R")
 
 
 def map_ordered(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
-    """Apply fn to each item, preserving input order in the result."""
-    if threads is None or threads <= 1 or len(items) <= 1:
+    """Apply fn to each item, preserving input order in the result.
+
+    At most one thread per item and per CPU is started, whatever
+    `threads` asks for.
+    """
+    threads = min(threads or 1, len(items), os.cpu_count() or 1)
+    if threads <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks, peak_widths
 
 from .correlation import comb_peak_width
 from .detection import CoincidenceHistogram
@@ -58,6 +57,117 @@ class CombFit:
     offset_period: float
 
 
+def _pyramid(x: np.ndarray, agg, pad: float) -> list[np.ndarray]:
+    """Aggregates of x over aligned blocks: entry j of level k covers
+    x[j * 2**k : (j + 1) * 2**k], samples past the end counting as pad.
+    The last level is a single block; all levels hold about 2 len(x).
+    """
+    levels = [x]
+    while levels[-1].size > 1:
+        a = levels[-1]
+        if a.size % 2:
+            a = np.append(a, pad)
+        levels.append(agg(a[0::2], a[1::2]))
+    return levels
+
+
+def _walk_out(x: np.ndarray, peaks: np.ndarray, thr: np.ndarray, stop_above: bool):
+    """Walk left and right from each peak, the peak included, up to the
+    first sample above thr (stop_above) or at or below thr (otherwise).
+
+    Returns two (2, len(peaks)) arrays, left walks in row 0: where each
+    walk stops (-1 or len(x) when it runs off the array) and the minimum
+    of the samples it passed. A walk passes aligned blocks of 2**k
+    samples whole: it climbs to larger blocks until one holds a
+    stopping sample, then descends into that block. No Python loop runs
+    over samples or peaks, and memory stays linear in len(x).
+    """
+    n = x.size
+    lows = _pyramid(x, np.minimum, np.inf)
+    tests = _pyramid(x, np.maximum, -np.inf) if stop_above else lows
+    top = len(lows)
+    step = np.array([[-1], [1]])
+    # Left walks track their exclusive end, right walks their start.
+    edge = np.stack((peaks + 1, peaks))
+    low = np.full(edge.shape, np.inf)
+    stuck = np.full(edge.shape, top)  # level of the block holding the stop
+
+    def pass_blocks(k, cand):
+        """Pass the level-k block beside each edge where cand holds and
+        the block has no stopping sample; return where it has one."""
+        nonlocal edge, low
+        j = np.clip((edge >> k) - (step < 0), 0, lows[k].size - 1)
+        block = tests[k][j]
+        blocked = cand & ((block > thr) if stop_above else (block <= thr))
+        passed = cand & ~blocked
+        low = np.where(passed, np.minimum(low, lows[k][j]), low)
+        edge = np.where(passed, edge + step * (1 << k), edge)
+        return blocked
+
+    for k in range(top):
+        climbing = (stuck == top) & (edge < n) & ((edge >> k) % 2 == 1)
+        stuck = np.where(pass_blocks(k, climbing), k, stuck)
+    for k in reversed(range(top)):
+        pass_blocks(k, (k < stuck) & (stuck < top))
+    return np.where(step < 0, edge - 1, np.minimum(edge, n)), low
+
+
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Midpoints of every strict rise, flat run, strict fall in x."""
+    dx = np.diff(x)
+    steps = np.flatnonzero(dx)
+    slope = dx[steps]
+    is_peak = (slope[:-1] > 0) & (slope[1:] < 0)
+    return (steps[:-1][is_peak] + 1 + steps[1:][is_peak]) // 2
+
+
+def _crossing(at, toward, level):
+    """Fractional step from samples at towards toward where level is
+    crossed; 0 where at already reaches level."""
+    below = at < level
+    return np.divide(level - at, toward - at, out=np.zeros(at.size), where=below)
+
+
+class ProminentPeaks:
+    """Local maxima of x whose topographic prominence reaches a threshold.
+
+    A peak is a strict rise, a flat run and a strict fall, indexed at
+    the run's midpoint (left + right) // 2, never at either edge. Its
+    prominence is its height above the higher of the two lowest samples
+    found walking out from it, on each side, up to a strictly higher
+    sample or the array edge; peaks with prominence >= the threshold
+    are kept, in index order. half_widths() gives each kept peak's
+    width at half its prominence, interpolated linearly between samples
+    and bounded by the lowest points of those walks (its bases). These
+    are the rules of the common signal-processing peak finder, and the
+    tests hold the two to identical indices.
+    """
+
+    def __init__(self, x, prominence: float):
+        self.x = x = np.asarray(x, dtype=float)
+        peaks = _local_maxima(x)
+        # No peak stands higher above its bases than above the global
+        # minimum, so lower peaks can be dropped before walking.
+        peaks = peaks[x[peaks] - x.min(initial=np.inf) >= prominence]
+        height = x[peaks]
+        _, lowest = _walk_out(x, peaks, height, stop_above=True)
+        prominences = height - np.maximum(lowest[0], lowest[1])
+        keep = prominence <= prominences
+        self.indices = peaks[keep]
+        self._prominences = prominences[keep]
+
+    def half_widths(self) -> np.ndarray:
+        """Width in samples at half prominence, linearly interpolated."""
+        x, peaks = self.x, self.indices
+        level = x[peaks] - self._prominences * 0.5
+        # The lowest point of each side lies at or below half height, so
+        # these walks never pass the peak's bases.
+        (i, j), _ = _walk_out(x, peaks, level, stop_above=False)
+        left_ip = i + _crossing(x[i], x[i + 1], level)
+        right_ip = j - _crossing(x[j], x[j - 1], level)
+        return right_ip - left_ip
+
+
 def _support_radius(
     hist: CoincidenceHistogram, peak_width: float | None
 ) -> float | None:
@@ -85,14 +195,15 @@ def detect_peaks(
 ) -> list[DetectedPeak]:
     """Locate comb peaks and refine each center by center of mass.
 
-    Candidate maxima must rise above min_prominence times the count
-    span. Each center is then refined iteratively as the center of mass
-    of the bins within one peak width of the current estimate; the
-    width comes from the argument, or from lattice metadata, or as a
-    fallback from the measured half-height width of the peak itself.
-    The center standard error follows from counting statistics. The
-    expected width must span at least 10 bins, else the binning is too
-    coarse to refine and an error is raised.
+    Candidate maxima are the local maxima whose prominence is at least
+    min_prominence times the count span (see ProminentPeaks). Each
+    center is then refined iteratively as the center of mass of the
+    bins within one peak width of the current estimate; the width comes
+    from the argument, or from lattice metadata, or as a fallback from
+    the measured half-height width of the peak itself, which is
+    computed only on that path. The center standard error follows from
+    counting statistics. The expected width must span at least 10 bins,
+    else the binning is too coarse to refine and an error is raised.
     """
     counts = hist.counts.astype(float)
     span = counts.max() - counts.min()
@@ -104,11 +215,13 @@ def detect_peaks(
             "binning too coarse: need at least 10 bins per peak width "
             f"({radius / hist.bin_width:.1f} found)"
         )
-    idx, _ = find_peaks(counts, prominence=min_prominence * span)
+    found = ProminentPeaks(counts, min_prominence * span)
+    idx = found.indices
     if idx.size == 0:
         raise ValueError("no peaks exceed the prominence threshold")
     taus = hist.bin_centers
-    half_widths = peak_widths(counts, idx, rel_height=0.5)[0] * hist.bin_width / 2.0
+    if radius is None:
+        half_widths = found.half_widths() * hist.bin_width / 2.0
 
     peaks = []
     supports = []

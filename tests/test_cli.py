@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from ghostcomb.cli import main
+from ghostcomb.cli import _applicable_methods, main
+from ghostcomb.config import load_config
 from ghostcomb.io import read_curve_csv, read_event_stream, read_histogram, read_json
 
 SIM_ARGS = [
@@ -55,6 +59,30 @@ class TestCurveCommand:
         data = np.loadtxt(tmp_path / "curve_comparison.csv", delimiter=",", skiprows=1)
         assert data[:, 4].max() < 1e-9
         assert data[:, 5].max() < 1e-6
+
+    def test_all_methods_leaves_out_fock_beyond_basis_cap(self, tmp_path, capsys):
+        # 4 pairs at the default oracle_cutoff of 6 need 7^8 > 1e6 states.
+        code, _, err = run(
+            capsys, "curve", "--out", str(tmp_path), "--method", "all",
+            "--set", "n_modes=4", "--set", "n_points=11",
+        )
+        assert code == 0, err
+        header = (tmp_path / "curve_comparison.csv").read_text().splitlines()[0]
+        assert header.split(",") == ["tau_s", "g2_closed", "g2_direct", "rel_err_direct"]
+
+    @pytest.mark.parametrize(
+        "overrides, has_fock",
+        [
+            ({"n_modes": 4, "oracle_cutoff": 4}, True),  # 5^8 = 390,625 states
+            ({"n_modes": 4, "oracle_cutoff": 6}, False),
+            ({"n_modes": 5, "oracle_cutoff": 1}, False),  # beyond the pair limit
+            ({"n_modes": 3, "oracle_cutoff": -1}, False),
+            ({"n_modes": 3, "delta_nu_hz": 200.0}, False),  # oracle needs zero linewidth
+        ],
+    )
+    def test_applicable_methods_offer_fock_only_when_it_runs(self, overrides, has_fock):
+        methods = _applicable_methods(load_config(None, overrides))
+        assert ("fock" in methods) == has_fock
 
     def test_mc_curve_writes_stderr(self, tmp_path, capsys):
         code, _, err = run(
@@ -191,6 +219,17 @@ class TestErrorHandling:
         assert code == 0, err
         taus, _ = read_curve_csv(tmp_path / "curve.csv")
         assert taus.size == 501
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = (
+        "import sys, ghostcomb, ghostcomb.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestDeterminism:

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.signal import find_peaks, peak_widths
 
 from ghostcomb import (
     CoincidenceHistogram,
@@ -22,6 +23,7 @@ from ghostcomb import (
     sample_pairs,
 )
 from ghostcomb.lattice import SPEED_OF_LIGHT
+from ghostcomb.timing import ProminentPeaks
 
 CARRIER = 2.82e14
 LAT10 = ModeLattice(n_modes=10, nu_b=20e3, nu_s0=CARRIER)
@@ -50,6 +52,53 @@ def synthetic_histogram(lattice=LAT10, scale=100_000, with_meta=True):
     counts = np.round(scale * np.asarray(g2_closed(lattice, taus))).astype(np.int64)
     meta = meta_for(lattice) if with_meta else {}
     return CoincidenceHistogram(h, tau_min, tau_max, counts, int(counts.sum()), meta)
+
+
+def assert_matches_reference(x, prominence):
+    """ProminentPeaks against scipy.signal's find_peaks and peak_widths."""
+    x = np.asarray(x, dtype=float)
+    found = ProminentPeaks(x, prominence)
+    ref, _ = find_peaks(x, prominence=prominence)
+    np.testing.assert_array_equal(found.indices, ref)
+    if ref.size:
+        np.testing.assert_allclose(
+            found.half_widths(), peak_widths(x, ref, rel_height=0.5)[0],
+            rtol=0, atol=1e-12,
+        )
+
+
+class TestProminentPeaks:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        x=st.lists(st.integers(0, 4), max_size=40),
+        prominence=st.integers(0, 8).map(lambda k: k / 2),
+    )
+    @example(x=[], prominence=0.0)
+    @example(x=[3], prominence=0.0)
+    @example(x=[1, 2], prominence=0.0)
+    @example(x=[0, 2, 1], prominence=0.0)
+    @example(x=[2, 2, 2, 2, 2], prominence=0.0)
+    @example(x=[0, 1, 3, 3, 3], prominence=0.0)  # plateau into the last sample
+    @example(x=[0, 3, 3, 1, 3, 3, 3], prominence=1.0)
+    @example(x=[1, 3, 1, 4, 0, 4, 2, 5, 0], prominence=2.0)
+    def test_matches_reference_on_small_integer_arrays(self, x, prominence):
+        assert_matches_reference(x, prominence)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_on_noisy_comb(self, seed):
+        # Long enough to exercise every level of the range tables.
+        rng = np.random.default_rng(seed)
+        n = 20_000 + seed
+        comb = 200 * np.sin(np.arange(n) * np.pi / 997) ** 40
+        x = rng.poisson(30 + comb).astype(float)
+        span = x.max() - x.min()
+        for frac in (0.01, 0.25, 0.6):
+            assert_matches_reference(x, frac * span)
+
+    def test_no_widths_without_peaks(self):
+        found = ProminentPeaks(np.zeros(5), 1.0)
+        assert found.indices.size == 0
+        assert found.half_widths().size == 0
 
 
 class TestDetectPeaks:
