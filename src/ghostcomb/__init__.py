@@ -28,7 +28,6 @@ from .fock import (
     build_coherent_product,
     build_perturbation_state,
     entangled_coherent_pairs,
-    g2_fock_oracle,
     FockOracle,
     phase_scrambled_curve,
     state_fidelity,
@@ -76,7 +75,6 @@ __all__ = [
     "envelope_fwhm",
     "fit_comb",
     "g2_closed",
-    "g2_fock_oracle",
     "g2_mc_envelope",
     "load_config",
     "merge_streams",

@@ -3,9 +3,10 @@
 This module verifies the analytic comb from first principles at desk
 scale. States live in a photon-number basis truncated at a per-mode
 cutoff, and the fourth-order field moment behind g2 is evaluated by
-explicit operator algebra, with no appeal to the closed form. Because
-the basis grows as (cutoff + 1)^(2 P) for P mode pairs, everything here
-is capped at a few pairs; the point is validating formulas, not scale.
+explicit operator algebra, with no appeal to the closed form. A state
+of P pairs is held as its (cutoff + 1)^P diagonal amplitudes, and the
+oracle works on that tensor directly; everything here is capped at a
+few pairs, since the point is validating formulas, not scale.
 
 Pair states are stored through their diagonal amplitudes c_m on the
 kets |m⟩_s |m⟩_i. For phase-averaged coherent pairs this is the exact
@@ -29,7 +30,6 @@ TWO_PI = 2.0 * math.pi
 
 _MAX_PAIRS = 4
 _MAX_CUTOFF = 12
-_DEFAULT_BASIS_CAP = 10**6
 
 # log of the largest double; factorial coefficients beyond this cannot
 # be represented and the construction must fail loudly.
@@ -178,6 +178,19 @@ def state_fidelity(a: TruncatedPairState, b: TruncatedPairState) -> float:
     return float(abs(overlap) ** 2)
 
 
+def oracle_size_error(pair_count: int, cutoff: int) -> str | None:
+    """Why pair_count pairs at this cutoff are out of range, or None.
+
+    The one range check for the pair states built here and for the
+    oracle that `--method all` offers.
+    """
+    if pair_count > _MAX_PAIRS:
+        return f"at most {_MAX_PAIRS} pairs are supported"
+    if not 0 <= cutoff <= _MAX_CUTOFF:
+        return f"cutoff must be in [0, {_MAX_CUTOFF}]"
+    return None
+
+
 def entangled_coherent_pairs(
     alphas, cutoff: int, pair_phases=None
 ) -> MultiPairState:
@@ -194,10 +207,9 @@ def entangled_coherent_pairs(
     if alphas.ndim != 1 or alphas.size == 0:
         raise ValueError("alphas must be a non-empty 1-d sequence")
     p = alphas.size
-    if p > _MAX_PAIRS:
-        raise ValueError(f"at most {_MAX_PAIRS} pairs are supported")
-    if cutoff < 0 or cutoff > _MAX_CUTOFF:
-        raise ValueError(f"cutoff must be in [0, {_MAX_CUTOFF}]")
+    error = oracle_size_error(p, cutoff)
+    if error is not None:
+        raise ValueError(error)
     if pair_phases is not None:
         pair_phases = np.asarray(pair_phases, dtype=float)
         if pair_phases.shape != (p,):
@@ -225,107 +237,54 @@ def entangled_coherent_pairs(
     return MultiPairState(p, cutoff, amps)
 
 
-def _annihilate(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the annihilation operator along one basis axis."""
-    out = np.zeros_like(arr)
-    dim = arr.shape[axis]
-    src = [slice(None)] * arr.ndim
-    dst = [slice(None)] * arr.ndim
-    src[axis] = slice(1, dim)
-    dst[axis] = slice(0, dim - 1)
-    shape = [1] * arr.ndim
-    shape[axis] = dim - 1
-    weights = np.sqrt(np.arange(1, dim, dtype=float)).reshape(shape)
-    out[tuple(dst)] = arr[tuple(src)] * weights
-    return out
-
-
-def oracle_size_error(
-    pair_count: int, cutoff: int, basis_cap: int = _DEFAULT_BASIS_CAP
-) -> str | None:
-    """Why FockOracle cannot take this many pairs at this cutoff, or None.
-
-    The oracle expands the state into a dense basis of
-    (cutoff + 1)^(2 pair_count) kets, which must stay within basis_cap.
-    """
-    if pair_count > _MAX_PAIRS:
-        return f"at most {_MAX_PAIRS} pairs are supported"
-    if not 0 <= cutoff <= _MAX_CUTOFF:
-        return f"cutoff must be in [0, {_MAX_CUTOFF}]"
-    full_dim = (cutoff + 1) ** (2 * pair_count)
-    if full_dim > basis_cap:
-        return f"basis size {full_dim} exceeds the cap of {basis_cap}"
-    return None
-
-
 class FockOracle:
     """Exact normally ordered intensity correlation for a small lattice.
 
     The two detected fields are E1 = Σ_k e^{-i ω_{s,k} τ1} a_{s,k} and
     E2 = Σ_l e^{-i ω_{i,l} τ2} a_{i,l}, with signal modes routed to
     detector 1 and idler modes to detector 2. The moment
-    ⟨E1† E2† E2 E1⟩ equals the squared norm of Σ c_kl a_{s,k} a_{i,l}|Ψ⟩,
-    so the P^2 doubly annihilated vectors and their Gram matrix are
-    precomputed once; each delay then costs one small quadratic form.
-    The common carrier phase has unit modulus and is dropped, leaving
-    only detuning phases; field normalization constants are dropped as
-    well, so values are meaningful up to an overall scale.
+    ⟨E1† E2† E2 E1⟩ is the squared norm of Σ c_kl a_{s,k} a_{i,l}|Ψ⟩.
+    Every ket of Ψ has m_s = m_i per pair, so a_{s,k} a_{i,l}|Ψ⟩ for
+    k ≠ l is orthogonal to all the other terms and adds ⟨m_k m_l⟩ to a
+    flat floor. The k = l terms stay in the diagonal basis, since
+    a_{s,k} a_{i,k}|m_k, m_k⟩ = m_k |m_k - 1, m_k - 1⟩, and their P×P
+    Gram matrix carries the comb; each delay then costs one small
+    quadratic form. The common carrier phase has unit modulus and is
+    dropped, leaving only detuning phases; field normalization constants
+    are dropped as well, so values are meaningful up to an overall scale.
     """
 
-    def __init__(
-        self,
-        lattice: ModeLattice,
-        state: MultiPairState,
-        basis_cap: int = _DEFAULT_BASIS_CAP,
-    ):
+    def __init__(self, lattice: ModeLattice, state: MultiPairState):
         if lattice.n_modes != state.pair_count:
             raise ValueError("lattice must have one mode pair per state pair")
         if lattice.delta_nu != 0.0:
             raise ValueError("the oracle models single-frequency modes only")
-        error = oracle_size_error(state.pair_count, state.cutoff, basis_cap)
-        if error is not None:
-            raise ValueError(error)
-        p = state.pair_count
-        dim_per = state.cutoff + 1
-        full_dim = dim_per ** (2 * p)
         self.lattice = lattice
         self.state = state
+        amps = state.amplitudes
+        p = state.pair_count
+        ms = np.arange(state.cutoff + 1)
+        occupations = np.ix_(*[ms] * p)
 
-        # Expand the per-pair diagonal amplitudes into the full basis,
-        # axes ordered (s1, i1, s2, i2, ...).
-        full = np.zeros((dim_per,) * (2 * p), dtype=complex)
-        it = np.ndindex(*state.amplitudes.shape)
-        for occ in it:
-            c = state.amplitudes[occ]
-            if c == 0:
-                continue
-            idx = tuple(x for m in occ for x in (m, m))
-            full[idx] = c
+        # Σ_{k≠l} m_k m_l per ket, in exact integers, weighted by |c_m|^2.
+        cross = sum(occupations) ** 2 - sum(m**2 for m in occupations)
+        self._floor = float(np.sum(np.abs(amps) ** 2 * cross))
 
-        vectors = np.empty((p * p, full_dim), dtype=complex)
+        # lowered[k] holds the amplitudes of a_{s,k} a_{i,k}|Ψ⟩:
+        # entry m is (m_k + 1) c_{m + e_k}.
+        lowered = np.zeros((p,) + amps.shape, dtype=complex)
+        weights = ms[1:].reshape((-1,) + (1,) * (p - 1))
         for k in range(p):
-            lowered_s = _annihilate(full, 2 * k)
-            for l in range(p):
-                vectors[k * p + l] = _annihilate(lowered_s, 2 * l + 1).ravel()
-        self._gram = vectors.conj() @ vectors.T
-        self._p = p
+            np.moveaxis(lowered[k], k, 0)[:-1] = np.moveaxis(amps, k, 0)[1:] * weights
+        flat = lowered.reshape(p, -1)
+        self._block = flat.conj() @ flat.T
 
     def g2(self, tau1: float, tau2: float) -> float:
         """Unnormalized correlation at retarded detector times tau1, tau2."""
-        p = self._p
-        k = np.arange(p)
-        phase1 = np.exp(-1j * TWO_PI * self.lattice.nu_b * k * tau1)
-        phase2 = np.exp(+1j * TWO_PI * self.lattice.nu_b * k * tau2)
-        coeff = np.multiply.outer(phase1, phase2).ravel()
-        value = np.vdot(coeff, self._gram @ coeff).real
+        k = np.arange(self.state.pair_count)
+        d = np.exp(-1j * TWO_PI * self.lattice.nu_b * k * (tau1 - tau2))
+        value = self._floor + np.vdot(d, self._block @ d).real
         return max(float(value), 0.0)
-
-
-def g2_fock_oracle(
-    state: MultiPairState, lattice: ModeLattice, tau1: float, tau2: float
-) -> float:
-    """One-shot oracle evaluation; see FockOracle for the grid version."""
-    return FockOracle(lattice, state).g2(tau1, tau2)
 
 
 def phase_scrambled_curve(

@@ -60,21 +60,25 @@ class TestCurveCommand:
         assert data[:, 4].max() < 1e-9
         assert data[:, 5].max() < 1e-6
 
-    def test_all_methods_leaves_out_fock_beyond_basis_cap(self, tmp_path, capsys):
-        # 4 pairs at the default oracle_cutoff of 6 need 7^8 > 1e6 states.
+    def test_all_methods_include_fock_at_four_modes(self, tmp_path, capsys):
+        # The largest pair count the oracle takes, at the default
+        # oracle_cutoff of 6.
         code, _, err = run(
             capsys, "curve", "--out", str(tmp_path), "--method", "all",
             "--set", "n_modes=4", "--set", "n_points=11",
         )
         assert code == 0, err
-        header = (tmp_path / "curve_comparison.csv").read_text().splitlines()[0]
-        assert header.split(",") == ["tau_s", "g2_closed", "g2_direct", "rel_err_direct"]
+        path = tmp_path / "curve_comparison.csv"
+        header = path.read_text().splitlines()[0].split(",")
+        assert "g2_fock" in header
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert data[:, header.index("rel_err_fock")].max() <= 1e-6
 
     @pytest.mark.parametrize(
         "overrides, has_fock",
         [
-            ({"n_modes": 4, "oracle_cutoff": 4}, True),  # 5^8 = 390,625 states
-            ({"n_modes": 4, "oracle_cutoff": 6}, False),
+            ({"n_modes": 4, "oracle_cutoff": 4}, True),
+            ({"n_modes": 4, "oracle_cutoff": 6}, True),
             ({"n_modes": 5, "oracle_cutoff": 1}, False),  # beyond the pair limit
             ({"n_modes": 3, "oracle_cutoff": -1}, False),
             ({"n_modes": 3, "delta_nu_hz": 200.0}, False),  # oracle needs zero linewidth
@@ -193,6 +197,17 @@ class TestOracleCommand:
         assert report["fidelity"] == pytest.approx(0.01026468, rel=1e-4)
         assert report["alpha_matched"] == pytest.approx(7.0215543, rel=1e-6)
         assert report["coherent_truncation_deficit"] <= 1e-9
+
+    def test_four_pairs(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "oracle", "--out", str(tmp_path),
+            "--set", "oracle_pairs=4", "--set", "oracle_n_points=101",
+        )
+        assert code == 0, err
+        data = np.loadtxt(
+            tmp_path / "oracle_comparison.csv", delimiter=",", skiprows=1
+        )
+        assert data[:, 3].max() <= 1e-6
 
 
 class TestErrorHandling:

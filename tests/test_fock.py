@@ -15,7 +15,6 @@ from ghostcomb import (
     dirichlet_kernel,
     entangled_coherent_pairs,
     g2_closed,
-    g2_fock_oracle,
     phase_scrambled_curve,
     state_fidelity,
 )
@@ -25,6 +24,48 @@ CARRIER = 2.82e14
 
 def lattice(n_pairs):
     return ModeLattice(n_modes=n_pairs, nu_b=20e3, nu_s0=CARRIER)
+
+
+def _annihilate(arr, axis):
+    """Apply the annihilation operator along one basis axis."""
+    out = np.zeros_like(arr)
+    dim = arr.shape[axis]
+    src = [slice(None)] * arr.ndim
+    dst = [slice(None)] * arr.ndim
+    src[axis] = slice(1, dim)
+    dst[axis] = slice(0, dim - 1)
+    shape = [1] * arr.ndim
+    shape[axis] = dim - 1
+    weights = np.sqrt(np.arange(1, dim, dtype=float)).reshape(shape)
+    out[tuple(dst)] = arr[tuple(src)] * weights
+    return out
+
+
+def dense_reference_g2(lat, state, taus):
+    """<E1+ E2+ E2 E1> by brute force in the full two-mode-per-pair basis.
+
+    Expands the diagonal amplitudes into (cutoff + 1)^(2 P) kets, axes
+    ordered (s1, i1, s2, i2, ...), applies every a_{s,k} a_{i,l} and
+    takes the quadratic form of their Gram matrix at each (tau, 0).
+    """
+    p = state.pair_count
+    dim_per = state.cutoff + 1
+    full = np.zeros((dim_per,) * (2 * p), dtype=complex)
+    for occ in np.ndindex(*state.amplitudes.shape):
+        full[tuple(x for m in occ for x in (m, m))] = state.amplitudes[occ]
+    vectors = np.empty((p * p, full.size), dtype=complex)
+    for k in range(p):
+        lowered_s = _annihilate(full, 2 * k)
+        for l in range(p):
+            vectors[k * p + l] = _annihilate(lowered_s, 2 * l + 1).ravel()
+    gram = vectors.conj() @ vectors.T
+    k = np.arange(p)
+    values = []
+    for tau in taus:
+        phase = np.exp(-1j * 2 * math.pi * lat.nu_b * k * tau)
+        coeff = np.repeat(phase, p)  # c_kl = e^{-i k omega_b tau}
+        values.append(np.vdot(coeff, gram @ coeff).real)
+    return np.array(values)
 
 
 class TestPerturbationState:
@@ -205,9 +246,26 @@ class TestFockOracle:
                 oracle.g2(t1 - t2, 0.0), rel=1e-12
             )
 
-    def test_matches_closed_form_weak_pump(self):
-        lat = lattice(3)
-        state = entangled_coherent_pairs([0.01] * 3, 6)
+    @pytest.mark.parametrize("n_pairs, cutoff", [(2, 8), (3, 6), (4, 3)])
+    def test_matches_dense_reference(self, n_pairs, cutoff):
+        # Unequal complex alphas and scrambled pair phases exercise the
+        # cross-pair terms of the k = l block with distinct amplitudes.
+        rng = np.random.default_rng(1000 * n_pairs + cutoff)
+        alphas = rng.uniform(0.3, 0.9, n_pairs) * np.exp(
+            1j * rng.uniform(0.0, 2 * math.pi, n_pairs)
+        )
+        phases = rng.uniform(0.0, 2 * math.pi, n_pairs)
+        state = entangled_coherent_pairs(alphas, cutoff, pair_phases=phases)
+        lat = lattice(n_pairs)
+        taus = np.linspace(-0.5 / lat.nu_b, 0.5 / lat.nu_b, 41)
+        oracle = FockOracle(lat, state)
+        got = np.array([oracle.g2(t, 0.0) for t in taus])
+        assert got == pytest.approx(dense_reference_g2(lat, state, taus), rel=1e-12)
+
+    @pytest.mark.parametrize("n_pairs, cutoff", [(3, 6), (4, 6), (4, 12)])
+    def test_matches_closed_form_weak_pump(self, n_pairs, cutoff):
+        lat = lattice(n_pairs)
+        state = entangled_coherent_pairs([0.01] * n_pairs, cutoff)
         oracle = FockOracle(lat, state)
         period = 1.0 / lat.nu_b
         taus = np.linspace(-period / 2, period / 2, 101)
@@ -258,12 +316,6 @@ class TestFockOracle:
                 oracle.g2(tau, 0.0), rel=1e-9
             )
 
-    def test_one_shot_helper(self):
-        lat = lattice(2)
-        state = entangled_coherent_pairs([0.3, 0.3], 4)
-        direct = g2_fock_oracle(state, lat, 1e-5, 0.0)
-        assert direct == pytest.approx(FockOracle(lat, state).g2(1e-5, 0.0), rel=1e-15)
-
     def test_guards(self):
         state = entangled_coherent_pairs([0.3, 0.3], 4)
         with pytest.raises(ValueError, match="pair"):
@@ -271,9 +323,6 @@ class TestFockOracle:
         bad = ModeLattice(n_modes=2, nu_b=20e3, nu_s0=CARRIER, delta_nu=10.0)
         with pytest.raises(ValueError, match="single-frequency"):
             FockOracle(bad, state)
-        big = entangled_coherent_pairs([0.3] * 3, 12)
-        with pytest.raises(ValueError, match="basis size"):
-            FockOracle(lattice(3), big)
 
 
 class TestPhaseScramble:
