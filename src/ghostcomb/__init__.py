@@ -12,6 +12,7 @@ from .lattice import DetectorGeometry, ModeLattice, mode_frequencies, retarded_t
 from .correlation import (
     CorrelationCurve,
     beat_phase,
+    comb_peak_orders,
     comb_peak_positions,
     comb_peak_width,
     curve,
@@ -63,6 +64,7 @@ __all__ = [
     "build_coherent_product",
     "build_histogram",
     "build_perturbation_state",
+    "comb_peak_orders",
     "comb_peak_positions",
     "comb_peak_width",
     "contrast",

@@ -26,22 +26,21 @@ from . import __version__
 from . import io as gio
 from .config import RunConfig, load_config, parse_overrides
 from .correlation import (
+    comb_peak_orders,
     comb_peak_positions,
     comb_peak_width,
     curve,
     envelope_first_zero,
     envelope_fwhm,
-    g2_closed,
 )
 from .detection import build_histogram, contrast, merge_streams, sample_pairs, sample_singles
 from .fock import (
-    FockOracle,
     build_coherent_product,
     build_perturbation_state,
-    entangled_coherent_pairs,
     oracle_size_error,
     state_fidelity,
 )
+from .lattice import DetectorGeometry, ModeLattice
 from .seeding import LABEL_ACCIDENTAL_DET1, LABEL_ACCIDENTAL_DET2
 from .timing import CombFit, detect_peaks, fit_comb, resolution_estimate
 
@@ -86,19 +85,27 @@ def _peak_list(cfg: RunConfig) -> tuple[list[float], bool]:
     """Comb peak centers inside the configured delay range, capped."""
     lattice = cfg.lattice()
     geom = cfg.geometry()
-    period = 1.0 / lattice.nu_b
-    n_lo = math.ceil((cfg.tau_min_s - geom.retarded_offset) / period)
-    n_hi = math.floor((cfg.tau_max_s - geom.retarded_offset) / period)
-    orders = range(n_lo, n_hi + 1)
+    orders = comb_peak_orders(lattice, geom, cfg.tau_min_s, cfg.tau_max_s)
     truncated = len(orders) > 1001
     if truncated:
         orders = list(orders)[:1001]
     return [float(p) for p in comb_peak_positions(lattice, geom, orders)], truncated
 
 
+def _direct_work_error(cfg: RunConfig) -> str | None:
+    """Why direct summation over the configured grid is refused, or None."""
+    work = cfg.n_points * cfg.n_modes
+    if work > _DIRECT_WORK_CAP:
+        return (
+            f"direct summation over this grid would take {work:.2e} terms; "
+            "reduce n_points or n_modes"
+        )
+    return None
+
+
 def _applicable_methods(cfg: RunConfig) -> list[str]:
     methods = ["closed"]
-    if cfg.delta_nu_hz == 0.0 and cfg.n_points * cfg.n_modes <= _DIRECT_WORK_CAP:
+    if cfg.delta_nu_hz == 0.0 and _direct_work_error(cfg) is None:
         methods.append("direct")
     if cfg.delta_nu_hz > 0.0:
         methods.append("mc")
@@ -114,11 +121,8 @@ def cmd_curve(cfg: RunConfig, out: Path) -> int:
         methods = _applicable_methods(cfg)
     else:
         methods = [cfg.method]
-        if cfg.method == "direct" and cfg.n_points * cfg.n_modes > _DIRECT_WORK_CAP:
-            raise ValueError(
-                "direct summation over this grid would take "
-                f"{cfg.n_points * cfg.n_modes:.2e} terms; reduce n_points or n_modes"
-            )
+        if cfg.method == "direct" and (error := _direct_work_error(cfg)):
+            raise ValueError(error)
     curves = {}
     for m in methods:
         curves[m] = curve(
@@ -243,8 +247,8 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     hist = build_histogram(
         s1, s2, cfg.bin_width_s, cfg.tau_min_s, cfg.tau_max_s, metadata
     )
-    contrast_value = contrast(hist, cfg.contrast_floor)
-    peaks = detect_peaks(hist, cfg.min_prominence)
+    contrast_value = contrast(hist, lattice, geom, cfg.contrast_floor)
+    peaks = detect_peaks(hist, cfg.min_prominence, comb_peak_width(lattice))
     fit = fit_comb(peaks, nu_b_hint=cfg.nu_b_hz)
     pairs_per_peak = max(1, int(round(float(np.mean([p.counts for p in peaks])))))
 
@@ -284,22 +288,26 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
 def cmd_oracle(cfg: RunConfig, out: Path) -> int:
     lattice = cfg.oracle_lattice()
-    state = entangled_coherent_pairs(
-        [cfg.oracle_alpha] * cfg.oracle_pairs, cfg.oracle_cutoff
+    half = 0.5 / lattice.nu_b
+    fock, closed = (
+        curve(
+            lattice,
+            DetectorGeometry(r1=0.0, r2=0.0),
+            -half,
+            half,
+            cfg.oracle_n_points,
+            method,
+            alpha=cfg.oracle_alpha,
+            cutoff=cfg.oracle_cutoff,
+        )
+        for method in ("fock", "closed")
     )
-    oracle = FockOracle(lattice, state)
-    period = 1.0 / cfg.nu_b_hz
-    taus = np.linspace(-0.5 * period, 0.5 * period, cfg.oracle_n_points)
-    raw = np.array([oracle.g2(t, 0.0) for t in taus])
-    g2_oracle = raw / raw.max()
-    closed = np.asarray(g2_closed(lattice, taus))
-    closed = closed / closed.max()
     # Deviation relative to the unit peak of the normalized curves.
-    rel_err = np.abs(g2_oracle - closed)
+    rel_err = np.abs(fock.values - closed.values)
     gio.write_columns_csv(
         out / "oracle_comparison.csv",
         ["tau_s", "g2_oracle", "g2_closed", "rel_err"],
-        [taus, g2_oracle, closed, rel_err],
+        [fock.taus, fock.values, closed.values, rel_err],
     )
 
     pert, raw_coeff = build_perturbation_state(cfg.fidelity_n, cfg.fidelity_cutoff)
@@ -339,9 +347,17 @@ def cmd_fit(cfg: RunConfig, out: Path, hist_path: str, meta_path: str | None) ->
     else:
         meta = Path(meta_path)
     hist = gio.read_histogram(csv_path, meta)
-    peaks = detect_peaks(hist, cfg.min_prominence)
-    hint = float(hist.metadata["nu_b"]) if "nu_b" in hist.metadata else None
-    fit = fit_comb(peaks, nu_b_hint=hint)
+    # The run record written by `simulate` names the comb; a histogram
+    # without one falls back to measured peak widths and no nu_b hint.
+    # The width 1 / (N nu_b) does not depend on the carrier.
+    record = hist.metadata
+    width = hint = None
+    if "n_modes" in record and "nu_b" in record:
+        lattice = ModeLattice(
+            n_modes=int(record["n_modes"]), nu_b=float(record["nu_b"]), nu_s0=cfg.nu_s0_hz
+        )
+        width, hint = comb_peak_width(lattice), lattice.nu_b
+    fit = fit_comb(detect_peaks(hist, cfg.min_prominence, width), nu_b_hint=hint)
     gio.write_json(out / "fit.json", _fit_dict(fit))
     _write_manifest(out, cfg, "fit", ["fit.json"])
     print(

@@ -10,6 +10,7 @@ run's manifest so a run is reproducible from the manifest alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
@@ -88,6 +89,9 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Cross-field checks beyond what the dataclass types enforce."""
+        for key, kind in _FIELD_TYPES.items():
+            if kind == "float" and not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
         self.lattice()
         self.geometry()
         if self.method not in _METHODS:
@@ -120,6 +124,8 @@ class RunConfig:
             raise ValueError("oracle_pairs must lie in [1, 4]")
         if self.oracle_alpha <= 0:
             raise ValueError("oracle_alpha must be positive")
+        if self.oracle_n_points < 2:
+            raise ValueError("oracle_n_points must be at least 2")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.threads < 0:
@@ -139,7 +145,7 @@ def _coerce(key: str, text: str):
     text = text.strip()
     if kind == "int":
         value = float(text)
-        if value != int(value):
+        if not math.isfinite(value) or value != int(value):
             raise ValueError(f"config key {key!r} expects an integer, got {text!r}")
         return int(value)
     if kind == "float":

@@ -173,6 +173,17 @@ def comb_peak_positions(
     return orders / lattice.nu_b + geom.retarded_offset
 
 
+def comb_peak_orders(
+    lattice: ModeLattice, geom: DetectorGeometry, lo: float, hi: float
+) -> range:
+    """Orders n of the comb maxima whose laboratory delays lie in [lo, hi]."""
+    period = 1.0 / lattice.nu_b
+    return range(
+        math.ceil((lo - geom.retarded_offset) / period),
+        math.floor((hi - geom.retarded_offset) / period) + 1,
+    )
+
+
 def comb_peak_width(lattice: ModeLattice) -> float:
     """Peak-to-first-zero width of a comb tooth, 1 / (N nu_b)."""
     if lattice.n_modes < 2:
@@ -195,12 +206,11 @@ def envelope_fwhm(lattice: ModeLattice) -> float:
 
 
 def _mc_amplitudes(
-    lattice: ModeLattice, tau: float, seed: int, counts: list[int]
+    lattice: ModeLattice, tau: float, window: float, seed: int, counts: list[int]
 ) -> Callable[[int], np.ndarray]:
     """Build the per-chunk amplitude sampler for g2_mc_envelope."""
     n = lattice.n_modes
     dnu = lattice.delta_nu
-    window = 100.0 / dnu + 4.0 * abs(tau)
     t1 = 0.5 * window + 0.5 * tau
     t2 = 0.5 * window - 0.5 * tau
     x = float(beat_phase(lattice.nu_b, tau))
@@ -247,8 +257,9 @@ def g2_mc_envelope(
     if n_realizations < 2:
         raise ValueError("need at least 2 realizations for the pair statistic")
     tau = float(tau)
+    window = 100.0 / lattice.delta_nu + 4.0 * abs(tau)
     counts = chunk_sizes(int(n_realizations), _MC_CHUNK)
-    sampler = _mc_amplitudes(lattice, tau, seed, counts)
+    sampler = _mc_amplitudes(lattice, tau, window, seed, counts)
     chunks = map_ordered(sampler, range(len(counts)), threads=threads)
     amp = np.concatenate(chunks)
 
@@ -269,7 +280,6 @@ def g2_mc_envelope(
 
     # E[A] = sinc(dnu tau) K_N phases / (dnu window), so dividing the
     # pair statistic by (N / (dnu window))^2 lands on the peak-1 scale.
-    window = 100.0 / lattice.delta_nu + 4.0 * abs(tau)
     scale = (lattice.n_modes / (lattice.delta_nu * window)) ** 2
     return u_stat / scale, stderr / scale
 

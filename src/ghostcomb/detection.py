@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlation import comb_peak_positions, comb_peak_width, g2_closed
-from .lattice import SPEED_OF_LIGHT, DetectorGeometry, ModeLattice
+from .correlation import comb_peak_orders, comb_peak_positions, comb_peak_width, g2_closed
+from .lattice import DetectorGeometry, ModeLattice
 from .seeding import (
     LABEL_JITTER_DET1,
     LABEL_JITTER_DET2,
@@ -78,8 +78,8 @@ class CoincidenceHistogram:
 
     Bin i covers [tau_min + i * bin_width, tau_min + (i+1) * bin_width).
     total_pairs is the number of tallied pairs, equal to counts.sum().
-    metadata carries generator context (lattice, geometry, rates, seed)
-    used by downstream peak detection.
+    metadata is an opaque record of the run that produced the counts;
+    no analysis here reads it, so callers pass the comb explicitly.
     """
 
     bin_width: float
@@ -300,41 +300,19 @@ def build_histogram(
     )
 
 
-def _predicted_centers(hist: CoincidenceHistogram) -> tuple[np.ndarray, float]:
-    """Comb peak centers and width implied by the histogram metadata."""
-    meta = hist.metadata
-    try:
-        lattice = ModeLattice(
-            n_modes=int(meta["n_modes"]),
-            nu_b=float(meta["nu_b"]),
-            nu_s0=float(meta.get("nu_s0", 1.0)),
-            delta_nu=float(meta.get("delta_nu", 0.0)),
-        )
-        geom = DetectorGeometry(
-            r1=float(meta.get("r1", 0.0)),
-            r2=float(meta.get("r2", 0.0)),
-            c=float(meta.get("c", SPEED_OF_LIGHT)),
-        )
-    except KeyError as missing:
-        raise ValueError(
-            f"histogram metadata lacks {missing} needed to predict peaks"
-        ) from None
-    width = comb_peak_width(lattice)
-    period = 1.0 / lattice.nu_b
-    n_lo = math.floor((hist.tau_min - geom.retarded_offset) / period) - 1
-    n_hi = math.ceil((hist.tau_max - geom.retarded_offset) / period) + 1
-    centers = comb_peak_positions(lattice, geom, range(n_lo, n_hi + 1))
-    return centers, width
-
-
-def contrast(hist: CoincidenceHistogram, min_counts: int = 1000) -> float:
+def contrast(
+    hist: CoincidenceHistogram,
+    lattice: ModeLattice,
+    geom: DetectorGeometry,
+    min_counts: int = 1000,
+) -> float:
     """Peak-to-valley contrast (peak - valley) / (peak + valley).
 
     Peak bins lie within one peak width of a predicted comb center,
     valley bins at least three widths away from every center; the
-    in-between skirt is excluded from both means. Predicted centers
-    come from the histogram metadata. Fails when total counts fall
-    below min_counts or when either region is empty within the range.
+    in-between skirt is excluded from both means. Centers and width
+    are those of the given comb. Fails when total counts fall below
+    min_counts or when either region is empty within the range.
 
     Even an ideal run's valley bins are not empty: they hold the
     squared Dirichlet kernel's side lobes, about 1/(3 pi^2) of the
@@ -346,7 +324,11 @@ def contrast(hist: CoincidenceHistogram, min_counts: int = 1000) -> float:
             f"histogram has {hist.total_pairs} counts; "
             f"at least {min_counts} required for a contrast estimate"
         )
-    centers, width = _predicted_centers(hist)
+    # Widened by a period so every bin's nearest center is included.
+    period = 1.0 / lattice.nu_b
+    orders = comb_peak_orders(lattice, geom, hist.tau_min - period, hist.tau_max + period)
+    centers = comb_peak_positions(lattice, geom, orders)
+    width = comb_peak_width(lattice)
     taus = hist.bin_centers
     dist = np.min(np.abs(taus[:, None] - centers[None, :]), axis=1)
     peak_bins = dist <= width

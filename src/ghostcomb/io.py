@@ -1,9 +1,8 @@
 """File formats: curve/histogram CSV, JSON summaries, binary streams.
 
 All text outputs are deterministic byte-for-byte given identical data:
-CSV floats use fixed 12-significant-digit scientific notation (or
-shortest round-trip form for raw timestamps), and JSON is emitted with
-sorted keys and fixed indentation. Event streams use a compact binary
+CSV floats use fixed 12-significant-digit scientific notation, and
+JSON is emitted with sorted keys and fixed indentation. Event streams use a compact binary
 record: a 16-byte little-endian header (magic "GCEV", u16 version,
 u16 detector_id, u64 count) followed by count float64 timestamps.
 """
@@ -116,16 +115,14 @@ def read_event_stream(path, duration: float | None = None, rate: float = 0.0) ->
     return EventStream(detector_id, times.copy(), duration, rate, None)
 
 
-def write_stream_csv(path, stream: EventStream) -> None:
-    """Write timestamps as CSV with shortest round-trip precision."""
-    lines = ["timestamp_s"]
-    lines.extend(repr(float(t)) for t in stream.timestamps)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def write_json(path, payload: dict) -> None:
-    """Write JSON with sorted keys so equal payloads give equal bytes."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write JSON with sorted keys so equal payloads give equal bytes.
+
+    NaN and infinities are refused, since JSON has no such values.
+    """
+    Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    )
 
 
 def read_json(path) -> dict:

@@ -11,6 +11,7 @@ carrier and would be destroyed by absolute-frequency bookkeeping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +49,8 @@ class ModeLattice:
             raise ValueError(f"nu_b must be > 0, got {self.nu_b}")
         if not self.nu_s0 > 0.0:
             raise ValueError(f"nu_s0 must be > 0, got {self.nu_s0}")
-        if self.delta_nu < 0.0:
-            raise ValueError(f"delta_nu must be >= 0, got {self.delta_nu}")
+        if not 0.0 <= self.delta_nu < math.inf:
+            raise ValueError(f"delta_nu must be finite and >= 0, got {self.delta_nu}")
         if self.delta_nu >= self.nu_b:
             raise ValueError(
                 f"delta_nu ({self.delta_nu}) must stay below the mode spacing "
@@ -90,8 +91,10 @@ class DetectorGeometry:
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self) -> None:
-        if self.r1 < 0.0 or self.r2 < 0.0:
-            raise ValueError(f"path lengths must be >= 0, got r1={self.r1}, r2={self.r2}")
+        if not (0.0 <= self.r1 < math.inf and 0.0 <= self.r2 < math.inf):
+            raise ValueError(
+                f"path lengths must be finite and >= 0, got r1={self.r1}, r2={self.r2}"
+            )
         if not self.c > 0.0:
             raise ValueError(f"c must be > 0, got {self.c}")
 

@@ -168,65 +168,47 @@ class ProminentPeaks:
         return right_ip - left_ip
 
 
-def _support_radius(
-    hist: CoincidenceHistogram, peak_width: float | None
-) -> float | None:
-    """Resolve the peak support radius from argument or metadata."""
-    if peak_width is not None:
-        if peak_width <= 0:
-            raise ValueError("peak_width must be positive")
-        return float(peak_width)
-    meta = hist.metadata
-    if "n_modes" in meta and "nu_b" in meta:
-        lattice = ModeLattice(
-            n_modes=int(meta["n_modes"]),
-            nu_b=float(meta["nu_b"]),
-            nu_s0=float(meta.get("nu_s0", 1.0)),
-            delta_nu=float(meta.get("delta_nu", 0.0)),
-        )
-        return comb_peak_width(lattice)
-    return None
-
-
 def detect_peaks(
     hist: CoincidenceHistogram,
-    min_prominence: float = 0.25,
-    peak_width: float | None = None,
+    min_prominence: float,
+    peak_width: float | None,
 ) -> list[DetectedPeak]:
     """Locate comb peaks and refine each center by center of mass.
 
     Candidate maxima are the local maxima whose prominence is at least
     min_prominence times the count span (see ProminentPeaks). Each
     center is then refined iteratively as the center of mass of the
-    bins within one peak width of the current estimate; the width comes
-    from the argument, or from lattice metadata, or as a fallback from
-    the measured half-height width of the peak itself, which is
-    computed only on that path. The center standard error follows from
-    counting statistics. The expected width must span at least 10 bins,
-    else the binning is too coarse to refine and an error is raised.
+    bins within one peak width of the current estimate. The width is
+    peak_width, the comb's 1 / (N nu_b) when the caller knows the comb;
+    None falls back to the measured half-height width of each peak,
+    which is computed only on that path. The center standard error
+    follows from counting statistics. A given width must span at least
+    10 bins, else the binning is too coarse to refine and an error is
+    raised.
     """
     counts = hist.counts.astype(float)
     span = counts.max() - counts.min()
     if span <= 0:
         raise ValueError("histogram is flat; no peaks found")
-    radius = _support_radius(hist, peak_width)
-    if radius is not None and radius < 10 * hist.bin_width:
+    if peak_width is not None and not peak_width > 0:
+        raise ValueError("peak_width must be positive")
+    if peak_width is not None and peak_width < 10 * hist.bin_width:
         raise ValueError(
             "binning too coarse: need at least 10 bins per peak width "
-            f"({radius / hist.bin_width:.1f} found)"
+            f"({peak_width / hist.bin_width:.1f} found)"
         )
     found = ProminentPeaks(counts, min_prominence * span)
     idx = found.indices
     if idx.size == 0:
         raise ValueError("no peaks exceed the prominence threshold")
     taus = hist.bin_centers
-    if radius is None:
+    if peak_width is None:
         half_widths = found.half_widths() * hist.bin_width / 2.0
 
     peaks = []
     supports = []
     for j, i in enumerate(idx):
-        r = radius if radius is not None else max(half_widths[j], hist.bin_width * 5)
+        r = peak_width if peak_width is not None else max(half_widths[j], hist.bin_width * 5)
         center = taus[i]
         for _ in range(_COM_ITERATIONS):
             sel = np.abs(taus - center) <= r

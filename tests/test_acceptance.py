@@ -54,20 +54,7 @@ def report(num: int, ok: bool, detail: str) -> str:
 
 def simulate_histogram(lattice, geom, pair_rate, duration, seed, bin_width=5e-9):
     s1, s2 = sample_pairs(lattice, geom, pair_rate, duration, 0.0, seed)
-    return pair_histogram(lattice, geom, s1, s2, bin_width)
-
-
-def pair_histogram(lattice, geom, s1, s2, bin_width=5e-9):
-    meta = {
-        "n_modes": lattice.n_modes,
-        "nu_b": lattice.nu_b,
-        "nu_s0": lattice.nu_s0,
-        "delta_nu": lattice.delta_nu,
-        "r1": geom.r1,
-        "r2": geom.r2,
-        "c": geom.c,
-    }
-    return build_histogram(s1, s2, bin_width, -1.25e-4, 1.25e-4, meta)
+    return build_histogram(s1, s2, bin_width, -1.25e-4, 1.25e-4)
 
 
 def test_criterion_01_comb_shape_at_scale():
@@ -161,9 +148,9 @@ def test_criterion_04_ideal_run_contrast_and_empty_valleys():
     lat = ModeLattice(n_modes=1000, nu_b=20e3, nu_s0=CARRIER)
     duration = 2.53e5
     s1, s2 = sample_pairs(lat, GEOM0, 4.0, duration, 0.0, seed=2026)
-    hist = pair_histogram(lat, GEOM0, s1, s2)
+    hist = build_histogram(s1, s2, 5e-9, -1.25e-4, 1.25e-4)
     assert hist.total_pairs >= 1_000_000, "needs at least 1e6 tallied pairs"
-    c = contrast(hist)
+    c = contrast(hist, lat, GEOM0)
     width = comb_peak_width(lat)
     centers = comb_peak_positions(lat, GEOM0, range(-3, 4))
     dist = np.min(np.abs(hist.bin_centers[:, None] - centers[None, :]), axis=1)
@@ -222,8 +209,8 @@ def test_criterion_06_offset_recovery():
     lat = ModeLattice(n_modes=1000, nu_b=20e3, nu_s0=CARRIER)
     geom = DetectorGeometry(r1=true_offset * SPEED_OF_LIGHT, r2=0.0)
     hist = simulate_histogram(lat, geom, 4.0, 2.5e5, seed=61)
-    fit = fit_comb(detect_peaks(hist), nu_b_hint=lat.nu_b)
     width = comb_peak_width(lat)
+    fit = fit_comb(detect_peaks(hist, 0.25, peak_width=width), nu_b_hint=lat.nu_b)
     err = abs(fit.offset_est - geom.retarded_offset)
     elapsed = time.monotonic() - start
     ok = (
@@ -268,7 +255,8 @@ def test_criterion_08_offset_error_scales_with_root_pairs():
     totals = []
     for target in targets:
         hist = simulate_histogram(lat, GEOM0, target / duration, duration, seed=83)
-        fit = fit_comb(detect_peaks(hist), nu_b_hint=lat.nu_b)
+        peaks = detect_peaks(hist, 0.25, peak_width=comb_peak_width(lat))
+        fit = fit_comb(peaks, nu_b_hint=lat.nu_b)
         stderrs.append(fit.offset_stderr)
         totals.append(hist.total_pairs)
     slope = float(np.polyfit(np.log(totals), np.log(stderrs), 1)[0])

@@ -8,7 +8,13 @@ import pytest
 
 from ghostcomb.cli import _applicable_methods, main
 from ghostcomb.config import load_config
-from ghostcomb.io import read_curve_csv, read_event_stream, read_histogram, read_json
+from ghostcomb.io import (
+    read_curve_csv,
+    read_event_stream,
+    read_histogram,
+    read_json,
+    write_json,
+)
 
 SIM_ARGS = [
     "--set", "n_modes=10",
@@ -161,6 +167,29 @@ class TestFitCommand:
         fit = read_json(fit_dir / "fit.json")
         expected = read_json(sim / "results.json")["fit"]
         assert fit == expected
+
+    def test_fit_never_sees_the_offset(self, tmp_path, capsys):
+        # r1, r2 and c in the sidecar give the true offset (r1 - r2) / c;
+        # the estimate must come out the same without them.
+        sim = tmp_path / "sim"
+        code, _, err = run(
+            capsys, "simulate", "--out", str(sim), "--seed", "19", *SIM_ARGS,
+            "--set", "r1_m=300",
+        )
+        assert code == 0, err
+        sidecar = read_json(sim / "histogram_meta.json")
+        for key in ("r1", "r2", "c"):
+            del sidecar["metadata"][key]
+        blind = tmp_path / "blind_meta.json"
+        write_json(blind, sidecar)
+        for name, meta in (("full", sim / "histogram_meta.json"), ("blind", blind)):
+            code, _, err = run(
+                capsys, "fit", str(sim / "histogram.csv"),
+                "--meta", str(meta), "--out", str(tmp_path / name),
+            )
+            assert code == 0, err
+        full = (tmp_path / "full" / "fit.json").read_bytes()
+        assert (tmp_path / "blind" / "fit.json").read_bytes() == full
 
     def test_explicit_meta_path(self, tmp_path, capsys):
         sim = tmp_path / "sim"

@@ -16,7 +16,6 @@ from ghostcomb.io import (
     write_event_stream,
     write_histogram,
     write_json,
-    write_stream_csv,
 )
 
 
@@ -106,6 +105,7 @@ class TestRunConfig:
             ("contrast_floor", 0),
             ("oracle_pairs", 5),
             ("oracle_alpha", 0.0),
+            ("oracle_n_points", 1),
             ("seed", -1),
             ("threads", -1),
             ("n_modes", 0),
@@ -114,6 +114,23 @@ class TestRunConfig:
     def test_validation_rejects(self, key, value):
         with pytest.raises(ValueError):
             load_config(overrides={key: value})
+
+    @pytest.mark.parametrize(
+        "key,text",
+        [
+            ("jitter_sigma_s", "nan"),
+            ("delta_nu_hz", "nan"),
+            ("pair_rate_hz", "nan"),
+            ("duration_s", "inf"),
+            ("r1_m", "inf"),
+            ("c_mps", "-inf"),
+            ("n_points", "nan"),
+            ("n_points", "inf"),
+        ],
+    )
+    def test_non_finite_value_names_the_key(self, key, text):
+        with pytest.raises(ValueError, match=key):
+            load_config(overrides=parse_overrides([f"{key}={text}"]))
 
 
 class TestCurveCsv:
@@ -230,14 +247,6 @@ class TestEventStreamFiles:
         with pytest.raises(ValueError, match="truncated"):
             read_event_stream(path)
 
-    def test_stream_csv(self, tmp_path):
-        path = tmp_path / "s.csv"
-        stream = self.make_stream()
-        write_stream_csv(path, stream)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "timestamp_s"
-        assert [float(x) for x in lines[1:]] == list(stream.timestamps)
-
 
 class TestJson:
     def test_deterministic_bytes(self, tmp_path):
@@ -247,3 +256,7 @@ class TestJson:
         write_json(b, {"alpha": {"x": [1, 2], "y": 2.5}, "zeta": 1})
         assert a.read_bytes() == b.read_bytes()
         assert read_json(a) == payload
+
+    def test_non_finite_values_are_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "nan.json", {"x": float("nan")})

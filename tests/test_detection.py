@@ -26,18 +26,6 @@ LAT10 = ModeLattice(n_modes=10, nu_b=20e3, nu_s0=CARRIER)
 GEOM0 = DetectorGeometry(r1=0.0, r2=0.0)
 
 
-def meta_for(lattice, geom):
-    return {
-        "n_modes": lattice.n_modes,
-        "nu_b": lattice.nu_b,
-        "nu_s0": lattice.nu_s0,
-        "delta_nu": lattice.delta_nu,
-        "r1": geom.r1,
-        "r2": geom.r2,
-        "c": geom.c,
-    }
-
-
 class TestEventStream:
     def test_accepts_valid_stream(self):
         s = EventStream(1, np.array([0.1, 0.5, 0.9]), 1.0, 3.0)
@@ -103,7 +91,7 @@ class TestSamplePairs:
         s1, s2 = sample_pairs(LAT10, GEOM0, self.RATE, self.DURATION, jitter, seed)
         width = comb_peak_width(LAT10)
         h = width / bins_per_width
-        return s1, s2, build_histogram(s1, s2, h, -1.25e-4, 1.25e-4, meta_for(LAT10, GEOM0))
+        return s1, s2, build_histogram(s1, s2, h, -1.25e-4, 1.25e-4)
 
     def test_marginals_are_flat(self):
         s1, s2 = sample_pairs(LAT10, GEOM0, self.RATE, self.DURATION, 0.0, seed=21)
@@ -305,17 +293,15 @@ class TestContrast:
         counts = np.full(n_bins, skirt)
         counts[dist <= width] = peak
         counts[dist >= 3 * width] = valley
-        return CoincidenceHistogram(
-            h, tau_min, tau_max, counts, int(counts.sum()), meta_for(LAT10, GEOM0)
-        )
+        return CoincidenceHistogram(h, tau_min, tau_max, counts, int(counts.sum()))
 
     def test_mixture_arithmetic(self):
         hist = self.synthetic_histogram(90, 10, 50)
-        assert contrast(hist, min_counts=100) == pytest.approx(0.8, rel=1e-12)
+        assert contrast(hist, LAT10, GEOM0, min_counts=100) == pytest.approx(0.8, rel=1e-12)
 
     def test_flat_histogram_has_zero_contrast(self):
         hist = self.synthetic_histogram(25, 25, 25)
-        assert contrast(hist, min_counts=100) == 0.0
+        assert contrast(hist, LAT10, GEOM0, min_counts=100) == 0.0
 
     def test_simulated_pairs_are_high_contrast(self):
         # Many modes keep the between-peak side lobes small relative to
@@ -323,26 +309,17 @@ class TestContrast:
         lat = ModeLattice(n_modes=100, nu_b=20e3, nu_s0=CARRIER)
         s1, s2 = sample_pairs(lat, GEOM0, 0.05, 1e6, 0.0, seed=33)
         width = comb_peak_width(lat)
-        hist = build_histogram(
-            s1, s2, width / 10, -1.25e-4, 1.25e-4, meta_for(lat, GEOM0)
-        )
-        assert contrast(hist) > 0.99
+        hist = build_histogram(s1, s2, width / 10, -1.25e-4, 1.25e-4)
+        assert contrast(hist, lat, GEOM0) > 0.99
 
     def test_count_floor(self):
         hist = self.synthetic_histogram(1, 0, 0)
         with pytest.raises(ValueError, match="at least"):
-            contrast(hist, min_counts=10_000)
-
-    def test_missing_metadata(self):
-        h = CoincidenceHistogram(1e-6, -1e-5, 1e-5, np.full(20, 100), 2000, {})
-        with pytest.raises(ValueError, match="metadata"):
-            contrast(h, min_counts=10)
+            contrast(hist, LAT10, GEOM0, min_counts=10_000)
 
     def test_range_without_valleys(self):
         # Two modes: every delay is within one width of some peak center.
         lat2 = ModeLattice(n_modes=2, nu_b=20e3, nu_s0=CARRIER)
-        h = CoincidenceHistogram(
-            5e-6, -2.5e-5, 2.5e-5, np.full(10, 100), 1000, meta_for(lat2, GEOM0)
-        )
+        h = CoincidenceHistogram(5e-6, -2.5e-5, 2.5e-5, np.full(10, 100), 1000)
         with pytest.raises(ValueError, match="lacks"):
-            contrast(h, min_counts=10)
+            contrast(h, lat2, GEOM0, min_counts=10)

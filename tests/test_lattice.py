@@ -43,6 +43,7 @@ class TestModeLattice:
             dict(nu_b=-1.0),
             dict(nu_s0=0.0),
             dict(delta_nu=-1.0),
+            dict(delta_nu=float("nan")),
             dict(nu_b=100.0, delta_nu=100.0),
             dict(profile="gaussian"),
         ],
@@ -117,6 +118,10 @@ class TestRetardedTau:
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
             DetectorGeometry(r1=-1.0, r2=0.0)
+        with pytest.raises(ValueError):
+            DetectorGeometry(r1=float("nan"), r2=0.0)
+        with pytest.raises(ValueError):
+            DetectorGeometry(r1=0.0, r2=float("inf"))
         with pytest.raises(ValueError):
             DetectorGeometry(r1=0.0, r2=0.0, c=0.0)
 

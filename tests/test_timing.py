@@ -31,27 +31,17 @@ GEOM0 = DetectorGeometry(r1=0.0, r2=0.0)
 PERIOD = 1.0 / LAT10.nu_b
 
 
-def meta_for(lattice, geom=GEOM0):
-    return {
-        "n_modes": lattice.n_modes,
-        "nu_b": lattice.nu_b,
-        "nu_s0": lattice.nu_s0,
-        "delta_nu": lattice.delta_nu,
-        "r1": geom.r1,
-        "r2": geom.r2,
-        "c": geom.c,
-    }
+WIDTH10 = comb_peak_width(LAT10)
 
 
-def synthetic_histogram(lattice=LAT10, scale=100_000, with_meta=True):
+def synthetic_histogram(lattice=LAT10, scale=100_000):
     """Noise-free histogram whose counts trace the correlation curve."""
     h = comb_peak_width(lattice) / 25
     tau_min, tau_max = -1.25e-4, 1.25e-4
     n_bins = int(round((tau_max - tau_min) / h))
     taus = tau_min + (np.arange(n_bins) + 0.5) * h
     counts = np.round(scale * np.asarray(g2_closed(lattice, taus))).astype(np.int64)
-    meta = meta_for(lattice) if with_meta else {}
-    return CoincidenceHistogram(h, tau_min, tau_max, counts, int(counts.sum()), meta)
+    return CoincidenceHistogram(h, tau_min, tau_max, counts, int(counts.sum()))
 
 
 def assert_matches_reference(x, prominence):
@@ -104,7 +94,7 @@ class TestProminentPeaks:
 class TestDetectPeaks:
     def test_noiseless_centers(self):
         hist = synthetic_histogram()
-        peaks = detect_peaks(hist)
+        peaks = detect_peaks(hist, 0.25, peak_width=WIDTH10)
         assert len(peaks) == 5
         for peak, n in zip(peaks, range(-2, 3)):
             assert abs(peak.center - n * PERIOD) < hist.bin_width / 10
@@ -112,23 +102,23 @@ class TestDetectPeaks:
             assert peak.stderr > 0
 
     def test_fallback_width_without_metadata(self):
-        hist = synthetic_histogram(with_meta=False)
-        peaks = detect_peaks(hist)
+        hist = synthetic_histogram()
+        peaks = detect_peaks(hist, 0.25, peak_width=None)
         assert len(peaks) == 5
         for peak, n in zip(peaks, range(-2, 3)):
             assert abs(peak.center - n * PERIOD) < hist.bin_width
 
     def test_explicit_width_argument(self):
-        hist = synthetic_histogram(with_meta=False)
-        peaks = detect_peaks(hist, peak_width=comb_peak_width(LAT10))
+        hist = synthetic_histogram()
+        peaks = detect_peaks(hist, 0.25, peak_width=WIDTH10)
         assert len(peaks) == 5
         with pytest.raises(ValueError):
-            detect_peaks(hist, peak_width=-1e-6)
+            detect_peaks(hist, 0.25, peak_width=-1e-6)
 
     def test_flat_histogram(self):
         h = CoincidenceHistogram(1e-6, 0.0, 1e-5, np.full(10, 7), 70, {})
         with pytest.raises(ValueError, match="flat"):
-            detect_peaks(h)
+            detect_peaks(h, 0.25, peak_width=None)
 
     def test_coarse_binning(self):
         lat = LAT10
@@ -137,32 +127,30 @@ class TestDetectPeaks:
         taus = -1.25e-4 + (np.arange(n_bins) + 0.5) * h
         counts = np.round(1000 * np.asarray(g2_closed(lat, taus))).astype(np.int64)
         hist = CoincidenceHistogram(
-            h, -1.25e-4, 1.25e-4, counts, int(counts.sum()), meta_for(lat)
+            h, -1.25e-4, 1.25e-4, counts, int(counts.sum())
         )
         with pytest.raises(ValueError, match="coarse"):
-            detect_peaks(hist)
+            detect_peaks(hist, 0.25, peak_width=comb_peak_width(lat))
 
     def test_prominence_threshold(self):
         hist = synthetic_histogram()
         with pytest.raises(ValueError, match="prominence"):
-            detect_peaks(hist, min_prominence=1.01)
+            detect_peaks(hist, 1.01, peak_width=WIDTH10)
 
     def test_split_tops_are_merged(self):
         # At low counts one physical peak can present several candidate
         # maxima; refinement must collapse them to a single peak.
         s1, s2 = sample_pairs(LAT10, GEOM0, 0.05, 2e5, 0.0, seed=11)
-        hist = build_histogram(s1, s2, 2e-7, -1.25e-4, 1.25e-4, meta_for(LAT10))
-        peaks = detect_peaks(hist)
+        hist = build_histogram(s1, s2, 2e-7, -1.25e-4, 1.25e-4)
+        peaks = detect_peaks(hist, 0.25, peak_width=WIDTH10)
         assert len(peaks) == 5
         centers = [p.center for p in peaks]
         assert np.all(np.diff(centers) > 0.5 * PERIOD)
 
     def test_simulated_peaks_within_errors(self):
         s1, s2 = sample_pairs(LAT10, GEOM0, 0.05, 1e6, 0.0, seed=44)
-        hist = build_histogram(
-            s1, s2, comb_peak_width(LAT10) / 25, -1.25e-4, 1.25e-4, meta_for(LAT10)
-        )
-        peaks = detect_peaks(hist)
+        hist = build_histogram(s1, s2, WIDTH10 / 25, -1.25e-4, 1.25e-4)
+        peaks = detect_peaks(hist, 0.25, peak_width=WIDTH10)
         truth = comb_peak_positions(LAT10, GEOM0, range(-2, 3))
         assert len(peaks) == 5
         for peak, target in zip(peaks, truth):
@@ -248,11 +236,8 @@ class TestFitComb:
         true_offset = 1e-8
         geom = DetectorGeometry(r1=true_offset * SPEED_OF_LIGHT, r2=0.0)
         s1, s2 = sample_pairs(LAT10, geom, 0.05, 1e6, 0.0, seed=55)
-        hist = build_histogram(
-            s1, s2, comb_peak_width(LAT10) / 25, -1.25e-4, 1.25e-4,
-            meta_for(LAT10, geom),
-        )
-        fit = fit_comb(detect_peaks(hist), nu_b_hint=20e3)
+        hist = build_histogram(s1, s2, WIDTH10 / 25, -1.25e-4, 1.25e-4)
+        fit = fit_comb(detect_peaks(hist, 0.25, peak_width=WIDTH10), nu_b_hint=20e3)
         assert abs(fit.offset_est - true_offset) < 3 * fit.offset_stderr
         assert isinstance(fit, CombFit)
 
