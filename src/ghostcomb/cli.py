@@ -153,13 +153,20 @@ def cmd_curve(cfg: RunConfig, out: Path) -> int:
     if cfg.method == "all":
         header = ["tau_s"] + [f"g2_{m}" for m in methods]
         columns = [primary.taus] + [curves[m].values for m in methods]
-        base = curves["closed"].values
-        # Curves are peak-normalized, so this deviation is relative to
-        # the unit peak; a pointwise ratio would blow up at the comb's
-        # exact zeros.
+        # Each deviation is taken against the closed form on the other
+        # curve's scale, so it is relative to a unit peak; a pointwise
+        # ratio would blow up at the comb's exact zeros. mc is raw (the
+        # closed form's own peak-1 scale), the others peak-normalized,
+        # and the two differ on a grid that misses the comb peaks.
         for m in methods:
             if m == "closed":
                 continue
+            base = curves["closed"].values
+            if curves[m].normalization == "raw":
+                base = curve(
+                    lattice, geom, cfg.tau_min_s, cfg.tau_max_s, cfg.n_points,
+                    "closed", normalization="raw",
+                ).values
             header.append(f"rel_err_{m}")
             columns.append(np.abs(curves[m].values - base))
         gio.write_columns_csv(out / "curve_comparison.csv", header, columns)
@@ -170,7 +177,7 @@ def cmd_curve(cfg: RunConfig, out: Path) -> int:
         "lattice": _lattice_dict(cfg),
         "geometry": {"r1_m": cfg.r1_m, "r2_m": cfg.r2_m, "c_mps": cfg.c_mps},
         "method": cfg.method,
-        "normalization": "peak",
+        "normalization": primary.normalization,
         "n_points": cfg.n_points,
         "tau_min_s": cfg.tau_min_s,
         "tau_max_s": cfg.tau_max_s,

@@ -53,6 +53,11 @@ _SINGULAR_SIN_HALF = 1e-8
 
 _MC_CHUNK = 512
 
+# The Monte Carlo weight's cosine-difference form carries an absolute
+# error of about 1e-15 / |4u(u - c)| (see _mc_amplitudes); below this
+# bound on |4u(u - c)| the sampler takes the two-sinc product instead.
+_MC_GUARD = 0.1
+
 
 def beat_phase(nu_b: float, tau) -> np.ndarray | float:
     """Comb phase argument x = 2 pi nu_b tau.
@@ -208,13 +213,33 @@ def envelope_fwhm(lattice: ModeLattice) -> float:
 def _mc_amplitudes(
     lattice: ModeLattice, tau: float, window: float, seed: int, counts: list[int]
 ) -> Callable[[int], np.ndarray]:
-    """Build the per-chunk amplitude sampler for g2_mc_envelope."""
+    """Build the per-chunk amplitude sampler for g2_mc_envelope.
+
+    A chunk draws one emission epoch t0 ~ U(0, window) per realization
+    and mode pair and returns each realization's amplitude
+    sum_n w_n e^{-i n x}, with x = 2 pi nu_b tau and the weight
+    w = sinc(dnu (t1 - t0)) sinc(dnu (t2 - t0)). With u = pi dnu (t1 - t0)
+    and c = pi dnu tau that product is
+
+        sin(u) sin(u - c) / (u (u - c)) = [cos c - cos(2u - c)] / (2u (u - c)),
+
+    so each sample costs one cosine and one division. Near u = 0 and
+    u = c the cosine difference cancels (it is 0/0 at those points):
+    samples with |4u (u - c)| < _MC_GUARD take the two-sinc product
+    instead. The weights are reduced against the real cos/sin phase
+    vectors with einsum, which never calls BLAS, so a chunk runs on the
+    calling thread alone.
+    """
     n = lattice.n_modes
     dnu = lattice.delta_nu
     t1 = 0.5 * window + 0.5 * tau
     t2 = 0.5 * window - 0.5 * tau
-    x = float(beat_phase(lattice.nu_b, tau))
-    phases = np.exp(-1j * np.arange(n) * x)
+    c = math.pi * dnu * tau
+    cos_c = math.cos(c)
+    nx = np.arange(n) * float(beat_phase(lattice.nu_b, tau))
+    # The chunk forms w / 2; the phase vectors carry the factor 2 back.
+    re_phase = 2.0 * np.cos(nx)
+    im_phase = -2.0 * np.sin(nx)
     # Distinct stream per delay value so neighboring grid points are
     # statistically independent rather than sharing epoch draws.
     tau_bits = int(np.float64(tau).view(np.uint64))
@@ -222,8 +247,23 @@ def _mc_amplitudes(
     def one_chunk(chunk_index: int) -> np.ndarray:
         rng = derive_rng(seed, LABEL_MC_ENVELOPE, tau_bits, chunk_index)
         t0 = rng.uniform(0.0, window, size=(counts[chunk_index], n))
-        w = np.sinc(dnu * (t1 - t0)) * np.sinc(dnu * (t2 - t0))
-        return w.astype(complex) @ phases
+        two_u = np.subtract(t1, t0)
+        two_u *= TWO_PI * dnu
+        den = np.subtract(two_u, 2.0 * c)
+        den *= two_u  # 4u(u - c)
+        near = np.flatnonzero((den < _MC_GUARD) & (den > -_MC_GUARD))
+        t0_near = t0.ravel()[near]
+        arg = np.subtract(two_u, c, out=t0)  # 2u - c
+        np.cos(arg, out=arg)
+        half_w = np.subtract(cos_c, arg, out=arg)
+        den.ravel()[near] = 1.0
+        half_w /= den  # w / 2
+        half_w.ravel()[near] = 0.5 * (
+            np.sinc(dnu * (t1 - t0_near)) * np.sinc(dnu * (t2 - t0_near))
+        )
+        re = np.einsum("ij,j->i", half_w, re_phase)
+        im = np.einsum("ij,j->i", half_w, im_phase)
+        return re + 1j * im
 
     return one_chunk
 
@@ -249,8 +289,9 @@ def g2_mc_envelope(
     clear of the emission-epoch boundaries; without that margin the
     estimate acquires a deterministic truncation bias near the window
     edges. Requires a strictly positive linewidth and at least two
-    realizations. Chunked RNG derivation makes the estimate independent
-    of the thread count.
+    realizations. Each chunk of realizations derives its own RNG stream
+    and is summed without BLAS (see _mc_amplitudes), so the estimate
+    depends on neither the thread count nor BLAS threading.
     """
     if lattice.delta_nu <= 0.0:
         raise ValueError("Monte Carlo envelope needs a positive linewidth")
@@ -335,7 +376,7 @@ def curve(
     n_points: int,
     method: str = "closed",
     *,
-    normalization: str = "peak",
+    normalization: str | None = None,
     n_realizations: int = 2000,
     seed: int | None = None,
     threads: int = 1,
@@ -350,11 +391,18 @@ def curve(
     linewidth only), "mc" (stochastic envelope, needs a seed), "fock"
     (exact moments of a truncated entangled coherent state, small
     lattices only).
+
+    normalization is "raw" or "peak"; None picks the method's natural
+    scale: "raw" for "mc", whose estimate is already on g2_closed's
+    peak-1 scale (dividing by its own noisy maximum would bias the values
+    and leave that noise out of the standard errors), "peak" otherwise.
     """
     if not tau_max > tau_min:
         raise ValueError("tau_max must exceed tau_min")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
+    if normalization is None:
+        normalization = "raw" if method == "mc" else "peak"
     if normalization not in ("raw", "peak"):
         raise ValueError("normalization must be 'raw' or 'peak'")
 

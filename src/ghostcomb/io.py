@@ -22,13 +22,36 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sHHQ")
 
 
+# Rows per "%"-format call: bounds the text held in memory at once.
+_ROWS_PER_BLOCK = 1 << 16
+
+
+def _write_rows(path, header: list[str], row_format: str, columns: list) -> None:
+    """Write a CSV header, then one row_format line per row of the columns.
+
+    Each block of rows is one "%"-format over the block's values
+    flattened row by row, which gives the same bytes as formatting
+    every value with an f-string, at a fraction of the cost.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError("columns must have equal length")
+    width = len(columns)
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, _ROWS_PER_BLOCK):
+            stop = min(start + _ROWS_PER_BLOCK, n_rows)
+            flat = [None] * (width * (stop - start))
+            for j, column in enumerate(columns):
+                flat[j::width] = column[start:stop].tolist()
+            fh.write(row_format * (stop - start) % tuple(flat))
+
+
 def write_curve_csv(path, taus, values) -> None:
     """Write a correlation curve as rows of "tau_s,g2"."""
-    taus = np.asarray(taus, dtype=float)
-    values = np.asarray(values, dtype=float)
-    lines = ["tau_s,g2"]
-    lines.extend(f"{t:.11e},{v:.11e}" for t, v in zip(taus, values))
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = [np.asarray(taus, dtype=float), np.asarray(values, dtype=float)]
+    _write_rows(path, ["tau_s", "g2"], "%.11e,%.11e\n", columns)
 
 
 def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -40,19 +63,18 @@ def write_columns_csv(path, header: list[str], columns: list[np.ndarray]) -> Non
     """Write aligned numeric columns under the given header names."""
     if len(header) != len(columns):
         raise ValueError("one header name per column required")
-    rows = zip(*[np.asarray(c, dtype=float) for c in columns])
-    lines = [",".join(header)]
-    lines.extend(",".join(f"{x:.11e}" for x in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    _write_rows(path, header, ",".join(["%.11e"] * len(columns)) + "\n", columns)
 
 
 def write_histogram(path_csv, path_meta, hist: CoincidenceHistogram) -> None:
     """Write histogram counts as CSV plus a JSON metadata sidecar."""
-    lines = ["tau_bin_center_s,count"]
-    lines.extend(
-        f"{t:.11e},{c}" for t, c in zip(hist.bin_centers, hist.counts)
+    _write_rows(
+        path_csv,
+        ["tau_bin_center_s", "count"],
+        "%.11e,%d\n",
+        [hist.bin_centers, hist.counts],
     )
-    Path(path_csv).write_text("\n".join(lines) + "\n")
     meta = {
         "bin_width_s": hist.bin_width,
         "tau_min_s": hist.tau_min,

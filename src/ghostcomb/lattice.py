@@ -26,8 +26,8 @@ class ModeLattice:
     """Frequency lattice of N signal/idler mode pairs.
 
     n_modes   -- number of pairs N (>= 1)
-    nu_b      -- mode spacing in Hz; angular spacing is 2*pi*nu_b
-    nu_s0     -- signal central frequency in Hz (> 0)
+    nu_b      -- mode spacing in Hz (finite, > 0); angular spacing is 2*pi*nu_b
+    nu_s0     -- signal central frequency in Hz (finite, > 0)
     delta_nu  -- per-mode spectral linewidth in Hz (0 = monochromatic modes)
     nu_p      -- pump frequency; must equal 2*nu_s0 exactly (degenerate pairing)
     profile   -- per-mode spectral profile tag ("rectangular" is the only one)
@@ -45,10 +45,10 @@ class ModeLattice:
             raise ValueError(f"n_modes must be an integer, got {self.n_modes!r}")
         if self.n_modes < 1:
             raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
-        if not self.nu_b > 0.0:
-            raise ValueError(f"nu_b must be > 0, got {self.nu_b}")
-        if not self.nu_s0 > 0.0:
-            raise ValueError(f"nu_s0 must be > 0, got {self.nu_s0}")
+        if not 0.0 < self.nu_b < math.inf:
+            raise ValueError(f"nu_b must be finite and > 0, got {self.nu_b}")
+        if not 0.0 < self.nu_s0 < math.inf:
+            raise ValueError(f"nu_s0 must be finite and > 0, got {self.nu_s0}")
         if not 0.0 <= self.delta_nu < math.inf:
             raise ValueError(f"delta_nu must be finite and >= 0, got {self.delta_nu}")
         if self.delta_nu >= self.nu_b:
@@ -83,7 +83,7 @@ class DetectorGeometry:
     """Optical path lengths from the source to the two detectors.
 
     r1, r2 -- path lengths in meters (>= 0)
-    c      -- propagation speed in m/s
+    c      -- propagation speed in m/s (finite, > 0)
     """
 
     r1: float
@@ -95,8 +95,8 @@ class DetectorGeometry:
             raise ValueError(
                 f"path lengths must be finite and >= 0, got r1={self.r1}, r2={self.r2}"
             )
-        if not self.c > 0.0:
-            raise ValueError(f"c must be > 0, got {self.c}")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"c must be finite and > 0, got {self.c}")
 
     @property
     def retarded_offset(self) -> float:

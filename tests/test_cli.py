@@ -8,6 +8,7 @@ import pytest
 
 from ghostcomb.cli import _applicable_methods, main
 from ghostcomb.config import load_config
+from ghostcomb.correlation import g2_closed
 from ghostcomb.io import (
     read_curve_csv,
     read_event_stream,
@@ -66,6 +67,27 @@ class TestCurveCommand:
         assert data[:, 4].max() < 1e-9
         assert data[:, 5].max() < 1e-6
 
+    def test_all_methods_compare_mc_on_the_closed_scale(self, tmp_path, capsys):
+        """rel_err_mc is the mc error even on a grid that misses the peaks."""
+        overrides = {"n_modes": 64, "delta_nu_hz": 200.0, "n_points": 10}
+        code, _, err = run(
+            capsys, "curve", "--out", str(tmp_path), "--method", "all",
+            "--seed", "3", "--set", "mc_realizations=400",
+            *[a for k, v in overrides.items() for a in ("--set", f"{k}={v}")],
+        )
+        assert code == 0, err
+        header = (tmp_path / "curve_comparison.csv").read_text().splitlines()[0]
+        assert header == "tau_s,g2_closed,g2_mc,rel_err_mc"
+        data = np.loadtxt(tmp_path / "curve_comparison.csv", delimiter=",", skiprows=1)
+        _, stderrs = read_curve_csv(tmp_path / "curve_mc_stderr.csv")
+        cfg = load_config(None, overrides)
+        closed = g2_closed(cfg.lattice(), data[:, 0] - cfg.geometry().retarded_offset)
+        # An even grid skips tau = 0: the peak-normalized column is not
+        # the closed form's own scale there.
+        assert closed.max() < 0.5 and data[:, 1].max() == 1.0
+        assert data[:, 3] == pytest.approx(np.abs(data[:, 2] - closed), abs=1e-11)
+        assert np.all(data[:, 3] <= 4.0 * stderrs)
+
     def test_all_methods_include_fock_at_four_modes(self, tmp_path, capsys):
         # The largest pair count the oracle takes, at the default
         # oracle_cutoff of 6.
@@ -106,6 +128,30 @@ class TestCurveCommand:
         summary = read_json(tmp_path / "curve_summary.json")
         assert summary["mc"] == {"seed": 7, "n_realizations": 200}
         assert summary["envelope_first_zero_s"] == pytest.approx(5e-3)
+
+    def test_mc_curve_is_literal_within_four_stderrs(self, tmp_path, capsys):
+        """The mc curve and its stderrs sit on g2_closed's scale, unfitted.
+
+        Seeds 1-21 were fixed before the test was first run.
+        """
+        cfg = load_config(None, {"n_modes": 64, "delta_nu_hz": 200.0})
+        misses = []
+        for seed in range(1, 22):
+            out = tmp_path / str(seed)
+            code, _, err = run(
+                capsys, "curve", "--out", str(out), "--method", "mc",
+                "--seed", str(seed),
+                "--set", "n_modes=64", "--set", "delta_nu_hz=200",
+                "--set", "n_points=11", "--set", "mc_realizations=2000",
+            )
+            assert code == 0, err
+            assert read_json(out / "curve_summary.json")["normalization"] == "raw"
+            taus, values = read_curve_csv(out / "curve.csv")
+            _, stderrs = read_curve_csv(out / "curve_mc_stderr.csv")
+            closed = g2_closed(cfg.lattice(), taus - cfg.geometry().retarded_offset)
+            z = np.abs(values - closed) / stderrs
+            misses += [(seed, float(t), float(x)) for t, x in zip(taus, z) if x > 4.0]
+        assert not misses, misses
 
     def test_direct_work_cap(self, tmp_path, capsys):
         code, _, err = run(

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ghostcomb import RunConfig, load_config
+from ghostcomb import io as gio
 from ghostcomb.config import parse_overrides
 from ghostcomb.detection import CoincidenceHistogram, EventStream
 from ghostcomb.io import (
@@ -155,6 +157,87 @@ class TestCurveCsv:
         assert len(lines) == 3
         with pytest.raises(ValueError):
             write_columns_csv(path, ["x"], [a, b])
+
+
+# Test-side reference: every value formatted on its own by an f-string.
+def reference_rows(header, columns, formats):
+    lines = [",".join(header)]
+    lines.extend(
+        ",".join(f"{x:{fmt}}" for x, fmt in zip(row, formats)) for row in zip(*columns)
+    )
+    return ("\n".join(lines) + "\n").encode()
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-310, 1e300, -1e300, 1.0, -2.5e-7]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
+WRITER_SETTINGS = settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestWriterBytes:
+    """The block "%"-format writers give the bytes of per-value f-strings.
+
+    The block size is cut to 3 rows so that block boundaries are crossed.
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(gio, "_ROWS_PER_BLOCK", 3)
+
+    @WRITER_SETTINGS
+    @given(st.lists(st.tuples(FLOATS, FLOATS), max_size=12))
+    @example([])
+    @example([(-0.0, 5e-324)])
+    @example([(1e300, -1e300), (-5e-324, 2.2e-310)])
+    def test_curve_csv(self, tmp_path, rows):
+        taus, values = [r[0] for r in rows], [r[1] for r in rows]
+        path = tmp_path / "curve.csv"
+        write_curve_csv(path, taus, values)
+        expected = reference_rows(["tau_s", "g2"], [taus, values], [".11e"] * 2)
+        assert path.read_bytes() == expected
+
+    @WRITER_SETTINGS
+    @given(st.integers(1, 4).flatmap(
+        lambda w: st.lists(st.lists(FLOATS, min_size=w, max_size=w), max_size=12)
+        .map(lambda rows: (w, rows))
+    ))
+    @example((2, []))
+    @example((3, [[-0.0, 5e-324, -1e300]]))
+    def test_columns_csv(self, tmp_path, case):
+        width, rows = case
+        header = [f"c{j}" for j in range(width)]
+        columns = [[r[j] for r in rows] for j in range(width)]
+        path = tmp_path / "cols.csv"
+        write_columns_csv(path, header, columns)
+        assert path.read_bytes() == reference_rows(header, columns, [".11e"] * width)
+
+    @WRITER_SETTINGS
+    @given(
+        st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-1e300, 1e300)),
+        st.one_of(st.sampled_from([5e-324, 2.2e-310, 1e-9, 1e300]),
+                  st.floats(5e-324, 1e300)),
+        st.lists(st.integers(0, 2**40), max_size=12),
+    )
+    @example(-0.0, 5e-324, [])
+    @example(-1e300, 1e300, [7])
+    def test_histogram(self, tmp_path, tau_min, bin_width, counts):
+        tau_max = float(np.nextafter(tau_min, np.inf))
+        hist = CoincidenceHistogram(
+            bin_width, tau_min, tau_max, np.array(counts, dtype=np.int64), sum(counts)
+        )
+        csv, meta = tmp_path / "h.csv", tmp_path / "h_meta.json"
+        write_histogram(csv, meta, hist)
+        expected = reference_rows(
+            ["tau_bin_center_s", "count"], [hist.bin_centers, hist.counts], [".11e", ""]
+        )
+        assert csv.read_bytes() == expected
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="equal length"):
+            write_curve_csv(tmp_path / "c.csv", [1.0, 2.0], [1.0])
 
 
 class TestHistogramFiles:

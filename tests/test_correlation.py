@@ -21,7 +21,9 @@ from ghostcomb import (
     g2_mc_envelope,
     psi_direct,
 )
-from ghostcomb.correlation import SINC_SQ_HALF_POWER
+from ghostcomb import correlation
+from ghostcomb.correlation import SINC_SQ_HALF_POWER, _mc_amplitudes
+from ghostcomb.seeding import LABEL_MC_ENVELOPE, derive_rng
 
 CARRIER = 2.82e14
 
@@ -263,6 +265,66 @@ class TestMcEnvelope:
         assert a != b
 
 
+class ForcedEpochs:
+    """Stands in for a chunk's generator: its uniform draw is given."""
+
+    def __init__(self, t0):
+        self.t0 = t0
+
+    def uniform(self, low, high, size):
+        assert size == self.t0.shape
+        return self.t0.copy()
+
+
+class TestMcSampler:
+    """One sampler chunk against the two-sinc, complex-matvec form."""
+
+    LAT = ModeLattice(n_modes=200, nu_b=20e3, nu_s0=CARRIER, delta_nu=200.0)
+    TAUS = [0.0, 3.7e-5, -1.25e-4, 2.5e-3, 5e-3, 0.02, 0.1]
+    ROWS = 64
+
+    def window(self, tau):
+        return 100.0 / self.LAT.delta_nu + 4.0 * abs(tau)
+
+    def assert_matches_reference(self, amp, tau, t0):
+        dnu, window = self.LAT.delta_nu, self.window(tau)
+        t1, t2 = 0.5 * window + 0.5 * tau, 0.5 * window - 0.5 * tau
+        x = float(beat_phase(self.LAT.nu_b, tau))
+        phases = np.exp(-1j * np.arange(self.LAT.n_modes) * x)
+        w = np.sinc(dnu * (t1 - t0)) * np.sinc(dnu * (t2 - t0))
+        ref = w.astype(complex) @ phases
+        # Relative to each realization's own amplitude scale |w|, which a
+        # sum that happens to cancel does not shrink.
+        rel = np.abs(amp - ref) / np.sqrt(np.sum(w * w, axis=1))
+        assert np.max(rel) <= 1e-12
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_drawn_chunk(self, tau):
+        window = self.window(tau)
+        amp = _mc_amplitudes(self.LAT, tau, window, 11, [self.ROWS])(0)
+        tau_bits = int(np.float64(tau).view(np.uint64))
+        rng = derive_rng(11, LABEL_MC_ENVELOPE, tau_bits, 0)
+        t0 = rng.uniform(0.0, window, size=(self.ROWS, self.LAT.n_modes))
+        self.assert_matches_reference(amp, tau, t0)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_forced_samples_at_and_near_the_singular_points(self, tau, monkeypatch):
+        """Epochs at u = 0 (t0 = t1) and u = c (t0 = t2), and just off them."""
+        window = self.window(tau)
+        t1, t2 = 0.5 * window + 0.5 * tau, 0.5 * window - 0.5 * tau
+        offsets = np.concatenate([[0.0], np.logspace(-16, -2, 43)])
+        offsets = np.concatenate([offsets, -offsets[1:]])
+        centers = [t1, t2, t1 - tau, np.nextafter(t1, 0.0), np.nextafter(t2, 1.0)]
+        forced = np.concatenate([c + offsets for c in centers])
+        rng = np.random.default_rng(5)
+        t0 = rng.uniform(0.0, window, size=(self.ROWS, self.LAT.n_modes))
+        t0.ravel()[rng.choice(t0.size, forced.size, replace=False)] = forced
+        t0[0] = rng.choice(forced, self.LAT.n_modes)  # a row of nothing else
+        monkeypatch.setattr(correlation, "derive_rng", lambda *key: ForcedEpochs(t0))
+        amp = _mc_amplitudes(self.LAT, tau, window, 11, [self.ROWS])(0)
+        self.assert_matches_reference(amp, tau, t0)
+
+
 class TestCurve:
     GEOM = DetectorGeometry(r1=0.0, r2=0.0)
 
@@ -299,6 +361,25 @@ class TestCurve:
         assert c.stderrs is not None
         assert c.stderrs.shape == c.values.shape
         assert np.min(c.values) >= 0
+
+    def test_mc_curve_stays_on_the_closed_scale(self):
+        """No division by the curve's own maximum, of values or stderrs."""
+        lat = lattice(16, delta_nu=200.0)
+        c = curve(lat, self.GEOM, -1e-5, 1e-5, 3, "mc", n_realizations=200, seed=5)
+        assert c.normalization == "raw"
+        for tau, value, stderr in zip(c.taus, c.values, c.stderrs):
+            mean, err = g2_mc_envelope(lat, float(tau), 200, seed=5)
+            assert (value, stderr) == (max(mean, 0.0), err)
+
+    def test_mc_curve_takes_an_explicit_peak_normalization(self):
+        lat = lattice(16, delta_nu=200.0)
+        args = (lat, self.GEOM, -1e-5, 1e-5, 3, "mc")
+        raw = curve(*args, n_realizations=200, seed=5)
+        peak = curve(*args, normalization="peak", n_realizations=200, seed=5)
+        assert peak.normalization == "peak"
+        assert np.max(peak.values) == 1.0
+        scale = np.max(raw.values)
+        np.testing.assert_array_equal(peak.stderrs, raw.stderrs / scale)
 
     def test_fock_matches_closed_small(self):
         lat = lattice(3)

@@ -46,6 +46,8 @@ class TestModeLattice:
             dict(delta_nu=float("nan")),
             dict(nu_b=100.0, delta_nu=100.0),
             dict(profile="gaussian"),
+            dict(nu_b=float("inf")),
+            dict(nu_s0=float("inf")),
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -124,6 +126,8 @@ class TestRetardedTau:
             DetectorGeometry(r1=0.0, r2=float("inf"))
         with pytest.raises(ValueError):
             DetectorGeometry(r1=0.0, r2=0.0, c=0.0)
+        with pytest.raises(ValueError):
+            DetectorGeometry(r1=0.0, r2=0.0, c=float("inf"))
 
     def test_retarded_offset(self):
         geom = DetectorGeometry(r1=3.0, r2=0.0, c=2.998e8)
