@@ -33,7 +33,14 @@ from .correlation import (
     envelope_first_zero,
     envelope_fwhm,
 )
-from .detection import build_histogram, contrast, merge_streams, sample_pairs, sample_singles
+from .detection import (
+    build_histogram,
+    contrast,
+    histogram_bins_error,
+    merge_streams,
+    sample_pairs,
+    sample_singles,
+)
 from .fock import (
     build_coherent_product,
     build_perturbation_state,
@@ -216,6 +223,8 @@ def _fit_dict(fit: CombFit) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
+    if error := histogram_bins_error(cfg.bin_width_s, cfg.tau_min_s, cfg.tau_max_s):
+        raise ValueError(error)
     lattice = cfg.lattice()
     geom = cfg.geometry()
     s1, s2 = sample_pairs(
@@ -228,14 +237,13 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         window_periods=cfg.window_periods,
     )
     if cfg.accidental_rate_hz > 0:
-        a1 = sample_singles(
+        # No name holds the singles, so each is freed once merged.
+        s1 = merge_streams(s1, sample_singles(
             cfg.accidental_rate_hz, cfg.duration_s, cfg.seed, 1, LABEL_ACCIDENTAL_DET1
-        )
-        a2 = sample_singles(
+        ))
+        s2 = merge_streams(s2, sample_singles(
             cfg.accidental_rate_hz, cfg.duration_s, cfg.seed, 2, LABEL_ACCIDENTAL_DET2
-        )
-        s1 = merge_streams(s1, a1)
-        s2 = merge_streams(s2, a2)
+        ))
 
     metadata = {
         "n_modes": cfg.n_modes,

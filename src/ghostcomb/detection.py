@@ -9,7 +9,10 @@ uniformly in time, so the marginal of each stream stays exactly flat.
 
 Histogramming uses a sorted two-pointer sweep, linear in the number of
 events plus tallied pairs, so million-event streams are processed in
-seconds without forming the quadratic pair set.
+seconds without forming the quadratic pair set. The sweep expands at
+most _PAIR_BUDGET pairs at a time, so its working set stays a few
+arrays of that length whatever the number of pairs per event. Streams
+are sorted in place, so each one is held once.
 """
 
 from __future__ import annotations
@@ -38,7 +41,12 @@ _GRID_PER_WIDTH = 50
 # Guard against runaway grids when the window spans many peak widths.
 _MAX_GRID_POINTS = 5_000_000
 
+# Detector-1 events located per pair of binary searches.
 _HISTOGRAM_CHUNK = 65536
+# Most pair delays expanded at once; bounds the tally's working set.
+_PAIR_BUDGET = 1 << 19
+# Most histogram bins; at this cap the counts alone take 80 MB.
+_MAX_HISTOGRAM_BINS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -60,7 +68,7 @@ class EventStream:
         if self.duration < 0:
             raise ValueError("duration must be non-negative")
         if ts.size:
-            if not np.all(np.diff(ts) > 0):
+            if not np.all(ts[1:] > ts[:-1]):
                 raise ValueError("timestamps must be strictly increasing")
             if ts[0] < 0 or ts[-1] >= self.duration:
                 raise ValueError("timestamps must lie within [0, duration)")
@@ -108,27 +116,6 @@ class CoincidenceHistogram:
         n = self.counts.size
         return self.tau_min + (np.arange(n) + 0.5) * self.bin_width
 
-    def merge(self, other: "CoincidenceHistogram") -> "CoincidenceHistogram":
-        """Add counts of an identically binned histogram."""
-        same = (
-            self.counts.size == other.counts.size
-            and math.isclose(self.bin_width, other.bin_width, rel_tol=1e-12)
-            and math.isclose(self.tau_min, other.tau_min, rel_tol=0, abs_tol=1e-15)
-            and math.isclose(self.tau_max, other.tau_max, rel_tol=0, abs_tol=1e-15)
-        )
-        if not same:
-            raise ValueError("histograms must share binning to merge")
-        meta = dict(self.metadata)
-        meta.update(other.metadata)
-        return CoincidenceHistogram(
-            self.bin_width,
-            self.tau_min,
-            self.tau_max,
-            self.counts + other.counts,
-            self.total_pairs + other.total_pairs,
-            meta,
-        )
-
 
 def sample_singles(
     rate: float,
@@ -153,7 +140,8 @@ def sample_singles(
     if duration == 0:
         return EventStream(detector_id, np.empty(0), 0.0, rate, seed)
     count = int(rng.poisson(rate * duration))
-    times = np.sort(rng.uniform(0.0, duration, size=count))
+    times = rng.uniform(0.0, duration, size=count)
+    times.sort()
     return EventStream(detector_id, times, duration, rate, seed)
 
 
@@ -226,8 +214,10 @@ def sample_pairs(
     if jitter_sigma > 0:
         t1 = np.mod(t1 + derive_rng(seed, LABEL_JITTER_DET1).normal(0.0, jitter_sigma, count), duration)
         t2 = np.mod(t2 + derive_rng(seed, LABEL_JITTER_DET2).normal(0.0, jitter_sigma, count), duration)
-    s1 = EventStream(1, np.sort(t1), duration, pair_rate, seed)
-    s2 = EventStream(2, np.sort(t2), duration, pair_rate, seed)
+    t1.sort()
+    t2.sort()
+    s1 = EventStream(1, t1, duration, pair_rate, seed)
+    s2 = EventStream(2, t2, duration, pair_rate, seed)
     return s1, s2
 
 
@@ -237,8 +227,30 @@ def merge_streams(a: EventStream, b: EventStream) -> EventStream:
         raise ValueError("streams must come from the same detector")
     if a.duration != b.duration:
         raise ValueError("streams must cover the same duration")
-    times = np.sort(np.concatenate([a.timestamps, b.timestamps]))
+    times = np.concatenate([a.timestamps, b.timestamps])
+    times.sort()
     return EventStream(a.detector_id, times, a.duration, a.rate + b.rate, None)
+
+
+def histogram_bins_error(bin_width: float, tau_min: float, tau_max: float) -> str | None:
+    """Why a histogram of this binning is refused, or None.
+
+    Checked before anything is allocated, so a tiny bin width fails
+    with a message instead of asking for billions of bins.
+    """
+    bins = (tau_max - tau_min) / bin_width
+    if bins > _MAX_HISTOGRAM_BINS:
+        return (
+            f"bin_width_s={bin_width!r} gives {bins:.3g} histogram bins over "
+            f"[tau_min_s, tau_max_s); at most {_MAX_HISTOGRAM_BINS} are allowed"
+        )
+    return None
+
+
+def _tally(counts: np.ndarray, d: np.ndarray, tau_min: float, bin_width: float) -> None:
+    """Add the pair delays d to counts, in place."""
+    b = ((d - tau_min) / bin_width).astype(np.int64)
+    counts += np.bincount(np.clip(b, 0, counts.size - 1), minlength=counts.size)
 
 
 def build_histogram(
@@ -252,15 +264,20 @@ def build_histogram(
     """Histogram of all pair delays t1 - t2 within [tau_min, tau_max).
 
     Runs a vectorized two-pointer sweep over the sorted streams, linear
-    in the number of events plus tallied pairs. If bin_width does not
-    divide the range to within one part in 1e6, the range is expanded
-    upward to a whole number of bins and the expansion is recorded in
-    the metadata (and warned about).
+    in the number of events plus tallied pairs. At most _PAIR_BUDGET
+    pair delays are expanded at once, so the working set beyond the
+    counts is bounded by that constant, whatever the pair density. If
+    bin_width does not divide the range to within one part in 1e6, the
+    range is expanded upward to a whole number of bins and the
+    expansion is recorded in the metadata (and warned about). More than
+    _MAX_HISTOGRAM_BINS bins are refused before any allocation.
     """
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
     if not tau_max > tau_min:
         raise ValueError("tau_max must exceed tau_min")
+    if error := histogram_bins_error(bin_width, tau_min, tau_max):
+        raise ValueError(error)
     span = tau_max - tau_min
     ratio = span / bin_width
     n_bins = int(round(ratio))
@@ -286,14 +303,31 @@ def build_histogram(
         lo = np.searchsorted(t2, c1 - tau_max, side="right")
         hi = np.searchsorted(t2, c1 - tau_min, side="right")
         m = hi - lo
-        total = int(m.sum())
-        if total == 0:
-            continue
-        rep = np.repeat(np.arange(c1.size), m)
-        within = np.arange(total) - np.repeat(np.cumsum(m) - m, m)
-        d = c1[rep] - t2[np.repeat(lo, m) + within]
-        b = ((d - tau_min) / bin_width).astype(np.int64)
-        counts += np.bincount(np.clip(b, 0, n_bins - 1), minlength=n_bins)
+        ends = np.cumsum(m)
+        # Tally events [i, j) together, j as far as the budget allows.
+        i = 0
+        while i < c1.size:
+            done = int(ends[i - 1]) if i else 0
+            j = int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right"))
+            if j == i:
+                # Event i alone exceeds the budget: slice its window.
+                for a in range(lo[i], hi[i], _PAIR_BUDGET):
+                    window = t2[a : min(a + _PAIR_BUDGET, hi[i])]
+                    _tally(counts, c1[i] - window, tau_min, bin_width)
+                i += 1
+                continue
+            total = int(ends[j - 1]) - done
+            if total:
+                # Pair p of event e sits at t2 index lo_e + p - first_e,
+                # first_e being the block position of e's first pair.
+                mb = m[i:j]
+                idx = np.repeat(lo[i:j] - (ends[i:j] - mb - done), mb)
+                idx += np.arange(total)
+                d = np.repeat(c1[i:j], mb)
+                d -= t2[idx]
+                del idx
+                _tally(counts, d, tau_min, bin_width)
+            i = j
 
     return CoincidenceHistogram(
         bin_width, tau_min, tau_max, counts, int(counts.sum()), meta
@@ -330,7 +364,14 @@ def contrast(
     centers = comb_peak_positions(lattice, geom, orders)
     width = comb_peak_width(lattice)
     taus = hist.bin_centers
-    dist = np.min(np.abs(taus[:, None] - centers[None, :]), axis=1)
+    # Distance to the nearest center, as a running minimum over the
+    # centers rather than a bins x centers array.
+    dist = np.full(taus.size, np.inf)
+    gap = np.empty_like(taus)
+    for c in centers:
+        np.subtract(taus, c, out=gap)
+        np.minimum(dist, np.abs(gap, out=gap), out=dist)
+    del gap
     peak_bins = dist <= width
     valley_bins = dist >= 3.0 * width
     if not peak_bins.any() or not valley_bins.any():

@@ -107,10 +107,14 @@ def read_histogram(path_csv, path_meta) -> CoincidenceHistogram:
 
 
 def write_event_stream(path, stream: EventStream) -> None:
-    """Write a stream as the binary GCEV record."""
-    header = _HEADER.pack(_MAGIC, _VERSION, stream.detector_id, len(stream))
-    body = stream.timestamps.astype("<f8").tobytes()
-    Path(path).write_bytes(header + body)
+    """Write a stream as the binary GCEV record.
+
+    The timestamps go out straight from their buffer, which a
+    contiguous little-endian float64 array needs no copy for.
+    """
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, stream.detector_id, len(stream)))
+        fh.write(np.ascontiguousarray(stream.timestamps, dtype="<f8"))
 
 
 def read_event_stream(path, duration: float | None = None, rate: float = 0.0) -> EventStream:

@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from ghostcomb import cli
 from ghostcomb.cli import _applicable_methods, main
 from ghostcomb.config import load_config
 from ghostcomb.correlation import g2_closed
@@ -300,6 +302,17 @@ class TestErrorHandling:
         assert code == 1
         assert "pair_rate_hz" in err
 
+    def test_bin_count_cap_is_checked_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking the bin count")
+
+        monkeypatch.setattr(cli, "sample_pairs", no_sampling)
+        code, _, err = run(
+            capsys, "simulate", "--out", str(tmp_path), "--set", "bin_width_s=1e-15"
+        )
+        assert code == 1
+        assert "bin_width_s" in err and "histogram bins" in err
+
     def test_config_file_flag(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_modes = 100\nn_points = 501\n")
@@ -356,6 +369,30 @@ class TestDeterminism:
             assert code == 0, err
             outs.append(self.tree_bytes(out))
         assert outs[0] == outs[1]
+
+    # SHA-256 of one dense run with accidentals (sim-dense rates over
+    # 20 s: 3.3e5 events per detector, about 4 tallied pairs per event),
+    # written by the code before streams were sorted in place and the
+    # tally was budgeted. Pins the bytes, not just run-to-run agreement.
+    GOLDEN_SIMULATE = {
+        "stream_d1.bin": "0b7208a1b444fa5614bb2f7a27eb9f622f82b1aa8901f9ca9bd96045def2f0a8",
+        "stream_d2.bin": "c529e7dc9136e9d74d060dce0811029e70ed4a8e0c3a5aac94a7d5d78f010e94",
+        "histogram.csv": "eb7f2406b6a23b94d8752ee63d1207879d81be55728f8e6733c9f1bc169749ec",
+        "results.json": "57bb27e39492f039ec74bd3959e92e7c0ccf573d78ea5f7b269df63304cb9100",
+    }
+
+    def test_simulate_bytes_match_golden_digests(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "simulate", "--out", str(tmp_path), "--seed", "11", "--threads", "1",
+            "--set", "r1_m=3.0", "--set", "pair_rate_hz=400", "--set", "duration_s=20",
+            "--set", "accidental_rate_hz=16000", "--set", "jitter_sigma_s=2e-9",
+        )
+        assert code == 0, err
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.GOLDEN_SIMULATE
+        }
+        assert digests == self.GOLDEN_SIMULATE
 
     def test_seed_changes_outputs(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

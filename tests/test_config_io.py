@@ -1,5 +1,8 @@
 """Tests for config parsing and on-disk formats."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -329,6 +332,29 @@ class TestEventStreamFiles:
         path.write_bytes(b"GC")
         with pytest.raises(ValueError, match="truncated"):
             read_event_stream(path)
+
+    @pytest.mark.parametrize(
+        "timestamps",
+        [np.empty(0), np.array([0.25]), np.linspace(0.0, 0.9, 10)[::3]],
+        ids=["empty", "one-event", "strided-view"],
+    )
+    def test_bytes_match_header_plus_copied_body(self, tmp_path, timestamps):
+        stream = EventStream(2, timestamps, 1.0, 1.0)
+        path = tmp_path / "s.bin"
+        write_event_stream(path, stream)
+        header = struct.pack("<4sHHQ", b"GCEV", 1, 2, timestamps.size)
+        assert path.read_bytes() == header + timestamps.astype("<f8").tobytes()
+
+    def test_writes_without_copying_the_stream(self, tmp_path):
+        stream = EventStream(1, np.arange(1_000_000) * 1e-6, 1.0, 1e6)
+        tracemalloc.start()
+        try:
+            write_event_stream(tmp_path / "s.bin", stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the stream itself is 8 MB
+        assert (tmp_path / "s.bin").stat().st_size == 16 + 8 * len(stream)
 
 
 class TestJson:

@@ -1,18 +1,22 @@
 """Tests for event-stream generation and coincidence counting."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from ghostcomb import detection
 from ghostcomb import (
     CoincidenceHistogram,
     DetectorGeometry,
     EventStream,
     ModeLattice,
     build_histogram,
+    comb_peak_orders,
+    comb_peak_positions,
     comb_peak_width,
     contrast,
     g2_closed,
@@ -269,16 +273,92 @@ class TestBuildHistogram:
         with pytest.raises(ValueError):
             build_histogram(s, s, 0.1, 1.0, -1.0)
 
-    def test_merge(self):
-        s1 = EventStream(1, np.array([1.0]), 2.0, 1.0)
-        s2 = EventStream(2, np.array([0.9995]), 2.0, 1.0)
-        h = build_histogram(s1, s2, 1e-3, -5e-3, 5e-3)
-        both = h.merge(h)
-        assert both.total_pairs == 2
-        assert np.array_equal(both.counts, 2 * h.counts)
-        other = build_histogram(s1, s2, 2e-3, -5e-3, 5e-3)
-        with pytest.raises(ValueError, match="binning"):
-            h.merge(other)
+    def test_bin_count_cap(self):
+        # 2.5e11 bins: refused by name, not by a failed 2 TB allocation.
+        s = EventStream(1, np.array([1.0]), 2.0, 1.0)
+        with pytest.raises(ValueError, match="bin_width_s"):
+            build_histogram(s, s, 1e-15, -1.25e-4, 1.25e-4)
+        # The paper-scale comb at 10 bins per peak width fits under the cap.
+        assert detection.histogram_bins_error(5e-11, -1.25e-4, 1.25e-4) is None
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak bytes it allocated, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def brute_force_counts(t1, t2, bin_width, tau_min, tau_max):
+    """Every pair of the sweep's window t2 in (t1 - tau_max, t1 - tau_min], binned alike."""
+    n_bins = int(round((tau_max - tau_min) / bin_width))
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for start in range(0, t1.size, 256):
+        c1 = t1[start : start + 256, None]
+        inside = (t2 > c1 - tau_max) & (t2 <= c1 - tau_min)
+        d = (c1 - t2)[inside]
+        b = ((d - tau_min) / bin_width).astype(np.int64)
+        counts += np.bincount(np.clip(b, 0, n_bins - 1), minlength=n_bins)
+    return counts
+
+
+class TestTallyMemory:
+    """The tally's working set is bounded by the pair budget, not the pair density."""
+
+    BIN_WIDTH, TAU_MIN, TAU_MAX = 1e-4, -0.05, 0.05
+
+    def streams(self, pairs_per_event, n1, seed=5):
+        rng = np.random.default_rng(seed)
+        n2 = int(pairs_per_event / (self.TAU_MAX - self.TAU_MIN))
+        t1 = np.sort(rng.uniform(0.0, 1.0, n1))
+        t2 = np.sort(rng.uniform(0.0, 1.0, n2))
+        return EventStream(1, t1, 1.0, n1), EventStream(2, t2, 1.0, n2)
+
+    @pytest.mark.parametrize("pairs_per_event", [4, 100, 400])
+    def test_peak_is_bounded_and_counts_exact(self, pairs_per_event):
+        s1, s2 = self.streams(pairs_per_event, 5000)
+        h, peak = traced_peak(
+            build_histogram, s1, s2, self.BIN_WIDTH, self.TAU_MIN, self.TAU_MAX
+        )
+        # Six 8-byte arrays of the budget's length. Expanding all 2e6
+        # pairs at 400 pairs per event at once peaked at 78 MB.
+        bound = 6 * 8 * detection._PAIR_BUDGET
+        assert bound < 64e6
+        assert peak < bound
+        expected = brute_force_counts(
+            s1.timestamps, s2.timestamps, self.BIN_WIDTH, self.TAU_MIN, self.TAU_MAX
+        )
+        assert h.total_pairs > 0.8 * pairs_per_event * len(s1)
+        assert np.array_equal(h.counts, expected)
+
+    @pytest.mark.parametrize("budget", [150, 999, 4096])
+    def test_counts_exact_at_any_budget(self, budget, monkeypatch):
+        # 150 is below every event's pair count, so each event's window
+        # is tallied in slices; the others split chunks between events.
+        s1, s2 = self.streams(400, 300, seed=6)
+        monkeypatch.setattr(detection, "_PAIR_BUDGET", budget)
+        h = build_histogram(s1, s2, self.BIN_WIDTH, self.TAU_MIN, self.TAU_MAX)
+        expected = brute_force_counts(
+            s1.timestamps, s2.timestamps, self.BIN_WIDTH, self.TAU_MIN, self.TAU_MAX
+        )
+        assert np.array_equal(h.counts, expected)
+
+
+class TestStreamMemory:
+    """Sampling and merging allocate the output stream once."""
+
+    def test_sample_singles_holds_one_stream(self):
+        s, peak = traced_peak(sample_singles, 1e6, 1.0, seed=8)
+        assert peak <= 1.2 * s.timestamps.nbytes
+
+    def test_merge_streams_holds_one_stream(self):
+        a = sample_singles(5e5, 1.0, seed=8, detector_id=2)
+        b = sample_singles(5e5, 1.0, seed=9, detector_id=2)
+        m, peak = traced_peak(merge_streams, a, b)
+        assert len(m) == len(a) + len(b)
+        assert peak <= 1.2 * m.timestamps.nbytes
 
 
 class TestContrast:
@@ -316,6 +396,24 @@ class TestContrast:
         hist = self.synthetic_histogram(1, 0, 0)
         with pytest.raises(ValueError, match="at least"):
             contrast(hist, LAT10, GEOM0, min_counts=10_000)
+
+    def test_matches_broadcast_nearest_center_in_a_few_bin_arrays(self):
+        n_bins = 500_000
+        tau_min, tau_max = -1.25e-4, 1.25e-4
+        width = (tau_max - tau_min) / n_bins
+        counts = np.random.default_rng(4).poisson(20.0, n_bins)
+        hist = CoincidenceHistogram(width, tau_min, tau_max, counts, int(counts.sum()))
+        value, peak = traced_peak(contrast, hist, LAT10, GEOM0)
+        # The bins x centers formula, as written before the running minimum.
+        period = 1.0 / LAT10.nu_b
+        orders = comb_peak_orders(LAT10, GEOM0, tau_min - period, tau_max + period)
+        centers = comb_peak_positions(LAT10, GEOM0, orders)
+        dist = np.min(np.abs(hist.bin_centers[:, None] - centers[None, :]), axis=1)
+        peak_mean = counts[dist <= comb_peak_width(LAT10)].mean()
+        valley_mean = counts[dist >= 3.0 * comb_peak_width(LAT10)].mean()
+        assert value == (peak_mean - valley_mean) / (peak_mean + valley_mean)
+        assert centers.size >= 5
+        assert peak <= 4 * 8 * n_bins
 
     def test_range_without_valleys(self):
         # Two modes: every delay is within one width of some peak center.
