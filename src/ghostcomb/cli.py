@@ -41,19 +41,15 @@ from .detection import (
     sample_pairs,
     sample_singles,
 )
-from .fock import (
-    build_coherent_product,
-    build_perturbation_state,
-    oracle_size_error,
-    state_fidelity,
-)
+from .fock import build_coherent_product, build_perturbation_state, state_fidelity
 from .lattice import DetectorGeometry, ModeLattice
 from .seeding import LABEL_ACCIDENTAL_DET1, LABEL_ACCIDENTAL_DET2
 from .timing import CombFit, detect_peaks, fit_comb, resolution_estimate
 
-# Largest n_points * n_modes product accepted for direct summation;
-# beyond this the quadratic cost stops being desk-scale.
-_DIRECT_WORK_CAP = 2 * 10**8
+# Largest points * modes product accepted for a sum over the modes at
+# every point (the direct and fock methods); beyond this the cost stops
+# being desk-scale.
+_MODE_SUM_CAP = 2 * 10**8
 
 
 def _threads(cfg: RunConfig) -> int:
@@ -99,26 +95,26 @@ def _peak_list(cfg: RunConfig) -> tuple[list[float], bool]:
     return [float(p) for p in comb_peak_positions(lattice, geom, orders)], truncated
 
 
-def _direct_work_error(cfg: RunConfig) -> str | None:
-    """Why direct summation over the configured grid is refused, or None."""
-    work = cfg.n_points * cfg.n_modes
-    if work > _DIRECT_WORK_CAP:
-        return (
-            f"direct summation over this grid would take {work:.2e} terms; "
-            "reduce n_points or n_modes"
-        )
+def _mode_sum_error(
+    n_points: int, n_modes: int, keys: str = "n_points or n_modes"
+) -> str | None:
+    """Why a mode sum at every point of a grid is refused, or None.
+
+    The one work rule for the direct and fock methods; keys names the
+    config keys that set the two sizes.
+    """
+    work = n_points * n_modes
+    if work > _MODE_SUM_CAP:
+        return f"a mode sum over this grid would take {work:.2e} terms; reduce {keys}"
     return None
 
 
 def _applicable_methods(cfg: RunConfig) -> list[str]:
-    methods = ["closed"]
-    if cfg.delta_nu_hz == 0.0 and _direct_work_error(cfg) is None:
-        methods.append("direct")
     if cfg.delta_nu_hz > 0.0:
-        methods.append("mc")
-    if cfg.delta_nu_hz == 0.0 and oracle_size_error(cfg.n_modes, cfg.oracle_cutoff) is None:
-        methods.append("fock")
-    return methods
+        return ["closed", "mc"]
+    if _mode_sum_error(cfg.n_points, cfg.n_modes) is None:
+        return ["closed", "direct", "fock"]
+    return ["closed"]
 
 
 def cmd_curve(cfg: RunConfig, out: Path) -> int:
@@ -128,7 +124,9 @@ def cmd_curve(cfg: RunConfig, out: Path) -> int:
         methods = _applicable_methods(cfg)
     else:
         methods = [cfg.method]
-        if cfg.method == "direct" and (error := _direct_work_error(cfg)):
+        if cfg.method in ("direct", "fock") and (
+            error := _mode_sum_error(cfg.n_points, cfg.n_modes)
+        ):
             raise ValueError(error)
     curves = {}
     for m in methods:
@@ -302,6 +300,10 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_oracle(cfg: RunConfig, out: Path) -> int:
+    if error := _mode_sum_error(
+        cfg.oracle_n_points, cfg.oracle_pairs, "oracle_n_points or oracle_pairs"
+    ):
+        raise ValueError(error)
     lattice = cfg.oracle_lattice()
     half = 0.5 / lattice.nu_b
     fock, closed = (

@@ -14,9 +14,13 @@ import math
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
+from .fock import _MAX_CUTOFF
 from .lattice import SPEED_OF_LIGHT, DetectorGeometry, ModeLattice
 
 _METHODS = ("closed", "direct", "mc", "fock", "all")
+
+# Most points on a curve grid; the largest grid in use has about 1e6.
+_MAX_POINTS = 10**7
 
 
 @dataclass
@@ -100,8 +104,8 @@ class RunConfig:
             )
         if not self.tau_max_s > self.tau_min_s:
             raise ValueError("tau_max_s must exceed tau_min_s")
-        if self.n_points < 2:
-            raise ValueError("n_points must be at least 2")
+        if not 2 <= self.n_points <= _MAX_POINTS:
+            raise ValueError(f"n_points must lie in [2, {_MAX_POINTS}]")
         if self.mc_realizations < 2:
             raise ValueError("mc_realizations must be at least 2")
         if self.pair_rate_hz <= 0:
@@ -120,12 +124,14 @@ class RunConfig:
             raise ValueError("min_prominence must lie in (0, 1)")
         if self.contrast_floor < 1:
             raise ValueError("contrast_floor must be positive")
-        if not 1 <= self.oracle_pairs <= 4:
-            raise ValueError("oracle_pairs must lie in [1, 4]")
+        if self.oracle_pairs < 1:
+            raise ValueError("oracle_pairs must be positive")
         if self.oracle_alpha <= 0:
             raise ValueError("oracle_alpha must be positive")
-        if self.oracle_n_points < 2:
-            raise ValueError("oracle_n_points must be at least 2")
+        if not 0 <= self.oracle_cutoff <= _MAX_CUTOFF:
+            raise ValueError(f"oracle_cutoff must lie in [0, {_MAX_CUTOFF}]")
+        if not 2 <= self.oracle_n_points <= _MAX_POINTS:
+            raise ValueError(f"oracle_n_points must lie in [2, {_MAX_POINTS}]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.threads < 0:

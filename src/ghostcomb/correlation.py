@@ -15,8 +15,9 @@ Three independent evaluation routes are provided and cross-checked in
 the test suite: the closed form above, a direct sum over the mode
 amplitudes, and a Monte Carlo average over realizations of the mode
 phase disorder frozen into each measurement window. A fourth route, an
-exact Fock-space moment computation for small lattices, lives in the
-fock module and is dispatched through curve() as well.
+exact Fock-space moment computation for product states of entangled
+coherent pairs, lives in the fock module and is dispatched through
+curve() as well.
 
 Phase arithmetic note: the comb is evaluated at x = 2 pi nu_b tau with
 tau up to milliseconds and nu_b in the tens of kHz, so x can reach 1e4
@@ -389,8 +390,8 @@ def curve(
     the detector path offset is subtracted before evaluating the chosen
     method. Methods: "closed" (analytic), "direct" (amplitude sum, zero
     linewidth only), "mc" (stochastic envelope, needs a seed), "fock"
-    (exact moments of a truncated entangled coherent state, small
-    lattices only).
+    (exact moments of a truncated entangled coherent state, zero
+    linewidth only; cost grows as n_modes * n_points, like "direct").
 
     normalization is "raw" or "peak"; None picks the method's natural
     scale: "raw" for "mc", whose estimate is already on g2_closed's

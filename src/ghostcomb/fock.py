@@ -1,12 +1,18 @@
 """Truncated Fock-space states and an exact correlation oracle.
 
-This module verifies the analytic comb from first principles at desk
-scale. States live in a photon-number basis truncated at a per-mode
-cutoff, and the fourth-order field moment behind g2 is evaluated by
-explicit operator algebra, with no appeal to the closed form. A state
-of P pairs is held as its (cutoff + 1)^P diagonal amplitudes, and the
-oracle works on that tensor directly; everything here is capped at a
-few pairs, since the point is validating formulas, not scale.
+This module verifies the analytic comb from first principles. States
+live in a photon-number basis truncated at a per-mode cutoff, and the
+fourth-order field moment behind g2 is evaluated by explicit operator
+algebra, with no appeal to the closed form. Every multi-pair state is a
+product of per-pair states, so a state of P pairs is held as P rows of
+cutoff + 1 diagonal amplitudes, and the oracle reduces each row to a
+few moments: O(P cutoff) memory and O(P) work per delay.
+
+What the oracle checks on its own is limited at large P: its comb term
+is the same exponential sum over modes that the direct method
+evaluates. The independent content is the floor (the comb contrast as a
+function of the pump strength alpha) and the normalization of the
+truncated states.
 
 Pair states are stored through their diagonal amplitudes c_m on the
 kets |m⟩_s |m⟩_i. For phase-averaged coherent pairs this is the exact
@@ -28,7 +34,6 @@ from .seeding import LABEL_PHASE_SCRAMBLE, derive_rng
 
 TWO_PI = 2.0 * math.pi
 
-_MAX_PAIRS = 4
 _MAX_CUTOFF = 12
 
 # log of the largest double; factorial coefficients beyond this cannot
@@ -76,10 +81,11 @@ class TruncatedPairState:
 
 @dataclass(frozen=True)
 class MultiPairState:
-    """Tensor product structure over P mode pairs, diagonal per pair.
+    """Product state over P mode pairs, diagonal per pair.
 
-    amplitudes is a P-dimensional array; entry [m1, ..., mP] is the
-    coefficient on the basis ket ⊗_k |m_k⟩_s |m_k⟩_i. Normalized.
+    amplitudes has shape (P, cutoff + 1); row k holds pair k's
+    coefficients on |m⟩_s |m⟩_i, and the state is the tensor product of
+    the rows. Every row is normalized.
     """
 
     pair_count: int
@@ -88,13 +94,10 @@ class MultiPairState:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != self.pair_count:
-            raise ValueError("amplitudes must have one axis per pair")
-        if amps.shape != (self.cutoff + 1,) * self.pair_count:
-            raise ValueError("every axis must have cutoff + 1 entries")
-        norm = float(np.linalg.norm(amps.ravel()))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("multi-pair amplitudes must be normalized")
+        if amps.shape != (self.pair_count, self.cutoff + 1):
+            raise ValueError("amplitudes must have one row of cutoff + 1 entries per pair")
+        if np.any(np.abs(np.linalg.norm(amps, axis=1) - 1.0) > 1e-12):
+            raise ValueError("every pair's amplitudes must be normalized")
         object.__setattr__(self, "amplitudes", amps)
 
 
@@ -178,19 +181,6 @@ def state_fidelity(a: TruncatedPairState, b: TruncatedPairState) -> float:
     return float(abs(overlap) ** 2)
 
 
-def oracle_size_error(pair_count: int, cutoff: int) -> str | None:
-    """Why pair_count pairs at this cutoff are out of range, or None.
-
-    The one range check for the pair states built here and for the
-    oracle that `--method all` offers.
-    """
-    if pair_count > _MAX_PAIRS:
-        return f"at most {_MAX_PAIRS} pairs are supported"
-    if not 0 <= cutoff <= _MAX_CUTOFF:
-        return f"cutoff must be in [0, {_MAX_CUTOFF}]"
-    return None
-
-
 def entangled_coherent_pairs(
     alphas, cutoff: int, pair_phases=None
 ) -> MultiPairState:
@@ -201,44 +191,31 @@ def entangled_coherent_pairs(
     phase of a coherent pair. Optional pair_phases multiply pair k's
     amplitude on |m, m⟩ by e^{i m theta_k}, which models idler phases
     that are independent rather than anticorrelated with the signal.
-    The tensor product over pairs is normalized.
+    Each pair's row is normalized.
     """
     alphas = np.asarray(alphas, dtype=complex)
     if alphas.ndim != 1 or alphas.size == 0:
         raise ValueError("alphas must be a non-empty 1-d sequence")
     p = alphas.size
-    error = oracle_size_error(p, cutoff)
-    if error is not None:
-        raise ValueError(error)
+    if not 0 <= cutoff <= _MAX_CUTOFF:
+        raise ValueError(f"cutoff must be in [0, {_MAX_CUTOFF}]")
     if pair_phases is not None:
         pair_phases = np.asarray(pair_phases, dtype=float)
         if pair_phases.shape != (p,):
             raise ValueError("pair_phases must have one entry per pair")
 
-    ms = np.arange(cutoff + 1)
-    log_fact = np.array([math.lgamma(m + 1) for m in ms])
-    vectors = []
-    for k, alpha in enumerate(alphas):
-        mag = abs(alpha)
-        if mag == 0:
-            vec = np.zeros(cutoff + 1, dtype=complex)
-            vec[0] = 1.0
-        else:
-            vec = np.exp(2 * ms * math.log(mag) - log_fact).astype(complex)
-            vec *= (alpha / mag) ** (2 * ms)
-        if pair_phases is not None:
-            vec = vec * np.exp(1j * ms * pair_phases[k])
-        vectors.append(vec)
-
-    amps = vectors[0]
-    for vec in vectors[1:]:
-        amps = np.multiply.outer(amps, vec)
-    amps = amps / np.linalg.norm(amps.ravel())
-    return MultiPairState(p, cutoff, amps)
+    # Row k is z_k^m / m! with z_k = alpha_k^2 e^{i theta_k}, by recurrence.
+    z = alphas**2 if pair_phases is None else alphas**2 * np.exp(1j * pair_phases)
+    rows = np.empty((p, cutoff + 1), dtype=complex)
+    rows[:, 0] = 1.0
+    for m in range(1, cutoff + 1):
+        rows[:, m] = rows[:, m - 1] * z / m
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return MultiPairState(p, cutoff, rows)
 
 
 class FockOracle:
-    """Exact normally ordered intensity correlation for a small lattice.
+    """Exact normally ordered intensity correlation for a lattice.
 
     The two detected fields are E1 = Σ_k e^{-i ω_{s,k} τ1} a_{s,k} and
     E2 = Σ_l e^{-i ω_{i,l} τ2} a_{i,l}, with signal modes routed to
@@ -246,12 +223,16 @@ class FockOracle:
     ⟨E1† E2† E2 E1⟩ is the squared norm of Σ c_kl a_{s,k} a_{i,l}|Ψ⟩.
     Every ket of Ψ has m_s = m_i per pair, so a_{s,k} a_{i,l}|Ψ⟩ for
     k ≠ l is orthogonal to all the other terms and adds ⟨m_k m_l⟩ to a
-    flat floor. The k = l terms stay in the diagonal basis, since
-    a_{s,k} a_{i,k}|m_k, m_k⟩ = m_k |m_k - 1, m_k - 1⟩, and their P×P
-    Gram matrix carries the comb; each delay then costs one small
-    quadratic form. The common carrier phase has unit modulus and is
-    dropped, leaving only detuning phases; field normalization constants
-    are dropped as well, so values are meaningful up to an overall scale.
+    flat floor. The k = l terms a_{s,k} a_{i,k}|Ψ⟩ carry the comb; their
+    Gram matrix is ⟨m_k²⟩ on the diagonal and β̄_k β_l off it, since Ψ
+    is a product over pairs, where β_k = ⟨a_{s,k} a_{i,k}⟩ =
+    Σ_m m c̄_{m-1} c_m. With n̄_k = ⟨m_k⟩ and μ_k = ⟨m_k²⟩,
+
+        g2 = (Σ n̄)² − Σ n̄² + Σ (μ − |β|²) + |Σ_k β_k d_k|²,
+
+    with d_k the detuning phase of pair k. The common carrier phase has
+    unit modulus and is dropped; field normalization constants are
+    dropped as well, so values are meaningful up to an overall scale.
     """
 
     def __init__(self, lattice: ModeLattice, state: MultiPairState):
@@ -262,28 +243,20 @@ class FockOracle:
         self.lattice = lattice
         self.state = state
         amps = state.amplitudes
-        p = state.pair_count
         ms = np.arange(state.cutoff + 1)
-        occupations = np.ix_(*[ms] * p)
-
-        # Σ_{k≠l} m_k m_l per ket, in exact integers, weighted by |c_m|^2.
-        cross = sum(occupations) ** 2 - sum(m**2 for m in occupations)
-        self._floor = float(np.sum(np.abs(amps) ** 2 * cross))
-
-        # lowered[k] holds the amplitudes of a_{s,k} a_{i,k}|Ψ⟩:
-        # entry m is (m_k + 1) c_{m + e_k}.
-        lowered = np.zeros((p,) + amps.shape, dtype=complex)
-        weights = ms[1:].reshape((-1,) + (1,) * (p - 1))
-        for k in range(p):
-            np.moveaxis(lowered[k], k, 0)[:-1] = np.moveaxis(amps, k, 0)[1:] * weights
-        flat = lowered.reshape(p, -1)
-        self._block = flat.conj() @ flat.T
+        probs = np.abs(amps) ** 2
+        nbar = probs @ ms
+        mu2 = probs @ ms**2
+        self._beta = (amps[:, :-1].conj() * amps[:, 1:]) @ ms[1:]
+        self._floor = float(
+            nbar.sum() ** 2 - np.sum(nbar**2) + np.sum(mu2 - np.abs(self._beta) ** 2)
+        )
 
     def g2(self, tau1: float, tau2: float) -> float:
         """Unnormalized correlation at retarded detector times tau1, tau2."""
         k = np.arange(self.state.pair_count)
         d = np.exp(-1j * TWO_PI * self.lattice.nu_b * k * (tau1 - tau2))
-        value = self._floor + np.vdot(d, self._block @ d).real
+        value = self._floor + abs(np.dot(self._beta, d)) ** 2
         return max(float(value), 0.0)
 
 

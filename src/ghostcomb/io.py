@@ -10,6 +10,7 @@ u16 detector_id, u64 count) followed by count float64 timestamps.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -120,25 +121,28 @@ def write_event_stream(path, stream: EventStream) -> None:
 def read_event_stream(path, duration: float | None = None, rate: float = 0.0) -> EventStream:
     """Read a binary GCEV record back into an EventStream.
 
-    The binary record does not carry duration or rate (they live in the
-    run manifest); pass them in, or the duration defaults to just past
-    the final timestamp.
+    The timestamps are read straight into their final array, so the
+    stream is held once. The binary record does not carry duration or
+    rate (they live in the run manifest); pass them in, or the duration
+    defaults to just past the final timestamp.
     """
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise ValueError(f"{path}: truncated stream header")
-    magic, version, detector_id, count = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise ValueError(f"{path}: not an event-stream file")
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported stream version {version}")
-    expected = _HEADER.size + 8 * count
-    if len(blob) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    times = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{path}: truncated stream header")
+        magic, version, detector_id, count = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            raise ValueError(f"{path}: not an event-stream file")
+        if version != _VERSION:
+            raise ValueError(f"{path}: unsupported stream version {version}")
+        expected = _HEADER.size + 8 * count
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ValueError(f"{path}: expected {expected} bytes, found {size}")
+        times = np.fromfile(fh, dtype="<f8", count=count)
     if duration is None:
         duration = float(np.nextafter(times[-1], np.inf)) if times.size else 0.0
-    return EventStream(detector_id, times.copy(), duration, rate, None)
+    return EventStream(detector_id, times, duration, rate, None)
 
 
 def write_json(path, payload: dict) -> None:

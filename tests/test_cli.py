@@ -91,8 +91,6 @@ class TestCurveCommand:
         assert np.all(data[:, 3] <= 4.0 * stderrs)
 
     def test_all_methods_include_fock_at_four_modes(self, tmp_path, capsys):
-        # The largest pair count the oracle takes, at the default
-        # oracle_cutoff of 6.
         code, _, err = run(
             capsys, "curve", "--out", str(tmp_path), "--method", "all",
             "--set", "n_modes=4", "--set", "n_points=11",
@@ -109,14 +107,18 @@ class TestCurveCommand:
         [
             ({"n_modes": 4, "oracle_cutoff": 4}, True),
             ({"n_modes": 4, "oracle_cutoff": 6}, True),
-            ({"n_modes": 5, "oracle_cutoff": 1}, False),  # beyond the pair limit
-            ({"n_modes": 3, "oracle_cutoff": -1}, False),
+            ({"n_modes": 1000, "n_points": 200001}, False),  # over the work cap
+            ({"n_modes": 2001, "n_points": 100001}, False),  # over it by n_modes
             ({"n_modes": 3, "delta_nu_hz": 200.0}, False),  # oracle needs zero linewidth
+            ({"n_modes": 5, "oracle_cutoff": 1}, True),
+            ({}, True),  # the default lattice of 1000 modes
         ],
     )
     def test_applicable_methods_offer_fock_only_when_it_runs(self, overrides, has_fock):
         methods = _applicable_methods(load_config(None, overrides))
         assert ("fock" in methods) == has_fock
+        # direct and fock are the two mode sums and share the work rule.
+        assert ("direct" in methods) == has_fock
 
     def test_mc_curve_writes_stderr(self, tmp_path, capsys):
         code, _, err = run(
@@ -162,6 +164,15 @@ class TestCurveCommand:
         )
         assert code == 1
         assert "reduce n_points" in err
+
+    def test_fock_work_cap(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "curve", "--out", str(tmp_path),
+            "--method", "fock", "--set", "n_points=300001",
+        )
+        assert code == 1
+        assert "reduce n_points or n_modes" in err
+        assert not (tmp_path / "curve.csv").exists()
 
 
 class TestSimulateCommand:
@@ -285,6 +296,26 @@ class TestOracleCommand:
             tmp_path / "oracle_comparison.csv", delimiter=",", skiprows=1
         )
         assert data[:, 3].max() <= 1e-6
+
+    def test_thousand_pairs(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "oracle", "--out", str(tmp_path), "--set", "oracle_pairs=1000",
+        )
+        assert code == 0, err
+        data = np.loadtxt(
+            tmp_path / "oracle_comparison.csv", delimiter=",", skiprows=1
+        )
+        assert data.shape == (401, 4)
+        assert data[:, 3].max() <= 1e-6
+        assert "pairs=1000" in out
+
+    def test_work_cap(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "oracle", "--out", str(tmp_path),
+            "--set", "oracle_pairs=100000", "--set", "oracle_n_points=2001",
+        )
+        assert code == 1
+        assert "reduce oracle_n_points or oracle_pairs" in err
 
 
 class TestErrorHandling:

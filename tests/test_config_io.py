@@ -108,16 +108,20 @@ class TestRunConfig:
             ("min_prominence", 0.0),
             ("min_prominence", 1.0),
             ("contrast_floor", 0),
-            ("oracle_pairs", 5),
+            ("oracle_pairs", 0),
             ("oracle_alpha", 0.0),
+            ("oracle_cutoff", -1),
+            ("oracle_cutoff", 13),
             ("oracle_n_points", 1),
+            ("oracle_n_points", 10**7 + 1),
+            ("n_points", 10**7 + 1),
             ("seed", -1),
             ("threads", -1),
             ("n_modes", 0),
         ],
     )
     def test_validation_rejects(self, key, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=key):
             load_config(overrides={key: value})
 
     @pytest.mark.parametrize(
@@ -355,6 +359,18 @@ class TestEventStreamFiles:
             tracemalloc.stop()
         assert peak < 1_000_000  # the stream itself is 8 MB
         assert (tmp_path / "s.bin").stat().st_size == 16 + 8 * len(stream)
+
+    def test_reads_the_stream_once(self, tmp_path):
+        path = tmp_path / "s.bin"
+        write_event_stream(path, EventStream(1, np.arange(1_000_000) * 1e-6, 1.0, 1e6))
+        tracemalloc.start()
+        try:
+            back = read_event_stream(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * back.timestamps.nbytes
+        assert np.array_equal(back.timestamps, np.arange(1_000_000) * 1e-6)
 
 
 class TestJson:

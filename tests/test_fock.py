@@ -1,6 +1,7 @@
 """Tests for truncated pair states and the Fock-space oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,18 +42,30 @@ def _annihilate(arr, axis):
     return out
 
 
+def product_tensor(state):
+    """The (cutoff + 1)^P diagonal amplitudes of the product state.
+
+    Entry [m1, ..., mP] is the coefficient on ⊗_k |m_k⟩_s |m_k⟩_i.
+    """
+    amps = state.amplitudes[0]
+    for row in state.amplitudes[1:]:
+        amps = np.multiply.outer(amps, row)
+    return amps
+
+
 def dense_reference_g2(lat, state, taus):
     """<E1+ E2+ E2 E1> by brute force in the full two-mode-per-pair basis.
 
-    Expands the diagonal amplitudes into (cutoff + 1)^(2 P) kets, axes
-    ordered (s1, i1, s2, i2, ...), applies every a_{s,k} a_{i,l} and
-    takes the quadratic form of their Gram matrix at each (tau, 0).
+    Expands the product state into (cutoff + 1)^(2 P) kets, axes ordered
+    (s1, i1, s2, i2, ...), applies every a_{s,k} a_{i,l} and takes the
+    quadratic form of their Gram matrix at each (tau, 0).
     """
     p = state.pair_count
     dim_per = state.cutoff + 1
+    tensor = product_tensor(state)
     full = np.zeros((dim_per,) * (2 * p), dtype=complex)
-    for occ in np.ndindex(*state.amplitudes.shape):
-        full[tuple(x for m in occ for x in (m, m))] = state.amplitudes[occ]
+    for occ in np.ndindex(*tensor.shape):
+        full[tuple(x for m in occ for x in (m, m))] = tensor[occ]
     vectors = np.empty((p * p, full.size), dtype=complex)
     for k in range(p):
         lowered_s = _annihilate(full, 2 * k)
@@ -183,15 +196,31 @@ class TestStateFidelity:
 class TestEntangledCoherentPairs:
     def test_normalized_tensor(self):
         state = entangled_coherent_pairs([0.3, 0.5, 1.0], 6)
-        assert np.linalg.norm(state.amplitudes.ravel()) == pytest.approx(1.0, abs=1e-12)
-        assert state.amplitudes.shape == (7, 7, 7)
+        assert state.amplitudes.shape == (3, 7)
+        assert np.linalg.norm(state.amplitudes, axis=1) == pytest.approx(
+            [1.0, 1.0, 1.0], abs=1e-12
+        )
+        assert np.linalg.norm(product_tensor(state).ravel()) == pytest.approx(
+            1.0, abs=1e-12
+        )
 
     def test_single_pair_profile(self):
         alpha, cutoff = 0.8, 9
         state = entangled_coherent_pairs([alpha], cutoff)
         ref = np.array([alpha ** (2 * m) / math.factorial(m) for m in range(cutoff + 1)])
         ref = ref / np.linalg.norm(ref)
-        assert np.allclose(state.amplitudes, ref, rtol=1e-12, atol=1e-15)
+        assert np.allclose(state.amplitudes[0], ref, rtol=1e-12, atol=1e-15)
+
+    def test_rows_are_the_pairs(self):
+        # Pair k's row depends on its own alpha and phase only, and a
+        # zero alpha leaves that pair in the vacuum.
+        alphas = [0.8, 0.0, 0.5j]
+        phases = [0.0, 1.0, 2.0]
+        state = entangled_coherent_pairs(alphas, 5, pair_phases=phases)
+        for k, (alpha, phase) in enumerate(zip(alphas, phases)):
+            alone = entangled_coherent_pairs([alpha], 5, pair_phases=[phase])
+            assert np.array_equal(state.amplitudes[k], alone.amplitudes[0])
+        assert np.array_equal(state.amplitudes[1], np.eye(1, 6, 0)[0])
 
     def test_zero_phases_are_identity(self):
         a = entangled_coherent_pairs([0.7, 0.7], 5)
@@ -199,10 +228,11 @@ class TestEntangledCoherentPairs:
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
     def test_caps_and_validation(self):
-        with pytest.raises(ValueError):
-            entangled_coherent_pairs([0.1] * 5, 4)
-        with pytest.raises(ValueError):
+        assert entangled_coherent_pairs([0.1] * 5, 4).amplitudes.shape == (5, 5)
+        with pytest.raises(ValueError, match="cutoff"):
             entangled_coherent_pairs([0.1], 13)
+        with pytest.raises(ValueError, match="cutoff"):
+            entangled_coherent_pairs([0.1], -1)
         with pytest.raises(ValueError):
             entangled_coherent_pairs([], 4)
         with pytest.raises(ValueError):
@@ -211,16 +241,20 @@ class TestEntangledCoherentPairs:
 
 class TestMultiPairState:
     def test_requires_normalization(self):
-        amps = np.zeros((3, 3), dtype=complex)
-        amps[0, 0] = 2.0
-        with pytest.raises(ValueError):
+        amps = np.zeros((2, 3), dtype=complex)
+        amps[:, 0] = 1.0
+        assert MultiPairState(2, 2, amps).amplitudes.shape == (2, 3)
+        amps[1, 0] = 2.0
+        with pytest.raises(ValueError, match="normalized"):
             MultiPairState(2, 2, amps)
 
     def test_requires_matching_shape(self):
         amps = np.zeros((3, 4), dtype=complex)
-        amps[0, 0] = 1.0
-        with pytest.raises(ValueError):
+        amps[:, 0] = 1.0
+        with pytest.raises(ValueError, match="row"):
             MultiPairState(2, 2, amps)
+        with pytest.raises(ValueError, match="row"):
+            MultiPairState(2, 2, np.eye(1, 9, 0).reshape(3, 3))
 
 
 class TestFockOracle:
@@ -281,7 +315,7 @@ class TestFockOracle:
         n_pairs, cutoff, alpha = 3, 6, 0.9
         lat = lattice(n_pairs)
         state = entangled_coherent_pairs([alpha] * n_pairs, cutoff)
-        c = entangled_coherent_pairs([alpha], cutoff).amplitudes
+        c = entangled_coherent_pairs([alpha], cutoff).amplitudes[0]
         ms = np.arange(cutoff + 1)
         nbar = float(np.sum(np.abs(c) ** 2 * ms))
         mu2 = float(np.sum(np.abs(c) ** 2 * ms**2))
@@ -300,7 +334,7 @@ class TestFockOracle:
 
     def test_global_phase_invariance(self):
         state = entangled_coherent_pairs([0.4, 0.4], 5)
-        rotated = MultiPairState(2, 5, state.amplitudes * np.exp(1j * 1.234))
+        rotated = MultiPairState(2, 5, state.amplitudes * np.exp([[1j * 1.234], [-0.5j]]))
         a = FockOracle(lattice(2), state)
         b = FockOracle(lattice(2), rotated)
         for tau in (0.0, 1.7e-5, 4.2e-5):
@@ -315,6 +349,22 @@ class TestFockOracle:
             assert oracle.g2(tau + period, 0.0) == pytest.approx(
                 oracle.g2(tau, 0.0), rel=1e-9
             )
+
+    def test_paper_scale_builds_in_a_few_rows(self):
+        # 10^4 pairs at the largest cutoff: the state is 10^4 rows of 13
+        # amplitudes (2.08 MB), and the oracle keeps one moment per pair.
+        n_pairs, cutoff = 10**4, 12
+        tracemalloc.start()
+        try:
+            state = entangled_coherent_pairs(
+                np.full(n_pairs, 0.01), cutoff, pair_phases=np.linspace(0.0, 6.0, n_pairs)
+            )
+            oracle = FockOracle(lattice(n_pairs), state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
+        assert math.isfinite(oracle.g2(1e-6, 0.0))
 
     def test_guards(self):
         state = entangled_coherent_pairs([0.3, 0.3], 4)
