@@ -50,6 +50,9 @@ from .timing import CombFit, detect_peaks, fit_comb, resolution_estimate
 # every point (the direct and fock methods); beyond this the cost stops
 # being desk-scale.
 _MODE_SUM_CAP = 2 * 10**8
+# Most modes in such a sum: a fock curve holds a few mode-long rows and
+# peaks at about 313 MB at 1e6 modes, whatever the number of points.
+_MODE_SUM_MAX_MODES = 10**6
 
 
 def _threads(cfg: RunConfig) -> int:
@@ -96,16 +99,27 @@ def _peak_list(cfg: RunConfig) -> tuple[list[float], bool]:
 
 
 def _mode_sum_error(
-    n_points: int, n_modes: int, keys: str = "n_points or n_modes"
+    n_points: int,
+    n_modes: int,
+    points_key: str = "n_points",
+    modes_key: str = "n_modes",
 ) -> str | None:
     """Why a mode sum at every point of a grid is refused, or None.
 
-    The one work rule for the direct and fock methods; keys names the
-    config keys that set the two sizes.
+    The one work and memory rule for the direct and fock methods; the
+    keys name the config keys that set the two sizes.
     """
+    if n_modes > _MODE_SUM_MAX_MODES:
+        return (
+            f"{modes_key}={n_modes} exceeds the {_MODE_SUM_MAX_MODES} modes "
+            f"a mode sum may hold; reduce {modes_key}"
+        )
     work = n_points * n_modes
     if work > _MODE_SUM_CAP:
-        return f"a mode sum over this grid would take {work:.2e} terms; reduce {keys}"
+        return (
+            f"a mode sum over this grid would take {work:.2e} terms; "
+            f"reduce {points_key} or {modes_key}"
+        )
     return None
 
 
@@ -301,7 +315,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
 def cmd_oracle(cfg: RunConfig, out: Path) -> int:
     if error := _mode_sum_error(
-        cfg.oracle_n_points, cfg.oracle_pairs, "oracle_n_points or oracle_pairs"
+        cfg.oracle_n_points, cfg.oracle_pairs, "oracle_n_points", "oracle_pairs"
     ):
         raise ValueError(error)
     lattice = cfg.oracle_lattice()

@@ -21,6 +21,9 @@ _METHODS = ("closed", "direct", "mc", "fock", "all")
 
 # Most points on a curve grid; the largest grid in use has about 1e6.
 _MAX_POINTS = 10**7
+# Most worker threads accepted at load; map_ordered further clamps the
+# pool to the CPU count and the number of work items.
+_MAX_THREADS = 1024
 
 
 @dataclass
@@ -134,8 +137,8 @@ class RunConfig:
             raise ValueError(f"oracle_n_points must lie in [2, {_MAX_POINTS}]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.threads < 0:
-            raise ValueError("threads must be non-negative (0 = auto)")
+        if not 0 <= self.threads <= _MAX_THREADS:
+            raise ValueError(f"threads must lie in [0, {_MAX_THREADS}] (0 = auto)")
         return self
 
     def as_dict(self) -> dict:

@@ -53,6 +53,9 @@ SINC_SQ_HALF_POWER = 1.3915573782515098
 _SINGULAR_SIN_HALF = 1e-8
 
 _MC_CHUNK = 512
+# Realizations drawn and reduced at once within a chunk: at 1000 modes
+# a block's few temporaries fit in L2 instead of streaming through RAM.
+_MC_BLOCK_ROWS = 32
 
 # The Monte Carlo weight's cosine-difference form carries an absolute
 # error of about 1e-15 / |4u(u - c)| (see _mc_amplitudes); below this
@@ -229,7 +232,9 @@ def _mc_amplitudes(
     samples with |4u (u - c)| < _MC_GUARD take the two-sinc product
     instead. The weights are reduced against the real cos/sin phase
     vectors with einsum, which never calls BLAS, so a chunk runs on the
-    calling thread alone.
+    calling thread alone. A chunk draws and reduces _MC_BLOCK_ROWS
+    realizations at a time; successive draws from one generator give
+    the same values as one draw of the whole chunk.
     """
     n = lattice.n_modes
     dnu = lattice.delta_nu
@@ -245,9 +250,8 @@ def _mc_amplitudes(
     # statistically independent rather than sharing epoch draws.
     tau_bits = int(np.float64(tau).view(np.uint64))
 
-    def one_chunk(chunk_index: int) -> np.ndarray:
-        rng = derive_rng(seed, LABEL_MC_ENVELOPE, tau_bits, chunk_index)
-        t0 = rng.uniform(0.0, window, size=(counts[chunk_index], n))
+    def one_block(rng: np.random.Generator, out: np.ndarray) -> None:
+        t0 = rng.uniform(0.0, window, size=(out.size, n))
         two_u = np.subtract(t1, t0)
         two_u *= TWO_PI * dnu
         den = np.subtract(two_u, 2.0 * c)
@@ -262,9 +266,15 @@ def _mc_amplitudes(
         half_w.ravel()[near] = 0.5 * (
             np.sinc(dnu * (t1 - t0_near)) * np.sinc(dnu * (t2 - t0_near))
         )
-        re = np.einsum("ij,j->i", half_w, re_phase)
-        im = np.einsum("ij,j->i", half_w, im_phase)
-        return re + 1j * im
+        np.einsum("ij,j->i", half_w, re_phase, out=out.real)
+        np.einsum("ij,j->i", half_w, im_phase, out=out.imag)
+
+    def one_chunk(chunk_index: int) -> np.ndarray:
+        rng = derive_rng(seed, LABEL_MC_ENVELOPE, tau_bits, chunk_index)
+        amp = np.empty(counts[chunk_index], dtype=complex)
+        for start in range(0, amp.size, _MC_BLOCK_ROWS):
+            one_block(rng, amp[start : start + _MC_BLOCK_ROWS])
+        return amp
 
     return one_chunk
 

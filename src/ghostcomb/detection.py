@@ -7,12 +7,15 @@ delays t1 - t2. Correlated pairs are generated by drawing the pair
 delay from the normalized correlation density and placing the pair
 uniformly in time, so the marginal of each stream stays exactly flat.
 
-Histogramming uses a sorted two-pointer sweep, linear in the number of
-events plus tallied pairs, so million-event streams are processed in
-seconds without forming the quadratic pair set. The sweep expands at
-most _PAIR_BUDGET pairs at a time, so its working set stays a few
-arrays of that length whatever the number of pairs per event. Streams
-are sorted in place, so each one is held once.
+Histogramming is a sorted sweep, linear in the number of events plus
+tallied pairs, so million-event streams are processed in seconds
+without forming the quadratic pair set. Each chunk of detector-1
+events finds its pair windows by merging against the stretch of the
+detector-2 stream it can reach, not by binary search over the whole
+stream. The sweep expands at most _PAIR_BUDGET pairs at a time and
+adds them to the counts in place, so its working set stays a few
+arrays of that length whatever the number of pairs per event or bins.
+Streams are sorted in place, so each one is held once.
 """
 
 from __future__ import annotations
@@ -41,8 +44,12 @@ _GRID_PER_WIDTH = 50
 # Guard against runaway grids when the window spans many peak widths.
 _MAX_GRID_POINTS = 5_000_000
 
-# Detector-1 events located per pair of binary searches.
+# Detector-1 events whose pair windows are located by one merge.
 _HISTOGRAM_CHUNK = 65536
+# Longest reachable detector-2 stretch, in chunk lengths, ranked by
+# merge; a longer one (sparse t1 against dense t2) is binary-searched,
+# which is faster there and keeps the working set the chunk's size.
+_MERGE_RATIO = 2
 # Most pair delays expanded at once; bounds the tally's working set.
 _PAIR_BUDGET = 1 << 19
 # Most histogram bins; at this cap the counts alone take 80 MB.
@@ -86,6 +93,7 @@ class CoincidenceHistogram:
 
     Bin i covers [tau_min + i * bin_width, tau_min + (i+1) * bin_width).
     total_pairs is the number of tallied pairs, equal to counts.sum().
+    An int64 counts array is kept as given, not copied.
     metadata is an opaque record of the run that produced the counts;
     no analysis here reads it, so callers pass the comb explicitly.
     """
@@ -109,7 +117,7 @@ class CoincidenceHistogram:
             raise ValueError("tau_max must exceed tau_min")
         if int(counts.sum()) != int(self.total_pairs):
             raise ValueError("total_pairs must equal the sum of counts")
-        object.__setattr__(self, "counts", counts.astype(np.int64))
+        object.__setattr__(self, "counts", counts.astype(np.int64, copy=False))
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -228,7 +236,8 @@ def merge_streams(a: EventStream, b: EventStream) -> EventStream:
     if a.duration != b.duration:
         raise ValueError("streams must cover the same duration")
     times = np.concatenate([a.timestamps, b.timestamps])
-    times.sort()
+    # Two sorted runs: timsort merges them in one linear pass.
+    times.sort(kind="stable")
     return EventStream(a.detector_id, times, a.duration, a.rate + b.rate, None)
 
 
@@ -247,10 +256,25 @@ def histogram_bins_error(bin_width: float, tau_min: float, tau_max: float) -> st
     return None
 
 
+def _rank(w: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """np.searchsorted(w, keys, side="right") for sorted w and keys.
+
+    Short windows are ranked by a stable merge of the two sorted runs:
+    w goes first, so a key lands after every w element equal to it, and
+    its rank is its merged position less the keys before it.
+    """
+    if w.size > _MERGE_RATIO * keys.size:
+        return np.searchsorted(w, keys, side="right")
+    order = np.argsort(np.concatenate([w, keys]), kind="stable")
+    return np.flatnonzero(order >= w.size) - np.arange(keys.size)
+
+
 def _tally(counts: np.ndarray, d: np.ndarray, tau_min: float, bin_width: float) -> None:
-    """Add the pair delays d to counts, in place."""
-    b = ((d - tau_min) / bin_width).astype(np.int64)
-    counts += np.bincount(np.clip(b, 0, counts.size - 1), minlength=counts.size)
+    """Add the pair delays d to counts, in place; d is overwritten."""
+    d -= tau_min
+    d /= bin_width
+    b = d.astype(np.int64)
+    np.add.at(counts, np.clip(b, 0, counts.size - 1, out=b), 1)
 
 
 def build_histogram(
@@ -263,14 +287,17 @@ def build_histogram(
 ) -> CoincidenceHistogram:
     """Histogram of all pair delays t1 - t2 within [tau_min, tau_max).
 
-    Runs a vectorized two-pointer sweep over the sorted streams, linear
-    in the number of events plus tallied pairs. At most _PAIR_BUDGET
-    pair delays are expanded at once, so the working set beyond the
-    counts is bounded by that constant, whatever the pair density. If
-    bin_width does not divide the range to within one part in 1e6, the
-    range is expanded upward to a whole number of bins and the
-    expansion is recorded in the metadata (and warned about). More than
-    _MAX_HISTOGRAM_BINS bins are refused before any allocation.
+    Runs a vectorized sweep over the sorted streams, linear in the
+    number of events plus tallied pairs: each chunk of t1 ranks its
+    window bounds by merging with the stretch of t2 it reaches (see
+    _rank). At most _PAIR_BUDGET pair delays are expanded at once and
+    added to the counts in place, so the working set beyond the counts
+    is bounded by that constant, whatever the pair density or the
+    number of bins. If bin_width does not divide the range to within
+    one part in 1e6, the range is expanded upward to a whole number of
+    bins and the expansion is recorded in the metadata (and warned
+    about). More than _MAX_HISTOGRAM_BINS bins are refused before any
+    allocation.
     """
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
@@ -299,9 +326,14 @@ def build_histogram(
     for start in range(0, t1.size, _HISTOGRAM_CHUNK):
         c1 = t1[start : start + _HISTOGRAM_CHUNK]
         # Pairs with tau_min <= t1 - t2 < tau_max, i.e. t2 in
-        # (t1 - tau_max, t1 - tau_min], located by binary search.
-        lo = np.searchsorted(t2, c1 - tau_max, side="right")
-        hi = np.searchsorted(t2, c1 - tau_min, side="right")
+        # (t1 - tau_max, t1 - tau_min]. Both key arrays are sorted, so
+        # every window lies in t2[a:b], bounded by the first and last.
+        klo = c1 - tau_max
+        khi = c1 - tau_min
+        a = int(np.searchsorted(t2, klo[0], side="right"))
+        b = int(np.searchsorted(t2, khi[-1], side="right"))
+        lo = a + _rank(t2[a:b], klo)
+        hi = a + _rank(t2[a:b], khi)
         m = hi - lo
         ends = np.cumsum(m)
         # Tally events [i, j) together, j as far as the budget allows.
@@ -311,8 +343,8 @@ def build_histogram(
             j = int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right"))
             if j == i:
                 # Event i alone exceeds the budget: slice its window.
-                for a in range(lo[i], hi[i], _PAIR_BUDGET):
-                    window = t2[a : min(a + _PAIR_BUDGET, hi[i])]
+                for k in range(lo[i], hi[i], _PAIR_BUDGET):
+                    window = t2[k : min(k + _PAIR_BUDGET, hi[i])]
                     _tally(counts, c1[i] - window, tau_min, bin_width)
                 i += 1
                 continue

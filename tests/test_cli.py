@@ -109,6 +109,7 @@ class TestCurveCommand:
             ({"n_modes": 4, "oracle_cutoff": 6}, True),
             ({"n_modes": 1000, "n_points": 200001}, False),  # over the work cap
             ({"n_modes": 2001, "n_points": 100001}, False),  # over it by n_modes
+            ({"n_modes": 1000001, "n_points": 2}, False),  # over the mode cap
             ({"n_modes": 3, "delta_nu_hz": 200.0}, False),  # oracle needs zero linewidth
             ({"n_modes": 5, "oracle_cutoff": 1}, True),
             ({}, True),  # the default lattice of 1000 modes
@@ -172,6 +173,18 @@ class TestCurveCommand:
         )
         assert code == 1
         assert "reduce n_points or n_modes" in err
+        assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize("method", ["fock", "direct"])
+    def test_mode_count_cap(self, method, tmp_path, capsys):
+        # 2 points pass the work cap, but the mode-long rows would not
+        # fit in memory: 1e8 modes would take about 30 GB.
+        code, _, err = run(
+            capsys, "curve", "--out", str(tmp_path), "--method", method,
+            "--set", "n_modes=1000001", "--set", "n_points=2",
+        )
+        assert code == 1
+        assert "n_modes=1000001" in err and "reduce n_modes" in err
         assert not (tmp_path / "curve.csv").exists()
 
 
@@ -316,6 +329,15 @@ class TestOracleCommand:
         )
         assert code == 1
         assert "reduce oracle_n_points or oracle_pairs" in err
+
+    def test_pair_count_cap(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "oracle", "--out", str(tmp_path),
+            "--set", "oracle_pairs=1000001", "--set", "oracle_n_points=2",
+        )
+        assert code == 1
+        assert "oracle_pairs=1000001" in err and "reduce oracle_pairs" in err
+        assert not (tmp_path / "oracle_comparison.csv").exists()
 
 
 class TestErrorHandling:

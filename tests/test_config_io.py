@@ -117,6 +117,7 @@ class TestRunConfig:
             ("n_points", 10**7 + 1),
             ("seed", -1),
             ("threads", -1),
+            ("threads", 1025),
             ("n_modes", 0),
         ],
     )

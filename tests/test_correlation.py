@@ -266,14 +266,25 @@ class TestMcEnvelope:
 
 
 class ForcedEpochs:
-    """Stands in for a chunk's generator: its uniform draw is given."""
+    """Stands in for a chunk's generator: its uniform draws are given.
+
+    Each draw of (rows, n) hands out the next rows of t0; `consumed`
+    says whether every row was handed out.
+    """
 
     def __init__(self, t0):
         self.t0 = t0
+        self.row = 0
 
     def uniform(self, low, high, size):
-        assert size == self.t0.shape
-        return self.t0.copy()
+        rows, n = size
+        assert n == self.t0.shape[1] and self.row + rows <= self.t0.shape[0]
+        self.row += rows
+        return self.t0[self.row - rows : self.row].copy()
+
+    @property
+    def consumed(self):
+        return self.row == self.t0.shape[0]
 
 
 class TestMcSampler:
@@ -281,7 +292,7 @@ class TestMcSampler:
 
     LAT = ModeLattice(n_modes=200, nu_b=20e3, nu_s0=CARRIER, delta_nu=200.0)
     TAUS = [0.0, 3.7e-5, -1.25e-4, 2.5e-3, 5e-3, 0.02, 0.1]
-    ROWS = 64
+    ROWS = 70  # two full row blocks of the sampler and a partial one
 
     def window(self, tau):
         return 100.0 / self.LAT.delta_nu + 4.0 * abs(tau)
@@ -320,8 +331,10 @@ class TestMcSampler:
         t0 = rng.uniform(0.0, window, size=(self.ROWS, self.LAT.n_modes))
         t0.ravel()[rng.choice(t0.size, forced.size, replace=False)] = forced
         t0[0] = rng.choice(forced, self.LAT.n_modes)  # a row of nothing else
-        monkeypatch.setattr(correlation, "derive_rng", lambda *key: ForcedEpochs(t0))
+        epochs = ForcedEpochs(t0)
+        monkeypatch.setattr(correlation, "derive_rng", lambda *key: epochs)
         amp = _mc_amplitudes(self.LAT, tau, window, 11, [self.ROWS])(0)
+        assert epochs.consumed
         self.assert_matches_reference(amp, tau, t0)
 
 

@@ -3,9 +3,11 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from ghostcomb import detection
@@ -333,6 +335,20 @@ class TestTallyMemory:
         assert h.total_pairs > 0.8 * pairs_per_event * len(s1)
         assert np.array_equal(h.counts, expected)
 
+    def test_sparse_t1_against_dense_t2(self):
+        # 300 events reach across 2e6 dense events: merging with all of
+        # them would take three arrays of that length, 34 MB.
+        rng = np.random.default_rng(4)
+        t1 = np.sort(rng.uniform(0.0, 1.0, 300))
+        t2 = np.sort(rng.uniform(0.0, 1.0, 2_000_000))
+        s1, s2 = EventStream(1, t1, 1.0, 300), EventStream(2, t2, 1.0, 2e6)
+        tau = 2e-3
+        h, peak = traced_peak(build_histogram, s1, s2, 1e-5, -tau, tau)
+        assert peak < 6 * 8 * detection._PAIR_BUDGET
+        lo = np.searchsorted(t2, t1 - tau, side="right")
+        hi = np.searchsorted(t2, t1 + tau, side="right")
+        assert h.total_pairs == int((hi - lo).sum()) > 2e6
+
     @pytest.mark.parametrize("budget", [150, 999, 4096])
     def test_counts_exact_at_any_budget(self, budget, monkeypatch):
         # 150 is below every event's pair count, so each event's window
@@ -343,6 +359,46 @@ class TestTallyMemory:
         expected = brute_force_counts(
             s1.timestamps, s2.timestamps, self.BIN_WIDTH, self.TAU_MIN, self.TAU_MAX
         )
+        assert np.array_equal(h.counts, expected)
+
+
+# Few distinct values, so w and the keys tie often; the keys also reach
+# below w's first value and past its last.
+sorted_values = st.lists(st.integers(-3, 12).map(float), max_size=60).map(sorted)
+
+
+class TestRank:
+    """The window-bound ranks equal a right-sided binary search."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=sorted_values, keys=sorted_values)
+    def test_equals_searchsorted(self, w, keys):
+        w, keys = np.array(w), np.array(keys)
+        expected = np.searchsorted(w, keys, side="right")
+        # A ratio of 0 binary-searches every window, a huge one merges.
+        for ratio in (0, detection._MERGE_RATIO, 10**9):
+            with mock.patch.object(detection, "_MERGE_RATIO", ratio):
+                assert np.array_equal(detection._rank(w, keys), expected)
+
+
+class TestTallyAtManyBins:
+    """At the paper-scale 5e6 bins the tally adds no bin-sized temporary."""
+
+    BIN_WIDTH, TAU_MIN, TAU_MAX = 2e-8, -0.05, 0.05
+
+    def test_counts_exact_and_peak_beyond_counts_small(self):
+        rng = np.random.default_rng(9)
+        t1 = np.sort(rng.uniform(0.0, 1.0, 2000))
+        t2 = np.sort(rng.uniform(0.0, 1.0, 20000))
+        s1, s2 = EventStream(1, t1, 1.0, 2000), EventStream(2, t2, 1.0, 20000)
+        h, peak = traced_peak(
+            build_histogram, s1, s2, self.BIN_WIDTH, self.TAU_MIN, self.TAU_MAX
+        )
+        assert h.counts.size == 5_000_000
+        # One bincount of 5e6 bins per block took 40 MB beyond the counts.
+        assert peak - h.counts.nbytes < 6 * 8 * detection._PAIR_BUDGET
+        expected = brute_force_counts(t1, t2, self.BIN_WIDTH, self.TAU_MIN, self.TAU_MAX)
+        assert h.total_pairs > 3e6
         assert np.array_equal(h.counts, expected)
 
 
