@@ -109,10 +109,10 @@ class TestCurveCommand:
             ({"n_modes": 4, "oracle_cutoff": 6}, True),
             ({"n_modes": 1000, "n_points": 200001}, False),  # over the work cap
             ({"n_modes": 2001, "n_points": 100001}, False),  # over it by n_modes
-            ({"n_modes": 1000001, "n_points": 2}, False),  # over the mode cap
             ({"n_modes": 3, "delta_nu_hz": 200.0}, False),  # oracle needs zero linewidth
             ({"n_modes": 5, "oracle_cutoff": 1}, True),
             ({}, True),  # the default lattice of 1000 modes
+            ({"n_modes": 1000001, "n_points": 2}, False),  # over the mode cap
         ],
     )
     def test_applicable_methods_offer_fock_only_when_it_runs(self, overrides, has_fock):
