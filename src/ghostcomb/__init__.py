@@ -8,6 +8,12 @@ mode summation, by truncated-Fock-space operator algebra, and by Monte-Carlo
 photodetection, and is used to recover time offsets between the detectors.
 """
 
+import os
+
+# The program makes no multi-threaded BLAS call, so OpenBLAS need not
+# start its idle thread pool when numpy loads; a value set by the user wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .lattice import DetectorGeometry, ModeLattice, mode_frequencies, retarded_tau
 from .correlation import (
     CorrelationCurve,
@@ -36,9 +42,9 @@ from .fock import (
 from .detection import (
     CoincidenceHistogram,
     EventStream,
+    add_singles,
     build_histogram,
     contrast,
-    merge_streams,
     sample_pairs,
     sample_singles,
 )
@@ -60,6 +66,7 @@ __all__ = [
     "MultiPairState",
     "RunConfig",
     "TruncatedPairState",
+    "add_singles",
     "beat_phase",
     "build_coherent_product",
     "build_histogram",
@@ -79,7 +86,6 @@ __all__ = [
     "g2_closed",
     "g2_mc_envelope",
     "load_config",
-    "merge_streams",
     "mode_frequencies",
     "phase_scrambled_curve",
     "psi_direct",

@@ -34,12 +34,11 @@ from .correlation import (
     envelope_fwhm,
 )
 from .detection import (
+    add_singles,
     build_histogram,
     contrast,
     histogram_bins_error,
-    merge_streams,
     sample_pairs,
-    sample_singles,
 )
 from .fock import build_coherent_product, build_perturbation_state, state_fidelity
 from .lattice import DetectorGeometry, ModeLattice
@@ -249,13 +248,8 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         window_periods=cfg.window_periods,
     )
     if cfg.accidental_rate_hz > 0:
-        # No name holds the singles, so each is freed once merged.
-        s1 = merge_streams(s1, sample_singles(
-            cfg.accidental_rate_hz, cfg.duration_s, cfg.seed, 1, LABEL_ACCIDENTAL_DET1
-        ))
-        s2 = merge_streams(s2, sample_singles(
-            cfg.accidental_rate_hz, cfg.duration_s, cfg.seed, 2, LABEL_ACCIDENTAL_DET2
-        ))
+        s1 = add_singles(s1, cfg.accidental_rate_hz, cfg.seed, LABEL_ACCIDENTAL_DET1)
+        s2 = add_singles(s2, cfg.accidental_rate_hz, cfg.seed, LABEL_ACCIDENTAL_DET2)
 
     metadata = {
         "n_modes": cfg.n_modes,

@@ -15,7 +15,8 @@ detector-2 stream it can reach, not by binary search over the whole
 stream. The sweep expands at most _PAIR_BUDGET pairs at a time and
 adds them to the counts in place, so its working set stays a few
 arrays of that length whatever the number of pairs per event or bins.
-Streams are sorted in place, so each one is held once.
+Streams are drawn and sorted in their final buffer, so each one is held
+once.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from .seeding import (
 _GRID_PER_WIDTH = 50
 # Guard against runaway grids when the window spans many peak widths.
 _MAX_GRID_POINTS = 5_000_000
+# Grid points evaluated at once; bounds g2_closed's temporaries.
+_GRID_BLOCK = 65536
 
 # Detector-1 events whose pair windows are located by one merge.
 _HISTOGRAM_CHUNK = 65536
@@ -77,7 +80,8 @@ class EventStream:
         if ts.size:
             if not np.all(ts[1:] > ts[:-1]):
                 raise ValueError("timestamps must be strictly increasing")
-            if ts[0] < 0 or ts[-1] >= self.duration:
+            # Written so that a NaN fails it too.
+            if not (ts[0] >= 0 and ts[-1] < self.duration):
                 raise ValueError("timestamps must lie within [0, duration)")
         if self.rate < 0:
             raise ValueError("rate must be non-negative")
@@ -125,6 +129,27 @@ class CoincidenceHistogram:
         return self.tau_min + (np.arange(n) + 0.5) * self.bin_width
 
 
+def _with_singles(head: np.ndarray, rate: float, duration: float, rng) -> np.ndarray:
+    """Sorted head plus a Poisson draw of singles over [0, duration).
+
+    One buffer of the final length is allocated; head is copied to its
+    front and the singles are drawn into the rest, so no second stream
+    is held. The draw is bit-identical to rng.uniform(0.0, duration).
+    """
+    if rate <= 0:
+        raise ValueError("rate must be positive")
+    count = int(rng.poisson(rate * duration))
+    times = np.empty(head.size + count)
+    times[: head.size] = head
+    tail = times[head.size :]
+    rng.random(out=tail)
+    tail *= duration
+    tail.sort()
+    # Two sorted runs: timsort merges them in one linear pass.
+    times.sort(kind="stable")
+    return times
+
+
 def sample_singles(
     rate: float,
     duration: float,
@@ -138,19 +163,24 @@ def sample_singles(
     generate auxiliary uncorrelated streams (accidental background) that
     do not collide with the primary singles streams under one seed.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
     if duration < 0:
         raise ValueError("duration must be non-negative")
     if label is None:
         label = LABEL_SINGLES_DET1 if detector_id == 1 else LABEL_SINGLES_DET2
-    rng = derive_rng(seed, label)
-    if duration == 0:
-        return EventStream(detector_id, np.empty(0), 0.0, rate, seed)
-    count = int(rng.poisson(rate * duration))
-    times = rng.uniform(0.0, duration, size=count)
-    times.sort()
+    times = _with_singles(np.empty(0), rate, duration, derive_rng(seed, label))
     return EventStream(detector_id, times, duration, rate, seed)
+
+
+def add_singles(stream: EventStream, rate: float, seed: int, label: int) -> EventStream:
+    """The stream with uncorrelated singles (accidentals) added.
+
+    The singles are those sample_singles(rate, stream.duration, seed,
+    stream.detector_id, label) draws, and the timestamps equal the
+    sorted concatenation of the two streams; but they are drawn into
+    the output's buffer, so only the output is allocated.
+    """
+    times = _with_singles(stream.timestamps, rate, stream.duration, derive_rng(seed, label))
+    return EventStream(stream.detector_id, times, stream.duration, stream.rate + rate, None)
 
 
 def _delay_density_grid(
@@ -170,14 +200,23 @@ def _delay_density_grid(
             f"grid ({n_points} points); narrow the window"
         )
     grid = np.linspace(lo, hi, n_points)
-    density = np.asarray(g2_closed(lattice, grid - geom.retarded_offset))
-    cdf = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(grid)))
-    )
+    density = np.empty(n_points)
+    for start in range(0, n_points, _GRID_BLOCK):
+        block = grid[start : start + _GRID_BLOCK]
+        density[start : start + block.size] = g2_closed(lattice, block - geom.retarded_offset)
+    # Trapezoid rule in place: cdf[i] sums the panels below grid[i].
+    cdf = np.empty(n_points)
+    cdf[0] = 0.0
+    panels = cdf[1:]
+    np.add(density[1:], density[:-1], out=panels)
+    panels *= 0.5
+    panels *= np.subtract(grid[1:], grid[:-1], out=density[:-1])
+    np.cumsum(panels, out=panels)
     total = cdf[-1]
     if not (np.isfinite(total) and total > 0):
         raise ValueError("delay window contains no correlation density")
-    return grid, cdf / total
+    cdf /= total
+    return grid, cdf
 
 
 def sample_pairs(
@@ -227,18 +266,6 @@ def sample_pairs(
     s1 = EventStream(1, t1, duration, pair_rate, seed)
     s2 = EventStream(2, t2, duration, pair_rate, seed)
     return s1, s2
-
-
-def merge_streams(a: EventStream, b: EventStream) -> EventStream:
-    """Interleave two streams recorded at the same detector."""
-    if a.detector_id != b.detector_id:
-        raise ValueError("streams must come from the same detector")
-    if a.duration != b.duration:
-        raise ValueError("streams must cover the same duration")
-    times = np.concatenate([a.timestamps, b.timestamps])
-    # Two sorted runs: timsort merges them in one linear pass.
-    times.sort(kind="stable")
-    return EventStream(a.detector_id, times, a.duration, a.rate + b.rate, None)
 
 
 def histogram_bins_error(bin_width: float, tau_min: float, tau_max: float) -> str | None:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import hashlib
+import os
 import subprocess
 import sys
 
@@ -386,6 +387,25 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_import_starts_no_blas_threads(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = (
+        "import os, ghostcomb.cli; "
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    threads, value = done.stdout.split()
+    assert value == expected
+    if preset is None:
+        assert threads == "1"
 
 
 class TestDeterminism:

@@ -332,6 +332,15 @@ class TestEventStreamFiles:
         with pytest.raises(ValueError, match="bytes"):
             read_event_stream(path)
 
+    def test_one_nan_event_is_rejected(self, tmp_path):
+        path = tmp_path / "s.bin"
+        head = struct.pack("<4sHHQ", b"GCEV", 1, 1, 1)
+        path.write_bytes(head + np.array([np.nan], dtype="<f8").tobytes())
+        with pytest.raises(ValueError, match="within"):
+            read_event_stream(path)
+        with pytest.raises(ValueError, match="within"):
+            read_event_stream(path, duration=1.0)
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "s.bin"
         path.write_bytes(b"GC")

@@ -11,18 +11,19 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from ghostcomb import detection
+from ghostcomb.seeding import LABEL_ACCIDENTAL_DET1, LABEL_ACCIDENTAL_DET2, derive_rng
 from ghostcomb import (
     CoincidenceHistogram,
     DetectorGeometry,
     EventStream,
     ModeLattice,
+    add_singles,
     build_histogram,
     comb_peak_orders,
     comb_peak_positions,
     comb_peak_width,
     contrast,
     g2_closed,
-    merge_streams,
     sample_pairs,
     sample_singles,
 )
@@ -56,6 +57,12 @@ class TestEventStream:
         with pytest.raises(ValueError):
             EventStream(1, good, 1.0, -2.0)
 
+    @pytest.mark.parametrize("duration", [1.0, np.nan])
+    def test_rejects_a_nan_in_a_one_event_stream(self, duration):
+        # Both range comparisons are False for NaN; neither may pass it.
+        with pytest.raises(ValueError, match="within"):
+            EventStream(1, np.array([np.nan]), duration, 1.0)
+
 
 class TestSampleSingles:
     def test_count_near_expectation(self):
@@ -87,6 +94,14 @@ class TestSampleSingles:
     def test_requires_positive_rate(self):
         with pytest.raises(ValueError):
             sample_singles(0.0, 1.0, seed=1)
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_is_the_sorted_uniform_draw(self, seed):
+        # The in-place draw keeps the bits of rng.uniform(0, duration).
+        rng = derive_rng(seed, LABEL_ACCIDENTAL_DET2)
+        expected = np.sort(rng.uniform(0.0, 25.0, rng.poisson(4000.0 * 25.0)))
+        s = sample_singles(4000.0, 25.0, seed, detector_id=2, label=LABEL_ACCIDENTAL_DET2)
+        assert s.timestamps.tobytes() == expected.tobytes()
 
 
 class TestSamplePairs:
@@ -193,20 +208,45 @@ class TestSamplePairs:
             sample_pairs(LAT10, GEOM0, 1.0, 1.0, -1e-9, seed=1)
 
 
-class TestMergeStreams:
-    def test_interleaves(self):
-        a = EventStream(1, np.array([0.1, 0.4]), 1.0, 2.0)
-        b = EventStream(1, np.array([0.2, 0.8]), 1.0, 3.0)
-        m = merge_streams(a, b)
-        assert np.array_equal(m.timestamps, [0.1, 0.2, 0.4, 0.8])
-        assert m.rate == 5.0
+class TestAddSingles:
+    @staticmethod
+    def merged(stream, rate, seed, label):
+        """The two-stream formula add_singles replaces."""
+        singles = sample_singles(rate, stream.duration, seed, stream.detector_id, label)
+        return np.sort(np.concatenate([stream.timestamps, singles.timestamps]))
 
-    def test_rejects_mismatches(self):
-        a = EventStream(1, np.array([0.1]), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            merge_streams(a, EventStream(2, np.array([0.1]), 1.0, 1.0))
-        with pytest.raises(ValueError):
-            merge_streams(a, EventStream(1, np.array([0.1]), 2.0, 1.0))
+    @pytest.mark.parametrize("seed", [1, 2, 7, 2026])
+    def test_equals_sorted_concatenation(self, seed):
+        s1, s2 = sample_pairs(LAT10, GEOM0, 50.0, 20.0, 1e-7, seed)
+        for stream, label in ((s1, LABEL_ACCIDENTAL_DET1), (s2, LABEL_ACCIDENTAL_DET2)):
+            out = add_singles(stream, 5000.0, seed, label)
+            expected = self.merged(stream, 5000.0, seed, label)
+            assert out.timestamps.tobytes() == expected.tobytes()
+            assert len(out) > len(stream)
+
+    def test_zero_duration(self):
+        empty = EventStream(2, np.empty(0), 0.0, 1.0)
+        out = add_singles(empty, 5000.0, 3, LABEL_ACCIDENTAL_DET2)
+        assert len(out) == 0
+        expected = self.merged(empty, 5000.0, 3, LABEL_ACCIDENTAL_DET2)
+        assert out.timestamps.tobytes() == expected.tobytes()
+
+    def test_interleaves(self):
+        stream = EventStream(2, np.array([0.1, 0.4]), 1.0, 2.0)
+        out = add_singles(stream, 30.0, 5, LABEL_ACCIDENTAL_DET2)
+        singles = sample_singles(30.0, 1.0, 5, 2, LABEL_ACCIDENTAL_DET2)
+        assert len(out) == len(singles) + 2
+        assert np.array_equal(np.setdiff1d(out.timestamps, singles.timestamps), [0.1, 0.4])
+        assert np.all(np.diff(out.timestamps) > 0)
+        assert out.rate == 32.0
+
+    def test_keeps_detector_and_duration(self):
+        stream = EventStream(2, np.array([0.1]), 3.0, 1.0, seed=4)
+        out = add_singles(stream, 10.0, 4, LABEL_ACCIDENTAL_DET2)
+        assert (out.detector_id, out.duration, out.seed) == (2, 3.0, None)
+        assert out.timestamps[-1] < 3.0
+        with pytest.raises(ValueError, match="rate"):
+            add_singles(stream, 0.0, 4, LABEL_ACCIDENTAL_DET2)
 
 
 class TestBuildHistogram:
@@ -403,18 +443,40 @@ class TestTallyAtManyBins:
 
 
 class TestStreamMemory:
-    """Sampling and merging allocate the output stream once."""
+    """Sampling and adding singles allocate the output stream once."""
 
     def test_sample_singles_holds_one_stream(self):
         s, peak = traced_peak(sample_singles, 1e6, 1.0, seed=8)
         assert peak <= 1.2 * s.timestamps.nbytes
 
-    def test_merge_streams_holds_one_stream(self):
-        a = sample_singles(5e5, 1.0, seed=8, detector_id=2)
-        b = sample_singles(5e5, 1.0, seed=9, detector_id=2)
-        m, peak = traced_peak(merge_streams, a, b)
-        assert len(m) == len(a) + len(b)
+    def test_add_singles_holds_one_stream(self):
+        pairs = sample_singles(1e5, 1.0, seed=8, detector_id=2)
+        m, peak = traced_peak(add_singles, pairs, 1e6, 9, LABEL_ACCIDENTAL_DET2)
+        assert len(m) > 10 * len(pairs)
         assert peak <= 1.2 * m.timestamps.nbytes
+
+
+class TestDelayDensityGrid:
+    """The sampling grid is evaluated in blocks, with no grid-sized temporaries."""
+
+    # About 1e6 points: 1000 modes at 50 points per width over 20 periods.
+    LAT = ModeLattice(n_modes=1000, nu_b=20e3, nu_s0=CARRIER)
+    GEOM = DetectorGeometry(r1=3.0, r2=0.0)
+    WINDOW = (-5e-4, 5e-4)
+
+    def test_cdf_matches_full_array_formula_in_a_few_grid_arrays(self):
+        (grid, cdf), peak = traced_peak(
+            detection._delay_density_grid, self.LAT, self.GEOM, self.WINDOW
+        )
+        assert grid.size > 1e6
+        # The whole-grid formula the blocked evaluation replaced.
+        density = g2_closed(self.LAT, grid - self.GEOM.retarded_offset)
+        expected = np.concatenate(
+            ([0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(grid)))
+        )
+        assert np.array_equal(cdf, expected / expected[-1])
+        # grid, density and cdf; the whole-grid formula took about 15.
+        assert peak <= 3.5 * grid.nbytes
 
 
 class TestContrast:
