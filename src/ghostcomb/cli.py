@@ -52,6 +52,10 @@ _MODE_SUM_CAP = 2 * 10**8
 # Most modes in such a sum: a fock curve holds a few mode-long rows and
 # peaks at about 313 MB at 1e6 modes, whatever the number of points.
 _MODE_SUM_MAX_MODES = 10**6
+# Most points * realizations * modes samples an mc curve may draw: at
+# the measured 55 ns per sample on one core, about a minute, as for the
+# mode sums.
+_MC_SAMPLE_CAP = 10**9
 
 
 def _threads(cfg: RunConfig) -> int:
@@ -122,12 +126,23 @@ def _mode_sum_error(
     return None
 
 
+def _method_error(cfg: RunConfig, method: str) -> str | None:
+    """Why a curve by this method is refused under the work rules, or None."""
+    if method in ("direct", "fock"):
+        return _mode_sum_error(cfg.n_points, cfg.n_modes)
+    if method == "mc":
+        work = cfg.n_points * cfg.mc_realizations * cfg.n_modes
+        if work > _MC_SAMPLE_CAP:
+            return (
+                f"an mc curve over this grid would draw {work:.2e} samples; "
+                f"reduce n_points, mc_realizations or n_modes"
+            )
+    return None
+
+
 def _applicable_methods(cfg: RunConfig) -> list[str]:
-    if cfg.delta_nu_hz > 0.0:
-        return ["closed", "mc"]
-    if _mode_sum_error(cfg.n_points, cfg.n_modes) is None:
-        return ["closed", "direct", "fock"]
-    return ["closed"]
+    offered = ["closed", "mc"] if cfg.delta_nu_hz > 0.0 else ["closed", "direct", "fock"]
+    return [m for m in offered if _method_error(cfg, m) is None]
 
 
 def cmd_curve(cfg: RunConfig, out: Path) -> int:
@@ -137,9 +152,7 @@ def cmd_curve(cfg: RunConfig, out: Path) -> int:
         methods = _applicable_methods(cfg)
     else:
         methods = [cfg.method]
-        if cfg.method in ("direct", "fock") and (
-            error := _mode_sum_error(cfg.n_points, cfg.n_modes)
-        ):
+        if error := _method_error(cfg, cfg.method):
             raise ValueError(error)
     curves = {}
     for m in methods:
@@ -247,10 +260,6 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         cfg.seed,
         window_periods=cfg.window_periods,
     )
-    if cfg.accidental_rate_hz > 0:
-        s1 = add_singles(s1, cfg.accidental_rate_hz, cfg.seed, LABEL_ACCIDENTAL_DET1)
-        s2 = add_singles(s2, cfg.accidental_rate_hz, cfg.seed, LABEL_ACCIDENTAL_DET2)
-
     metadata = {
         "n_modes": cfg.n_modes,
         "nu_b": cfg.nu_b_hz,
@@ -265,40 +274,56 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         "accidental_rate_hz": cfg.accidental_rate_hz,
         "seed": cfg.seed,
     }
-    hist = build_histogram(
-        s1, s2, cfg.bin_width_s, cfg.tau_min_s, cfg.tau_max_s, metadata
-    )
-    contrast_value = contrast(hist, lattice, geom, cfg.contrast_floor)
-    peaks = detect_peaks(hist, cfg.min_prominence, comb_peak_width(lattice))
-    fit = fit_comb(peaks, nu_b_hint=cfg.nu_b_hz)
-    pairs_per_peak = max(1, int(round(float(np.mean([p.counts for p in peaks])))))
+    # One detector stream is held at a time: detector 1 is written and
+    # dropped before detector 2 is drawn, and the tally reads it back
+    # from its file in chunks. A run that fails leaves no stream files.
+    streams = [out / "stream_d1.bin", out / "stream_d2.bin"]
+    try:
+        if cfg.accidental_rate_hz > 0:
+            s1 = add_singles(s1, cfg.accidental_rate_hz, cfg.seed, LABEL_ACCIDENTAL_DET1)
+        gio.write_event_stream(streams[0], s1)
+        n_events_d1 = len(s1)
+        del s1
+        if cfg.accidental_rate_hz > 0:
+            s2 = add_singles(s2, cfg.accidental_rate_hz, cfg.seed, LABEL_ACCIDENTAL_DET2)
+        gio.write_event_stream(streams[1], s2)
+        n_events_d2 = len(s2)
+        d1 = gio.EventStreamFile(streams[0])
+        hist = build_histogram(d1, s2, cfg.bin_width_s, cfg.tau_min_s, cfg.tau_max_s, metadata)
+        del s2
+        contrast_value = contrast(hist, lattice, geom, cfg.contrast_floor)
+        peaks = detect_peaks(hist, cfg.min_prominence, comb_peak_width(lattice))
+        fit = fit_comb(peaks, nu_b_hint=cfg.nu_b_hz)
+        pairs_per_peak = max(1, int(round(float(np.mean([p.counts for p in peaks])))))
 
-    gio.write_event_stream(out / "stream_d1.bin", s1)
-    gio.write_event_stream(out / "stream_d2.bin", s2)
-    gio.write_histogram(out / "histogram.csv", out / "histogram_meta.json", hist)
-    results = {
-        "contrast": contrast_value,
-        "n_events_d1": len(s1),
-        "n_events_d2": len(s2),
-        "total_pairs_in_range": int(hist.total_pairs),
-        "geometry_offset_s": geom.retarded_offset,
-        "fit": _fit_dict(fit),
-        "resolution_estimate_s": resolution_estimate(lattice, pairs_per_peak),
-        "pairs_per_peak": pairs_per_peak,
-    }
-    gio.write_json(out / "results.json", results)
-    _write_manifest(
-        out,
-        cfg,
-        "simulate",
-        [
-            "stream_d1.bin",
-            "stream_d2.bin",
-            "histogram.csv",
-            "histogram_meta.json",
-            "results.json",
-        ],
-    )
+        gio.write_histogram(out / "histogram.csv", out / "histogram_meta.json", hist)
+        results = {
+            "contrast": contrast_value,
+            "n_events_d1": n_events_d1,
+            "n_events_d2": n_events_d2,
+            "total_pairs_in_range": int(hist.total_pairs),
+            "geometry_offset_s": geom.retarded_offset,
+            "fit": _fit_dict(fit),
+            "resolution_estimate_s": resolution_estimate(lattice, pairs_per_peak),
+            "pairs_per_peak": pairs_per_peak,
+        }
+        gio.write_json(out / "results.json", results)
+        _write_manifest(
+            out,
+            cfg,
+            "simulate",
+            [
+                "stream_d1.bin",
+                "stream_d2.bin",
+                "histogram.csv",
+                "histogram_meta.json",
+                "results.json",
+            ],
+        )
+    except BaseException:
+        for path in streams:
+            path.unlink(missing_ok=True)
+        raise
     print(
         f"simulate contrast={contrast_value:.4f} "
         f"nu_b_est={fit.nu_b_est:.6f} Hz "

@@ -21,6 +21,9 @@ _METHODS = ("closed", "direct", "mc", "fock", "all")
 
 # Most points on a curve grid; the largest grid in use has about 1e6.
 _MAX_POINTS = 10**7
+# Most mc realizations per point: the jackknife holds about 80 bytes per
+# realization, so 80 MB per point in flight.
+_MAX_MC_REALIZATIONS = 10**6
 # Most worker threads accepted at load; map_ordered further clamps the
 # pool to the CPU count and the number of work items.
 _MAX_THREADS = 1024
@@ -109,8 +112,8 @@ class RunConfig:
             raise ValueError("tau_max_s must exceed tau_min_s")
         if not 2 <= self.n_points <= _MAX_POINTS:
             raise ValueError(f"n_points must lie in [2, {_MAX_POINTS}]")
-        if self.mc_realizations < 2:
-            raise ValueError("mc_realizations must be at least 2")
+        if not 2 <= self.mc_realizations <= _MAX_MC_REALIZATIONS:
+            raise ValueError(f"mc_realizations must lie in [2, {_MAX_MC_REALIZATIONS}]")
         if self.pair_rate_hz <= 0:
             raise ValueError("pair_rate_hz must be positive")
         if self.duration_s <= 0:

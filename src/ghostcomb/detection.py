@@ -9,14 +9,15 @@ uniformly in time, so the marginal of each stream stays exactly flat.
 
 Histogramming is a sorted sweep, linear in the number of events plus
 tallied pairs, so million-event streams are processed in seconds
-without forming the quadratic pair set. Each chunk of detector-1
-events finds its pair windows by merging against the stretch of the
-detector-2 stream it can reach, not by binary search over the whole
-stream. The sweep expands at most _PAIR_BUDGET pairs at a time and
-adds them to the counts in place, so its working set stays a few
-arrays of that length whatever the number of pairs per event or bins.
-Streams are drawn and sorted in their final buffer, so each one is held
-once.
+without forming the quadratic pair set. The sweep takes detector 1 as
+sorted chunks, so detector 1 need not be in memory: `simulate` feeds it
+back from its stream file while only detector 2 is held. Each chunk
+finds its pair windows by merging against the stretch of the detector-2
+stream it can reach, not by binary search over the whole stream. The
+sweep expands at most _PAIR_BUDGET pairs at a time and adds them to
+the counts in place, so its working set stays a few arrays of that
+length whatever the number of pairs per event or bins. Streams are
+drawn and sorted in their final buffer, so each one is held once.
 """
 
 from __future__ import annotations
@@ -47,14 +48,17 @@ _MAX_GRID_POINTS = 5_000_000
 # Grid points evaluated at once; bounds g2_closed's temporaries.
 _GRID_BLOCK = 65536
 
-# Detector-1 events whose pair windows are located by one merge.
-_HISTOGRAM_CHUNK = 65536
+# Detector-1 events whose pair windows are located by one merge, and
+# the chunk length a detector-1 stream is fed to the sweep in.
+_HISTOGRAM_CHUNK = 1 << 15
 # Longest reachable detector-2 stretch, in chunk lengths, ranked by
 # merge; a longer one (sparse t1 against dense t2) is binary-searched,
 # which is faster there and keeps the working set the chunk's size.
 _MERGE_RATIO = 2
-# Most pair delays expanded at once; bounds the tally's working set.
-_PAIR_BUDGET = 1 << 19
+# Most pair delays expanded at once; bounds the tally's working set to
+# a few arrays of this length (about 5 MB), well under one stream of a
+# dense run, so the tally's blocks do not set the peak of `simulate`.
+_PAIR_BUDGET = 1 << 17
 # Most histogram bins; at this cap the counts alone take 80 MB.
 _MAX_HISTOGRAM_BINS = 10_000_000
 
@@ -75,20 +79,25 @@ class EventStream:
         ts = np.asarray(self.timestamps, dtype=float)
         if ts.ndim != 1:
             raise ValueError("timestamps must be a 1-d array")
-        if self.duration < 0:
-            raise ValueError("duration must be non-negative")
         if ts.size:
             if not np.all(ts[1:] > ts[:-1]):
                 raise ValueError("timestamps must be strictly increasing")
-            # Written so that a NaN fails it too.
+            # Written so that a NaN fails it too, as do the checks below.
             if not (ts[0] >= 0 and ts[-1] < self.duration):
                 raise ValueError("timestamps must lie within [0, duration)")
-        if self.rate < 0:
+        if not self.duration >= 0:
+            raise ValueError("duration must be non-negative")
+        if not self.rate >= 0:
             raise ValueError("rate must be non-negative")
         object.__setattr__(self, "timestamps", ts)
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
+
+    def chunks(self, size: int):
+        """The timestamps as consecutive slices of at most size events."""
+        for start in range(0, self.timestamps.size, size):
+            yield self.timestamps[start : start + size]
 
 
 @dataclass(frozen=True)
@@ -136,7 +145,7 @@ def _with_singles(head: np.ndarray, rate: float, duration: float, rng) -> np.nda
     front and the singles are drawn into the rest, so no second stream
     is held. The draw is bit-identical to rng.uniform(0.0, duration).
     """
-    if rate <= 0:
+    if not rate > 0:
         raise ValueError("rate must be positive")
     count = int(rng.poisson(rate * duration))
     times = np.empty(head.size + count)
@@ -163,7 +172,7 @@ def sample_singles(
     generate auxiliary uncorrelated streams (accidental background) that
     do not collide with the primary singles streams under one seed.
     """
-    if duration < 0:
+    if not duration >= 0:
         raise ValueError("duration must be non-negative")
     if label is None:
         label = LABEL_SINGLES_DET1 if detector_id == 1 else LABEL_SINGLES_DET2
@@ -305,7 +314,7 @@ def _tally(counts: np.ndarray, d: np.ndarray, tau_min: float, bin_width: float) 
 
 
 def build_histogram(
-    s1: EventStream,
+    s1,
     s2: EventStream,
     bin_width: float,
     tau_min: float,
@@ -314,17 +323,22 @@ def build_histogram(
 ) -> CoincidenceHistogram:
     """Histogram of all pair delays t1 - t2 within [tau_min, tau_max).
 
+    s1 is detector 1 as anything whose chunks(size) yields its sorted
+    timestamps in consecutive chunks: an EventStream, which gives
+    slices of itself, or an io.EventStreamFile, which reads them from
+    disk so the stream is never held whole. s2 is held in memory.
+
     Runs a vectorized sweep over the sorted streams, linear in the
-    number of events plus tallied pairs: each chunk of t1 ranks its
-    window bounds by merging with the stretch of t2 it reaches (see
-    _rank). At most _PAIR_BUDGET pair delays are expanded at once and
-    added to the counts in place, so the working set beyond the counts
-    is bounded by that constant, whatever the pair density or the
-    number of bins. If bin_width does not divide the range to within
-    one part in 1e6, the range is expanded upward to a whole number of
-    bins and the expansion is recorded in the metadata (and warned
-    about). More than _MAX_HISTOGRAM_BINS bins are refused before any
-    allocation.
+    number of events plus tallied pairs: each chunk of _HISTOGRAM_CHUNK
+    t1 events ranks its window bounds by merging with the stretch of t2
+    it reaches (see _rank). At most _PAIR_BUDGET pair delays are
+    expanded at once and added to the counts in place, so the working
+    set beyond the counts and s2 is bounded by those constants, whatever
+    the pair density or the number of bins. If bin_width does not
+    divide the range to within one part in 1e6, the range is expanded
+    upward to a whole number of bins and the expansion is recorded in
+    the metadata (and warned about). More than _MAX_HISTOGRAM_BINS bins
+    are refused before any allocation.
     """
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
@@ -347,11 +361,9 @@ def build_histogram(
         meta["range_expanded_from"] = tau_max
         tau_max = new_max
 
-    t1 = s1.timestamps
     t2 = s2.timestamps
     counts = np.zeros(n_bins, dtype=np.int64)
-    for start in range(0, t1.size, _HISTOGRAM_CHUNK):
-        c1 = t1[start : start + _HISTOGRAM_CHUNK]
+    for c1 in s1.chunks(_HISTOGRAM_CHUNK):
         # Pairs with tau_min <= t1 - t2 < tau_max, i.e. t2 in
         # (t1 - tau_max, t1 - tau_min]. Both key arrays are sorted, so
         # every window lies in t2[a:b], bounded by the first and last.

@@ -4,7 +4,8 @@ All text outputs are deterministic byte-for-byte given identical data:
 CSV floats use fixed 12-significant-digit scientific notation, and
 JSON is emitted with sorted keys and fixed indentation. Event streams use a compact binary
 record: a 16-byte little-endian header (magic "GCEV", u16 version,
-u16 detector_id, u64 count) followed by count float64 timestamps.
+u16 detector_id, u64 count) followed by count float64 timestamps,
+read back whole (read_event_stream) or in chunks (EventStreamFile).
 """
 
 from __future__ import annotations
@@ -118,6 +119,23 @@ def write_event_stream(path, stream: EventStream) -> None:
         fh.write(np.ascontiguousarray(stream.timestamps, dtype="<f8"))
 
 
+def _read_stream_header(fh, path) -> tuple[int, int]:
+    """Check a GCEV header and the file's size; return (detector_id, count)."""
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise ValueError(f"{path}: truncated stream header")
+    magic, version, detector_id, count = _HEADER.unpack(head)
+    if magic != _MAGIC:
+        raise ValueError(f"{path}: not an event-stream file")
+    if version != _VERSION:
+        raise ValueError(f"{path}: unsupported stream version {version}")
+    expected = _HEADER.size + 8 * count
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise ValueError(f"{path}: expected {expected} bytes, found {size}")
+    return detector_id, count
+
+
 def read_event_stream(path, duration: float | None = None, rate: float = 0.0) -> EventStream:
     """Read a binary GCEV record back into an EventStream.
 
@@ -127,22 +145,50 @@ def read_event_stream(path, duration: float | None = None, rate: float = 0.0) ->
     defaults to just past the final timestamp.
     """
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise ValueError(f"{path}: truncated stream header")
-        magic, version, detector_id, count = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not an event-stream file")
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported stream version {version}")
-        expected = _HEADER.size + 8 * count
-        size = os.fstat(fh.fileno()).st_size
-        if size != expected:
-            raise ValueError(f"{path}: expected {expected} bytes, found {size}")
+        detector_id, count = _read_stream_header(fh, path)
         times = np.fromfile(fh, dtype="<f8", count=count)
     if duration is None:
         duration = float(np.nextafter(times[-1], np.inf)) if times.size else 0.0
     return EventStream(detector_id, times, duration, rate, None)
+
+
+class EventStreamFile:
+    """A GCEV record on disk, read back a chunk at a time.
+
+    Opening it checks the header, version and size as read_event_stream
+    does and holds no timestamps; chunks(size) reads them in order, so
+    build_histogram can sweep a stream that is never held whole.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        with open(self.path, "rb") as fh:
+            self.detector_id, self.count = _read_stream_header(fh, self.path)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def chunks(self, size: int):
+        """The timestamps in consecutive chunks of at most size events.
+
+        Each chunk is checked to be non-negative and strictly increasing
+        from the one before (a NaN fails), since the sweep needs sorted
+        input.
+        """
+        with open(self.path, "rb") as fh:
+            fh.seek(_HEADER.size)
+            lowest = 0.0
+            for start in range(0, self.count, size):
+                n = min(size, self.count - start)
+                chunk = np.fromfile(fh, dtype="<f8", count=n)
+                if chunk.size < n:
+                    raise ValueError(f"{self.path}: truncated stream body")
+                if not (chunk[0] >= lowest and np.all(chunk[1:] > chunk[:-1])):
+                    raise ValueError(
+                        f"{self.path}: timestamps must be non-negative and strictly increasing"
+                    )
+                lowest = np.nextafter(chunk[-1], np.inf)
+                yield chunk
 
 
 def write_json(path, payload: dict) -> None:

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,29 @@ class TestCurveCommand:
         # direct and fock are the two mode sums and share the work rule.
         assert ("direct" in methods) == has_fock
 
+    @pytest.mark.parametrize(
+        "overrides, has_mc",
+        [
+            ({"n_modes": 1000, "delta_nu_hz": 200.0, "n_points": 11}, True),  # 2.2e7
+            ({"n_modes": 1000, "delta_nu_hz": 200.0, "n_points": 500}, True),  # 1e9
+            ({"n_modes": 1000, "delta_nu_hz": 200.0, "n_points": 501}, False),
+            ({"delta_nu_hz": 200.0}, False),  # the defaults: 2.0e11 samples
+        ],
+    )
+    def test_applicable_methods_offer_mc_only_within_its_work_cap(self, overrides, has_mc):
+        methods = _applicable_methods(load_config(None, overrides))
+        assert methods == (["closed", "mc"] if has_mc else ["closed"])
+
+    def test_mc_work_cap(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "curve", "--out", str(tmp_path), "--method", "mc", "--seed", "1",
+            "--set", "delta_nu_hz=200",
+        )
+        assert code == 1
+        assert "2.00e+11 samples" in err
+        assert "reduce n_points, mc_realizations or n_modes" in err
+        assert not (tmp_path / "curve.csv").exists()
+
     def test_mc_curve_writes_stderr(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "curve", "--out", str(tmp_path),
@@ -208,6 +232,34 @@ class TestSimulateCommand:
         s1 = read_event_stream(tmp_path / "stream_d1.bin", duration=2e5)
         assert len(s1) == results["n_events_d1"]
         assert s1.detector_id == 1
+
+    def test_holds_one_stream_at_a_time(self, tmp_path):
+        # 5e5 events per detector, three quarters of them accidentals,
+        # so the pair sampler's arrays stay small beside one stream.
+        cfg = load_config(None, {
+            "n_modes": 10, "pair_rate_hz": 4000.0, "accidental_rate_hz": 12000.0,
+            "duration_s": 31.25, "bin_width_s": 2e-7, "out_dir": str(tmp_path),
+        })
+        tracemalloc.start()
+        try:
+            assert cli.cmd_simulate(cfg, tmp_path) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stream_bytes = max((tmp_path / f"stream_d{i}.bin").stat().st_size for i in (1, 2))
+        assert stream_bytes > 3.5e6
+        # The slack covers the tally's blocks (about 5 MB). Holding both
+        # streams through the tally peaked at 18.6 MB here.
+        assert peak < 1.3 * stream_bytes + 6e6
+
+    def test_failure_leaves_no_stream_files(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "simulate", "--out", str(tmp_path), "--seed", "11", *SIM_ARGS,
+            "--set", "contrast_floor=1000000000",
+        )
+        assert code == 1
+        assert "at least 1000000000 required" in err
+        assert not list(tmp_path.glob("stream_d*.bin"))
 
     def test_accidentals_lower_contrast(self, tmp_path, capsys):
         clean = tmp_path / "clean"

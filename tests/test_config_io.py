@@ -12,6 +12,7 @@ from ghostcomb import io as gio
 from ghostcomb.config import parse_overrides
 from ghostcomb.detection import CoincidenceHistogram, EventStream
 from ghostcomb.io import (
+    EventStreamFile,
     read_curve_csv,
     read_event_stream,
     read_histogram,
@@ -99,6 +100,7 @@ class TestRunConfig:
             ("tau_min_s", 1.0),
             ("n_points", 1),
             ("mc_realizations", 1),
+            ("mc_realizations", 10**6 + 1),
             ("pair_rate_hz", 0.0),
             ("duration_s", 0.0),
             ("jitter_sigma_s", -1e-9),
@@ -346,6 +348,53 @@ class TestEventStreamFiles:
         path.write_bytes(b"GC")
         with pytest.raises(ValueError, match="truncated"):
             read_event_stream(path)
+
+    def test_nan_duration_is_refused(self, tmp_path):
+        path = tmp_path / "s.bin"
+        write_event_stream(path, EventStream(1, np.empty(0), 0.0, 1.0))
+        with pytest.raises(ValueError, match="duration"):
+            read_event_stream(path, duration=np.nan)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda blob: b"NOPE" + blob[4:], "not an event-stream"),
+            (lambda blob: blob[:4] + bytes([99]) + blob[5:], "version"),
+            (lambda blob: blob[:-5], "bytes"),
+            (lambda blob: blob[:2], "truncated"),
+        ],
+        ids=["bad-magic", "bad-version", "truncated-body", "truncated-header"],
+    )
+    def test_chunked_reader_makes_the_same_checks(self, tmp_path, corrupt, message):
+        path = tmp_path / "s.bin"
+        write_event_stream(path, self.make_stream())
+        path.write_bytes(corrupt(path.read_bytes()))
+        for reader in (read_event_stream, EventStreamFile):
+            with pytest.raises(ValueError, match=message):
+                reader(path)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 10])
+    def test_chunked_reader_yields_the_stream_in_order(self, tmp_path, size):
+        path = tmp_path / "s.bin"
+        stream = self.make_stream()
+        write_event_stream(path, stream)
+        back = EventStreamFile(path)
+        assert (len(back), back.detector_id) == (3, 2)
+        chunks = list(back.chunks(size))
+        assert [c.size for c in chunks] == [len(c) for c in stream.chunks(size)]
+        assert np.concatenate(chunks).tobytes() == stream.timestamps.tobytes()
+
+    @pytest.mark.parametrize(
+        "body", [[0.5, 0.25, 0.75], [0.25, 0.25, 0.5], [-0.5, 0.25, 0.5], [0.25, np.nan, 0.5]],
+        ids=["unsorted", "repeated", "negative", "nan"],
+    )
+    def test_chunked_reader_refuses_an_unsorted_body(self, tmp_path, body):
+        # One event per chunk, so only the check across chunks sees it.
+        path = tmp_path / "s.bin"
+        head = struct.pack("<4sHHQ", b"GCEV", 1, 1, len(body))
+        path.write_bytes(head + np.array(body, dtype="<f8").tobytes())
+        with pytest.raises(ValueError, match="strictly increasing"):
+            list(EventStreamFile(path).chunks(1))
 
     @pytest.mark.parametrize(
         "timestamps",

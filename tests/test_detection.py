@@ -1,8 +1,10 @@
 """Tests for event-stream generation and coincidence counting."""
 
 import math
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from ghostcomb import detection
+from ghostcomb.io import EventStreamFile, write_event_stream
 from ghostcomb.seeding import LABEL_ACCIDENTAL_DET1, LABEL_ACCIDENTAL_DET2, derive_rng
 from ghostcomb import (
     CoincidenceHistogram,
@@ -63,6 +66,22 @@ class TestEventStream:
         with pytest.raises(ValueError, match="within"):
             EventStream(1, np.array([np.nan]), duration, 1.0)
 
+    @pytest.mark.parametrize(
+        "duration, rate, message",
+        [(np.nan, 1.0, "duration"), (1.0, np.nan, "rate"), (np.nan, np.nan, "duration")],
+    )
+    def test_rejects_a_nan_duration_or_rate(self, duration, rate, message):
+        with pytest.raises(ValueError, match=message):
+            EventStream(1, np.empty(0), duration, rate)
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_chunks_are_consecutive_slices(self, size):
+        s = EventStream(1, np.array([0.1, 0.2, 0.3, 0.4, 0.5]), 1.0, 5.0)
+        chunks = list(s.chunks(size))
+        assert all(c.base is s.timestamps for c in chunks)
+        assert np.array_equal(np.concatenate(chunks), s.timestamps)
+        assert [c.size for c in chunks[:-1]] == [size] * (len(chunks) - 1)
+
 
 class TestSampleSingles:
     def test_count_near_expectation(self):
@@ -94,6 +113,14 @@ class TestSampleSingles:
     def test_requires_positive_rate(self):
         with pytest.raises(ValueError):
             sample_singles(0.0, 1.0, seed=1)
+
+    @pytest.mark.parametrize(
+        "rate, duration, message", [(np.nan, 1.0, "rate"), (1.0, np.nan, "duration")]
+    )
+    def test_rejects_a_nan_rate_or_duration(self, rate, duration, message):
+        # Refused by name, not inside numpy's Poisson draw.
+        with pytest.raises(ValueError, match=message):
+            sample_singles(rate, duration, 1)
 
     @pytest.mark.parametrize("seed", [1, 2, 7])
     def test_is_the_sorted_uniform_draw(self, seed):
@@ -245,8 +272,9 @@ class TestAddSingles:
         out = add_singles(stream, 10.0, 4, LABEL_ACCIDENTAL_DET2)
         assert (out.detector_id, out.duration, out.seed) == (2, 3.0, None)
         assert out.timestamps[-1] < 3.0
-        with pytest.raises(ValueError, match="rate"):
-            add_singles(stream, 0.0, 4, LABEL_ACCIDENTAL_DET2)
+        for rate in (0.0, np.nan):
+            with pytest.raises(ValueError, match="rate"):
+                add_singles(stream, rate, 4, LABEL_ACCIDENTAL_DET2)
 
 
 class TestBuildHistogram:
@@ -419,6 +447,30 @@ class TestRank:
         for ratio in (0, detection._MERGE_RATIO, 10**9):
             with mock.patch.object(detection, "_MERGE_RATIO", ratio):
                 assert np.array_equal(detection._rank(w, keys), expected)
+
+
+# Sorted event times on a 0.025 grid over [0, 10), so delays often
+# fall on bin edges; empty streams included.
+event_times = st.lists(st.integers(0, 399), unique=True, max_size=80).map(
+    lambda v: np.array(sorted(v), dtype=float) * 0.025
+)
+
+
+class TestChunkFedSweep:
+    """Detector 1 read back from its file in chunks tallies as in memory."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(t1=event_times, t2=event_times)
+    def test_file_chunks_give_the_in_memory_counts(self, t1, t2):
+        s1, s2 = EventStream(1, t1, 10.0, 1.0), EventStream(2, t2, 10.0, 1.0)
+        expected = build_histogram(s1, s2, 0.1, -1.0, 1.0).counts
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "stream_d1.bin"
+            write_event_stream(path, s1)
+            for size in (1, 7, 1 << 15):
+                with mock.patch.object(detection, "_HISTOGRAM_CHUNK", size):
+                    h = build_histogram(EventStreamFile(path), s2, 0.1, -1.0, 1.0)
+                assert np.array_equal(h.counts, expected)
 
 
 class TestTallyAtManyBins:
