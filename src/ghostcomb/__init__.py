@@ -14,7 +14,7 @@ import os
 # start its idle thread pool when numpy loads; a value set by the user wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .lattice import DetectorGeometry, ModeLattice, mode_frequencies, retarded_tau
+from .lattice import DetectorGeometry, ModeLattice
 from .correlation import (
     CorrelationCurve,
     beat_phase,
@@ -86,11 +86,9 @@ __all__ = [
     "g2_closed",
     "g2_mc_envelope",
     "load_config",
-    "mode_frequencies",
     "phase_scrambled_curve",
     "psi_direct",
     "resolution_estimate",
-    "retarded_tau",
     "sample_pairs",
     "sample_singles",
     "state_fidelity",

@@ -293,7 +293,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         del s2
         contrast_value = contrast(hist, lattice, geom, cfg.contrast_floor)
         peaks = detect_peaks(hist, cfg.min_prominence, comb_peak_width(lattice))
-        fit = fit_comb(peaks, nu_b_hint=cfg.nu_b_hz)
+        fit = fit_comb(peaks, lattice.nu_b)
         pairs_per_peak = max(1, int(round(float(np.mean([p.counts for p in peaks])))))
 
         gio.write_histogram(out / "histogram.csv", out / "histogram_meta.json", hist)
@@ -388,6 +388,12 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_fit(cfg: RunConfig, out: Path, hist_path: str, meta_path: str | None) -> int:
+    """Fit the comb to a histogram and write fit.json.
+
+    The comb (n_modes, nu_b) comes from the sidecar's run record when it
+    names both, as `simulate` writes it, else from the config. Peak
+    widths are never measured, and the geometry is never read.
+    """
     csv_path = Path(hist_path)
     if meta_path is None:
         stem = csv_path.name
@@ -397,17 +403,14 @@ def cmd_fit(cfg: RunConfig, out: Path, hist_path: str, meta_path: str | None) ->
     else:
         meta = Path(meta_path)
     hist = gio.read_histogram(csv_path, meta)
-    # The run record written by `simulate` names the comb; a histogram
-    # without one falls back to measured peak widths and no nu_b hint.
     # The width 1 / (N nu_b) does not depend on the carrier.
     record = hist.metadata
-    width = hint = None
     if "n_modes" in record and "nu_b" in record:
-        lattice = ModeLattice(
-            n_modes=int(record["n_modes"]), nu_b=float(record["nu_b"]), nu_s0=cfg.nu_s0_hz
-        )
-        width, hint = comb_peak_width(lattice), lattice.nu_b
-    fit = fit_comb(detect_peaks(hist, cfg.min_prominence, width), nu_b_hint=hint)
+        n_modes, nu_b = int(record["n_modes"]), float(record["nu_b"])
+    else:
+        n_modes, nu_b = cfg.n_modes, cfg.nu_b_hz
+    lattice = ModeLattice(n_modes=n_modes, nu_b=nu_b, nu_s0=cfg.nu_s0_hz)
+    fit = fit_comb(detect_peaks(hist, cfg.min_prominence, comb_peak_width(lattice)), nu_b)
     gio.write_json(out / "fit.json", _fit_dict(fit))
     _write_manifest(out, cfg, "fit", ["fit.json"])
     print(

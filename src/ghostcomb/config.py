@@ -24,6 +24,9 @@ _MAX_POINTS = 10**7
 # Most mc realizations per point: the jackknife holds about 80 bytes per
 # realization, so 80 MB per point in flight.
 _MAX_MC_REALIZATIONS = 10**6
+# Most expected events per detector in `simulate`: a stream holds 8
+# bytes per event, so 0.8 GB, and one stream is held at a time.
+_MAX_EVENTS = 10**8
 # Most worker threads accepted at load; map_ordered further clamps the
 # pool to the CPU count and the number of work items.
 _MAX_THREADS = 1024
@@ -124,6 +127,12 @@ class RunConfig:
             raise ValueError("window_periods must be positive")
         if self.accidental_rate_hz < 0:
             raise ValueError("accidental_rate_hz must be non-negative")
+        events = (self.pair_rate_hz + self.accidental_rate_hz) * self.duration_s
+        if events > _MAX_EVENTS:
+            raise ValueError(
+                f"(pair_rate_hz + accidental_rate_hz) * duration_s gives {events:.3g} "
+                f"expected events per detector; at most {_MAX_EVENTS:.0e} are allowed"
+            )
         if self.bin_width_s <= 0:
             raise ValueError("bin_width_s must be positive")
         if not 0 < self.min_prominence < 1:

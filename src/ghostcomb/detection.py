@@ -262,14 +262,19 @@ def sample_pairs(
         tau_window = (center - half, center + half)
     grid, cdf = _delay_density_grid(lattice, geom, tau_window)
 
+    # The delays are drawn into t1's buffer and every later step works
+    # in place, so at most three pair-sized arrays are held at once.
     count = int(derive_rng(seed, LABEL_PAIR_COUNT).poisson(pair_rate * duration))
-    u = derive_rng(seed, LABEL_PAIR_DELAY).uniform(0.0, 1.0, size=count)
-    delays = np.interp(u, cdf, grid)
+    t1 = np.interp(derive_rng(seed, LABEL_PAIR_DELAY).uniform(0.0, 1.0, size=count), cdf, grid)
+    del grid, cdf
     t2 = derive_rng(seed, LABEL_PAIR_PLACEMENT).uniform(0.0, duration, size=count)
-    t1 = np.mod(t2 + delays, duration)
+    t1 += t2
+    np.mod(t1, duration, out=t1)
     if jitter_sigma > 0:
-        t1 = np.mod(t1 + derive_rng(seed, LABEL_JITTER_DET1).normal(0.0, jitter_sigma, count), duration)
-        t2 = np.mod(t2 + derive_rng(seed, LABEL_JITTER_DET2).normal(0.0, jitter_sigma, count), duration)
+        t1 += derive_rng(seed, LABEL_JITTER_DET1).normal(0.0, jitter_sigma, count)
+        np.mod(t1, duration, out=t1)
+        t2 += derive_rng(seed, LABEL_JITTER_DET2).normal(0.0, jitter_sigma, count)
+        np.mod(t2, duration, out=t2)
     t1.sort()
     t2.sort()
     s1 = EventStream(1, t1, duration, pair_rate, seed)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import ModeLattice
-from .seeding import LABEL_PHASE_SCRAMBLE, derive_rng
 
 TWO_PI = 2.0 * math.pi
 
@@ -260,30 +259,16 @@ class FockOracle:
         return max(float(value), 0.0)
 
 
-def phase_scrambled_curve(
-    lattice: ModeLattice,
-    alphas,
-    cutoff: int,
-    taus,
-    n_draws: int,
-    seed: int,
-) -> np.ndarray:
-    """Mean oracle curve over random independent idler phases per pair.
+def phase_scrambled_curve(lattice: ModeLattice, alphas, cutoff: int, taus) -> np.ndarray:
+    """Mean oracle curve over independent uniform idler phases per pair.
 
     Replacing the anticorrelated pair phases by independent uniform
     draws removes the phase entanglement while keeping each beam's
-    spectrum; the comb contrast of the averaged curve drops below the
-    entangled value. Returned values share the oracle's raw scale.
+    spectrum. A phase θ_k multiplies β_k by e^{iθ_k} and leaves n̄_k
+    and μ_k alone, so the cross terms of |Σ_k β_k d_k|² average to zero
+    and the mean is floor + Σ|β_k|² at every delay. Returned values
+    share the oracle's raw scale.
     """
-    if n_draws < 1:
-        raise ValueError("n_draws must be positive")
-    taus = np.asarray(taus, dtype=float)
-    rng = derive_rng(seed, LABEL_PHASE_SCRAMBLE)
-    total = np.zeros(taus.shape)
-    p = len(alphas)
-    for _ in range(n_draws):
-        thetas = rng.uniform(0.0, TWO_PI, size=p)
-        state = entangled_coherent_pairs(alphas, cutoff, pair_phases=thetas)
-        oracle = FockOracle(lattice, state)
-        total += np.array([oracle.g2(t, 0.0) for t in taus])
-    return total / n_draws
+    oracle = FockOracle(lattice, entangled_coherent_pairs(alphas, cutoff))
+    level = oracle._floor + float(np.sum(np.abs(oracle._beta) ** 2))
+    return np.full(np.shape(taus), level)

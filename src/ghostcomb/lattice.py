@@ -3,10 +3,10 @@
 A resonator with free spectral range nu_b supports N signal/idler mode pairs
 around the degenerate point nu_s0 = nu_p/2. Pair n puts its signal at
 nu_s0 + n*nu_b and its idler at nu_s0 - n*nu_b, so every pair sums to the pump
-frequency exactly. All internal arithmetic works with the integer-indexed
-detunings n*nu_b; absolute optical frequencies (~1e14 Hz) are only materialized
-on request, because a 20 kHz spacing is below the double-precision ulp of the
-carrier and would be destroyed by absolute-frequency bookkeeping.
+frequency exactly. The comb depends only on the detunings n*nu_b and on the
+retarded delay tau = (t1 - t2) - (r1 - r2)/c, so the package never forms
+absolute optical frequencies (~1e14 Hz): a 20 kHz spacing is below the
+double-precision ulp of the carrier.
 """
 
 from __future__ import annotations
@@ -68,15 +68,6 @@ class ModeLattice:
                 f"unknown profile {self.profile!r}; supported: {_PROFILES}"
             )
 
-    @property
-    def omega_b(self) -> float:
-        """Angular mode spacing 2*pi*nu_b in rad/s."""
-        return 2.0 * np.pi * self.nu_b
-
-    def detunings(self) -> np.ndarray:
-        """Signal detunings n*nu_b from nu_s0, n = 0..N-1, in Hz."""
-        return np.arange(self.n_modes, dtype=float) * self.nu_b
-
 
 @dataclass(frozen=True)
 class DetectorGeometry:
@@ -103,23 +94,3 @@ class DetectorGeometry:
         """Path-delay offset (r1 - r2)/c in seconds."""
         return (self.r1 - self.r2) / self.c
 
-
-def retarded_tau(geom: DetectorGeometry, t1: float, t2: float) -> float:
-    """Retarded delay tau = (t1 - t2) - (r1 - r2)/c.
-
-    This is the only delay variable the correlation depends on: the comb is
-    stationary in absolute time and shifts rigidly with the path imbalance.
-    """
-    return (t1 - t2) - geom.retarded_offset
-
-
-def mode_frequencies(lattice: ModeLattice) -> np.ndarray:
-    """Absolute (signal, idler) frequency pairs, shape (N, 2), in Hz.
-
-    The idler is computed as nu_p minus the signal rather than as
-    nu_s0 - n*nu_b: the complement's rounding error is below a quarter
-    ulp of nu_p, so signal + idler == nu_p holds exactly in doubles for
-    every pair. Prefer detunings for any further arithmetic.
-    """
-    signal = lattice.nu_s0 + lattice.detunings()
-    return np.column_stack((signal, lattice.nu_p - signal))

@@ -21,7 +21,7 @@ LABEL_PAIR_PLACEMENT = 5
 LABEL_JITTER_DET1 = 6
 LABEL_JITTER_DET2 = 7
 LABEL_MC_ENVELOPE = 8
-LABEL_PHASE_SCRAMBLE = 9
+LABEL_PHASE_SCRAMBLE = 9  # reserved: its last user is gone
 LABEL_ACCIDENTAL_DET1 = 10
 LABEL_ACCIDENTAL_DET2 = 11
 

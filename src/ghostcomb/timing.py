@@ -1,12 +1,14 @@
 """Comb parameter recovery from coincidence histograms.
 
-The histogram peaks sit at (t1 - t2)_n = n / nu_b + (r1 - r2) / c, so a
-weighted straight-line fit of fitted peak centers against their integer
-order n recovers both the mode spacing and the detector path offset.
-Because every integer relabeling n -> n + k fits equally well, the
-offset is physically defined only modulo one comb period; fits report
-it wrapped to the principal interval (-period/2, period/2] along with
-the period itself.
+The histogram peaks sit at (t1 - t2)_n = n / nu_b + (r1 - r2) / c. The
+caller supplies the comb: its peak width 1 / (N nu_b) bounds each
+center-of-mass refinement, and its spacing nu_b assigns every peak its
+integer order n. A weighted straight-line fit of the peak centers
+against n then recovers both the mode spacing and the detector path
+offset. Because every integer relabeling n -> n + k fits equally well,
+the offset is physically defined only modulo one comb period; fits
+report it wrapped to the principal interval (-period/2, period/2] along
+with the period itself.
 """
 
 from __future__ import annotations
@@ -71,20 +73,19 @@ def _pyramid(x: np.ndarray, agg, pad: float) -> list[np.ndarray]:
     return levels
 
 
-def _walk_out(x: np.ndarray, peaks: np.ndarray, thr: np.ndarray, stop_above: bool):
-    """Walk left and right from each peak, the peak included, up to the
-    first sample above thr (stop_above) or at or below thr (otherwise).
+def _walk_out(x: np.ndarray, peaks: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """Lowest sample on each side of each peak, walking out from it (the
+    peak included) up to the first sample above thr or the array edge.
 
-    Returns two (2, len(peaks)) arrays, left walks in row 0: where each
-    walk stops (-1 or len(x) when it runs off the array) and the minimum
-    of the samples it passed. A walk passes aligned blocks of 2**k
-    samples whole: it climbs to larger blocks until one holds a
-    stopping sample, then descends into that block. No Python loop runs
-    over samples or peaks, and memory stays linear in len(x).
+    Returns a (2, len(peaks)) array, left walks in row 0. A walk passes
+    aligned blocks of 2**k samples whole: it climbs to larger blocks
+    until one holds a stopping sample, then descends into that block.
+    No Python loop runs over samples or peaks, and memory stays linear
+    in len(x).
     """
     n = x.size
     lows = _pyramid(x, np.minimum, np.inf)
-    tests = _pyramid(x, np.maximum, -np.inf) if stop_above else lows
+    highs = _pyramid(x, np.maximum, -np.inf)
     top = len(lows)
     step = np.array([[-1], [1]])
     # Left walks track their exclusive end, right walks their start.
@@ -97,8 +98,7 @@ def _walk_out(x: np.ndarray, peaks: np.ndarray, thr: np.ndarray, stop_above: boo
         the block has no stopping sample; return where it has one."""
         nonlocal edge, low
         j = np.clip((edge >> k) - (step < 0), 0, lows[k].size - 1)
-        block = tests[k][j]
-        blocked = cand & ((block > thr) if stop_above else (block <= thr))
+        blocked = cand & (highs[k][j] > thr)
         passed = cand & ~blocked
         low = np.where(passed, np.minimum(low, lows[k][j]), low)
         edge = np.where(passed, edge + step * (1 << k), edge)
@@ -109,7 +109,7 @@ def _walk_out(x: np.ndarray, peaks: np.ndarray, thr: np.ndarray, stop_above: boo
         stuck = np.where(pass_blocks(k, climbing), k, stuck)
     for k in reversed(range(top)):
         pass_blocks(k, (k < stuck) & (stuck < top))
-    return np.where(step < 0, edge - 1, np.minimum(edge, n)), low
+    return low
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -121,97 +121,64 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return (steps[:-1][is_peak] + 1 + steps[1:][is_peak]) // 2
 
 
-def _crossing(at, toward, level):
-    """Fractional step from samples at towards toward where level is
-    crossed; 0 where at already reaches level."""
-    below = at < level
-    return np.divide(level - at, toward - at, out=np.zeros(at.size), where=below)
-
-
-class ProminentPeaks:
-    """Local maxima of x whose topographic prominence reaches a threshold.
+def prominent_peaks(x, prominence: float) -> np.ndarray:
+    """Indices of the local maxima of x whose topographic prominence
+    reaches a threshold, in index order.
 
     A peak is a strict rise, a flat run and a strict fall, indexed at
     the run's midpoint (left + right) // 2, never at either edge. Its
     prominence is its height above the higher of the two lowest samples
     found walking out from it, on each side, up to a strictly higher
-    sample or the array edge; peaks with prominence >= the threshold
-    are kept, in index order. half_widths() gives each kept peak's
-    width at half its prominence, interpolated linearly between samples
-    and bounded by the lowest points of those walks (its bases). These
-    are the rules of the common signal-processing peak finder, and the
-    tests hold the two to identical indices.
+    sample or the array edge. These are the rules of the common
+    signal-processing peak finder, and the tests hold the two to
+    identical indices.
     """
-
-    def __init__(self, x, prominence: float):
-        self.x = x = np.asarray(x, dtype=float)
-        peaks = _local_maxima(x)
-        # No peak stands higher above its bases than above the global
-        # minimum, so lower peaks can be dropped before walking.
-        peaks = peaks[x[peaks] - x.min(initial=np.inf) >= prominence]
-        height = x[peaks]
-        _, lowest = _walk_out(x, peaks, height, stop_above=True)
-        prominences = height - np.maximum(lowest[0], lowest[1])
-        keep = prominence <= prominences
-        self.indices = peaks[keep]
-        self._prominences = prominences[keep]
-
-    def half_widths(self) -> np.ndarray:
-        """Width in samples at half prominence, linearly interpolated."""
-        x, peaks = self.x, self.indices
-        level = x[peaks] - self._prominences * 0.5
-        # The lowest point of each side lies at or below half height, so
-        # these walks never pass the peak's bases.
-        (i, j), _ = _walk_out(x, peaks, level, stop_above=False)
-        left_ip = i + _crossing(x[i], x[i + 1], level)
-        right_ip = j - _crossing(x[j], x[j - 1], level)
-        return right_ip - left_ip
+    x = np.asarray(x, dtype=float)
+    peaks = _local_maxima(x)
+    # No peak stands higher above its bases than above the global
+    # minimum, so lower peaks can be dropped before walking.
+    peaks = peaks[x[peaks] - x.min(initial=np.inf) >= prominence]
+    height = x[peaks]
+    lowest = _walk_out(x, peaks, height)
+    return peaks[prominence <= height - np.maximum(lowest[0], lowest[1])]
 
 
 def detect_peaks(
     hist: CoincidenceHistogram,
     min_prominence: float,
-    peak_width: float | None,
+    peak_width: float,
 ) -> list[DetectedPeak]:
     """Locate comb peaks and refine each center by center of mass.
 
     Candidate maxima are the local maxima whose prominence is at least
-    min_prominence times the count span (see ProminentPeaks). Each
+    min_prominence times the count span (see prominent_peaks). Each
     center is then refined iteratively as the center of mass of the
-    bins within one peak width of the current estimate. The width is
-    peak_width, the comb's 1 / (N nu_b) when the caller knows the comb;
-    None falls back to the measured half-height width of each peak,
-    which is computed only on that path. The center standard error
-    follows from counting statistics. A given width must span at least
-    10 bins, else the binning is too coarse to refine and an error is
-    raised.
+    bins within peak_width, the comb's 1 / (N nu_b), of the current
+    estimate. The center standard error follows from counting
+    statistics. The width must span at least 10 bins, else the binning
+    is too coarse to refine and an error is raised.
     """
     counts = hist.counts.astype(float)
     span = counts.max() - counts.min()
     if span <= 0:
         raise ValueError("histogram is flat; no peaks found")
-    if peak_width is not None and not peak_width > 0:
+    if not peak_width > 0:
         raise ValueError("peak_width must be positive")
-    if peak_width is not None and peak_width < 10 * hist.bin_width:
+    if peak_width < 10 * hist.bin_width:
         raise ValueError(
             "binning too coarse: need at least 10 bins per peak width "
             f"({peak_width / hist.bin_width:.1f} found)"
         )
-    found = ProminentPeaks(counts, min_prominence * span)
-    idx = found.indices
+    idx = prominent_peaks(counts, min_prominence * span)
     if idx.size == 0:
         raise ValueError("no peaks exceed the prominence threshold")
     taus = hist.bin_centers
-    if peak_width is None:
-        half_widths = found.half_widths() * hist.bin_width / 2.0
 
     peaks = []
-    supports = []
-    for j, i in enumerate(idx):
-        r = peak_width if peak_width is not None else max(half_widths[j], hist.bin_width * 5)
+    for i in idx:
         center = taus[i]
         for _ in range(_COM_ITERATIONS):
-            sel = np.abs(taus - center) <= r
+            sel = np.abs(taus - center) <= peak_width
             c_sel = counts[sel]
             total = c_sel.sum()
             if total <= 0:
@@ -220,40 +187,28 @@ def detect_peaks(
         if total <= 0:
             continue
         var = float(np.sum(c_sel * (taus[sel] - center) ** 2) / total)
-        stderr = math.sqrt(var / total) if total > 0 else math.inf
-        peaks.append(DetectedPeak(center, stderr, int(total)))
-        supports.append(r)
+        peaks.append(DetectedPeak(center, math.sqrt(var / total), int(total)))
     if not peaks:
         raise ValueError("no peaks with nonzero support found")
-    order = sorted(range(len(peaks)), key=lambda j: peaks[j].center)
+    peaks.sort(key=lambda p: p.center)
     # Noisy tops can yield several candidates inside one physical peak;
     # after refinement those converge to overlapping centers. Keep one
-    # peak per support radius so the fit is not double-weighted.
-    merged = [order[0]]
-    for j in order[1:]:
-        prev = merged[-1]
-        gap = peaks[j].center - peaks[prev].center
-        if gap <= max(supports[j], supports[prev]):
-            if peaks[j].counts > peaks[prev].counts:
-                merged[-1] = j
+    # peak per width so the fit is not double-weighted.
+    merged = [peaks[0]]
+    for peak in peaks[1:]:
+        if peak.center - merged[-1].center <= peak_width:
+            if peak.counts > merged[-1].counts:
+                merged[-1] = peak
         else:
-            merged.append(j)
-    return [peaks[j] for j in merged]
+            merged.append(peak)
+    return merged
 
 
-def _assign_indices(centers: np.ndarray, nu_b_hint: float | None) -> np.ndarray:
+def _assign_indices(centers: np.ndarray, nu_b: float) -> np.ndarray:
     """Map peak centers to integer comb orders relative to the first."""
-    base = centers[0]
-    if nu_b_hint is not None:
-        if nu_b_hint <= 0:
-            raise ValueError("nu_b_hint must be positive")
-        raw = (centers - base) * nu_b_hint
-    else:
-        gaps = np.diff(np.sort(centers))
-        gaps = gaps[gaps > 0]
-        if gaps.size == 0:
-            raise ValueError("degenerate peak set: all centers coincide")
-        raw = (centers - base) / np.median(gaps)
+    if not nu_b > 0:
+        raise ValueError("nu_b must be positive")
+    raw = (centers - centers[0]) * nu_b
     ns = np.round(raw)
     drift = np.max(np.abs(raw - ns))
     if drift > 0.25:
@@ -264,32 +219,23 @@ def _assign_indices(centers: np.ndarray, nu_b_hint: float | None) -> np.ndarray:
     return ns.astype(int)
 
 
-def fit_comb(peaks, nu_b_hint: float | None = None) -> CombFit:
+def fit_comb(peaks, nu_b: float) -> CombFit:
     """Weighted least-squares line through (order n, peak center).
 
-    peaks is a sequence of DetectedPeak or (center, stderr) pairs, at
-    least two of them. Weights are inverse variances when every stderr
-    is positive; otherwise the fit is unweighted and parameter errors
-    are scaled from the residuals. The slope gives the comb period
-    (nu_b_est is its inverse) and the intercept gives the path offset,
-    reported in the principal interval.
+    peaks is a sequence of at least two DetectedPeak; nu_b is the
+    comb's mode spacing, which assigns each peak its integer order.
+    Weights are inverse variances when every stderr is positive;
+    otherwise the fit is unweighted and parameter errors are scaled
+    from the residuals. The slope gives the comb period (nu_b_est is
+    its inverse) and the intercept gives the path offset, reported in
+    the principal interval.
     """
-    centers = []
-    stderrs = []
-    for p in peaks:
-        if isinstance(p, DetectedPeak):
-            centers.append(p.center)
-            stderrs.append(p.stderr)
-        else:
-            c, s = p
-            centers.append(float(c))
-            stderrs.append(float(s))
-    centers = np.asarray(centers)
-    stderrs = np.asarray(stderrs)
+    centers = np.array([p.center for p in peaks], dtype=float)
+    stderrs = np.array([p.stderr for p in peaks], dtype=float)
     if centers.size < 2:
         raise ValueError("need at least 2 peaks to fit the comb")
 
-    ns = _assign_indices(centers, nu_b_hint)
+    ns = _assign_indices(centers, nu_b)
     if np.all(ns == ns[0]):
         raise ValueError("degenerate peak set: all peaks share one index")
 

@@ -316,6 +316,28 @@ class TestFitCommand:
         full = (tmp_path / "full" / "fit.json").read_bytes()
         assert (tmp_path / "blind" / "fit.json").read_bytes() == full
 
+    def test_fit_without_run_record_takes_the_comb_from_config(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        code, _, err = run(
+            capsys, "simulate", "--out", str(sim), "--seed", "19", *SIM_ARGS
+        )
+        assert code == 0, err
+        sidecar = read_json(sim / "histogram_meta.json")
+        sidecar["metadata"] = {}
+        bare = tmp_path / "bare_meta.json"
+        write_json(bare, sidecar)
+        for name, meta, sets in (
+            ("record", sim / "histogram_meta.json", []),
+            ("config", bare, ["--set", "n_modes=10"]),
+        ):
+            code, _, err = run(
+                capsys, "fit", str(sim / "histogram.csv"), "--meta", str(meta),
+                "--out", str(tmp_path / name), *sets,
+            )
+            assert code == 0, err
+        record = (tmp_path / "record" / "fit.json").read_bytes()
+        assert (tmp_path / "config" / "fit.json").read_bytes() == record
+
     def test_explicit_meta_path(self, tmp_path, capsys):
         sim = tmp_path / "sim"
         run(capsys, "simulate", "--out", str(sim), "--seed", "19", *SIM_ARGS)

@@ -121,6 +121,9 @@ class TestRunConfig:
             ("threads", -1),
             ("threads", 1025),
             ("n_modes", 0),
+            ("accidental_rate_hz", 1e5),
+            ("pair_rate_hz", 1e3),
+            ("duration_s", 1e8),
         ],
     )
     def test_validation_rejects(self, key, value):

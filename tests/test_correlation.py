@@ -92,7 +92,7 @@ class TestPsiDirect:
 
     def test_large_lattice_matches_kernel(self):
         lat = lattice(1000)
-        tau = (2 * math.pi / 3000) / lat.omega_b
+        tau = (2 * math.pi / 3000) / (2 * math.pi * lat.nu_b)
         direct = abs(psi_direct(lat, tau, 0.0)) ** 2
         kernel = dirichlet_kernel(1000, beat_phase(lat.nu_b, tau))
         assert direct == pytest.approx(kernel, rel=1e-9)

@@ -214,6 +214,14 @@ class TestSamplePairs:
         assert np.array_equal(a1.timestamps, b1.timestamps)
         assert np.array_equal(a2.timestamps, b2.timestamps)
 
+    @pytest.mark.parametrize("jitter", [0.0, 1e-7])
+    def test_draws_in_place(self, jitter):
+        # LAT10's delay grid (2501 points) is negligible beside 2e5
+        # pairs, so the peak is the two output streams plus at most one
+        # pair-sized temporary.
+        (s1, s2), peak = traced_peak(sample_pairs, LAT10, GEOM0, 2e5, 1.0, jitter, seed=3)
+        assert peak <= 1.6 * (s1.timestamps.nbytes + s2.timestamps.nbytes)
+
     def test_degenerate_window_is_an_error(self):
         with pytest.raises(ValueError, match="extent"):
             sample_pairs(
