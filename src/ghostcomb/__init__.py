@@ -48,7 +48,7 @@ from .detection import (
     sample_pairs,
     sample_singles,
 )
-from .timing import CombFit, DetectedPeak, detect_peaks, fit_comb, resolution_estimate
+from .timing import CombFit, fit_comb
 from .config import RunConfig, load_config
 from .seeding import derive_rng
 
@@ -58,7 +58,6 @@ __all__ = [
     "CoincidenceHistogram",
     "CombFit",
     "CorrelationCurve",
-    "DetectedPeak",
     "DetectorGeometry",
     "EventStream",
     "FockOracle",
@@ -77,7 +76,6 @@ __all__ = [
     "contrast",
     "curve",
     "derive_rng",
-    "detect_peaks",
     "dirichlet_kernel",
     "entangled_coherent_pairs",
     "envelope_first_zero",
@@ -88,7 +86,6 @@ __all__ = [
     "load_config",
     "phase_scrambled_curve",
     "psi_direct",
-    "resolution_estimate",
     "sample_pairs",
     "sample_singles",
     "state_fidelity",

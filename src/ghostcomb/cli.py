@@ -41,9 +41,9 @@ from .detection import (
     sample_pairs,
 )
 from .fock import build_coherent_product, build_perturbation_state, state_fidelity
-from .lattice import DetectorGeometry, ModeLattice
+from .lattice import DetectorGeometry
 from .seeding import LABEL_ACCIDENTAL_DET1, LABEL_ACCIDENTAL_DET2
-from .timing import CombFit, detect_peaks, fit_comb, resolution_estimate
+from .timing import CombFit, fit_comb
 
 # Largest points * modes product accepted for a sum over the modes at
 # every point (the direct and fock methods); beyond this the cost stops
@@ -235,14 +235,11 @@ def _fit_dict(fit: CombFit) -> dict:
     """The comb fit as written to results.json and fit.json."""
     return {
         "nu_b_est_hz": fit.nu_b_est,
+        "nu_b_stderr_hz": fit.nu_b_stderr,
         "offset_est_s": fit.offset_est,
         "offset_stderr_s": fit.offset_stderr,
         "offset_period_s": fit.offset_period,
-        "residual_rms_s": fit.residual_rms,
-        "n_peaks_used": fit.n_peaks_used,
-        "peak_positions": [
-            {"n": n, "center_s": c, "stderr_s": s} for n, c, s in fit.peak_positions
-        ],
+        "deviance_per_dof": fit.deviance_per_dof,
     }
 
 
@@ -292,9 +289,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         hist = build_histogram(d1, s2, cfg.bin_width_s, cfg.tau_min_s, cfg.tau_max_s, metadata)
         del s2
         contrast_value = contrast(hist, lattice, geom, cfg.contrast_floor)
-        peaks = detect_peaks(hist, cfg.min_prominence, comb_peak_width(lattice))
-        fit = fit_comb(peaks, lattice.nu_b)
-        pairs_per_peak = max(1, int(round(float(np.mean([p.counts for p in peaks])))))
+        fit = fit_comb(hist, cfg.n_modes, cfg.nu_b_hz)
 
         gio.write_histogram(out / "histogram.csv", out / "histogram_meta.json", hist)
         results = {
@@ -304,8 +299,6 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
             "total_pairs_in_range": int(hist.total_pairs),
             "geometry_offset_s": geom.retarded_offset,
             "fit": _fit_dict(fit),
-            "resolution_estimate_s": resolution_estimate(lattice, pairs_per_peak),
-            "pairs_per_peak": pairs_per_peak,
         }
         gio.write_json(out / "results.json", results)
         _write_manifest(
@@ -391,8 +384,8 @@ def cmd_fit(cfg: RunConfig, out: Path, hist_path: str, meta_path: str | None) ->
     """Fit the comb to a histogram and write fit.json.
 
     The comb (n_modes, nu_b) comes from the sidecar's run record when it
-    names both, as `simulate` writes it, else from the config. Peak
-    widths are never measured, and the geometry is never read.
+    names both, as `simulate` writes it, else from the config. The
+    geometry is never read.
     """
     csv_path = Path(hist_path)
     if meta_path is None:
@@ -403,19 +396,18 @@ def cmd_fit(cfg: RunConfig, out: Path, hist_path: str, meta_path: str | None) ->
     else:
         meta = Path(meta_path)
     hist = gio.read_histogram(csv_path, meta)
-    # The width 1 / (N nu_b) does not depend on the carrier.
     record = hist.metadata
     if "n_modes" in record and "nu_b" in record:
         n_modes, nu_b = int(record["n_modes"]), float(record["nu_b"])
     else:
         n_modes, nu_b = cfg.n_modes, cfg.nu_b_hz
-    lattice = ModeLattice(n_modes=n_modes, nu_b=nu_b, nu_s0=cfg.nu_s0_hz)
-    fit = fit_comb(detect_peaks(hist, cfg.min_prominence, comb_peak_width(lattice)), nu_b)
+    fit = fit_comb(hist, n_modes, nu_b)
     gio.write_json(out / "fit.json", _fit_dict(fit))
     _write_manifest(out, cfg, "fit", ["fit.json"])
     print(
-        f"fit n_peaks={fit.n_peaks_used} nu_b_est={fit.nu_b_est:.6f} Hz "
-        f"offset_est={fit.offset_est:.6e} s +/- {fit.offset_stderr:.2e} s"
+        f"fit nu_b_est={fit.nu_b_est:.6f} Hz "
+        f"offset_est={fit.offset_est:.6e} s +/- {fit.offset_stderr:.2e} s "
+        f"deviance/dof={fit.deviance_per_dof:.3f}"
     )
     return 0
 

@@ -27,6 +27,9 @@ _MAX_MC_REALIZATIONS = 10**6
 # Most expected events per detector in `simulate`: a stream holds 8
 # bytes per event, so 0.8 GB, and one stream is held at a time.
 _MAX_EVENTS = 10**8
+# Most levels in the fidelity diagnostic's states: its cost and memory
+# grow with the cutoff (about 80 bytes per level), and 120 is the default.
+_MAX_FIDELITY_CUTOFF = 10**4
 # Most worker threads accepted at load; map_ordered further clamps the
 # pool to the CPU count and the number of work items.
 _MAX_THREADS = 1024
@@ -64,7 +67,6 @@ class RunConfig:
     window_periods: float = 5.0
     accidental_rate_hz: float = 0.0
     bin_width_s: float = 5e-9
-    min_prominence: float = 0.25
     contrast_floor: int = 1000
 
     # Fock oracle and fidelity diagnostics.
@@ -135,8 +137,6 @@ class RunConfig:
             )
         if self.bin_width_s <= 0:
             raise ValueError("bin_width_s must be positive")
-        if not 0 < self.min_prominence < 1:
-            raise ValueError("min_prominence must lie in (0, 1)")
         if self.contrast_floor < 1:
             raise ValueError("contrast_floor must be positive")
         if self.oracle_pairs < 1:
@@ -147,6 +147,10 @@ class RunConfig:
             raise ValueError(f"oracle_cutoff must lie in [0, {_MAX_CUTOFF}]")
         if not 2 <= self.oracle_n_points <= _MAX_POINTS:
             raise ValueError(f"oracle_n_points must lie in [2, {_MAX_POINTS}]")
+        if self.fidelity_n < 0:
+            raise ValueError("fidelity_n must be non-negative")
+        if not 0 <= self.fidelity_cutoff <= _MAX_FIDELITY_CUTOFF:
+            raise ValueError(f"fidelity_cutoff must lie in [0, {_MAX_FIDELITY_CUTOFF}]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not 0 <= self.threads <= _MAX_THREADS:

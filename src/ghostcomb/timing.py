@@ -1,14 +1,14 @@
 """Comb parameter recovery from coincidence histograms.
 
-The histogram peaks sit at (t1 - t2)_n = n / nu_b + (r1 - r2) / c. The
-caller supplies the comb: its peak width 1 / (N nu_b) bounds each
-center-of-mass refinement, and its spacing nu_b assigns every peak its
-integer order n. A weighted straight-line fit of the peak centers
-against n then recovers both the mode spacing and the detector path
-offset. Because every integer relabeling n -> n + k fits equally well,
-the offset is physically defined only modulo one comb period; fits
-report it wrapped to the principal interval (-period/2, period/2] along
-with the period itself.
+The counts trace the comb: teeth of width 1 / (N nu_b) at delays
+(t1 - t2)_n = n / nu_b + (r1 - r2) / c, on a flat floor of accidental
+pairs. fit_comb fits that shape to every bin at once by Poisson maximum
+likelihood, so no peak is ever located on its own. It starts where the
+counts folded at the comb period best match the folded template, the
+FFTFIT method of pulsar timing (Taylor, Phil. Trans. R. Soc. A 341,
+117, 1992). Because a shift by a whole period fits equally well, the
+offset is defined only modulo one comb period; the fit reports it in
+the principal interval (-period/2, period/2] along with the period.
 """
 
 from __future__ import annotations
@@ -18,279 +18,164 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import comb_peak_width
+from .correlation import TWO_PI
 from .detection import CoincidenceHistogram
-from .lattice import ModeLattice
 
-_COM_ITERATIONS = 2
-
-
-@dataclass(frozen=True)
-class DetectedPeak:
-    """One histogram peak: refined center, its standard error, counts."""
-
-    center: float
-    stderr: float
-    counts: int
-
-    def __post_init__(self):
-        if self.stderr < 0:
-            raise ValueError("stderr must be non-negative")
-        if self.counts < 0:
-            raise ValueError("counts must be non-negative")
+# Bins evaluated at once, so the fit's temporaries stay a few blocks
+# long however many bins the histogram has.
+_BLOCK = 1 << 15
+# Fisher scoring from the folded start takes about 6 steps.
+_MAX_STEPS = 50
+# Converged once a full step would raise the log-likelihood by less.
+_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class CombFit:
-    """Result of the peak-position regression.
+    """Result of the Poisson template fit of the comb.
 
-    offset_est lies in the principal interval (-offset_period / 2,
-    offset_period / 2]; any integer multiple of offset_period added to
-    it fits the same data, which is the comb's inherent ambiguity.
-    peak_positions holds (assigned index, center, stderr) per peak.
+    offset_est lies in (-offset_period / 2, offset_period / 2]; adding
+    any multiple of offset_period fits the same data. The standard
+    errors come from the inverse Fisher matrix. The Poisson deviance
+    per degree of freedom is near 1 when the template fits the counts.
     """
 
     nu_b_est: float
+    nu_b_stderr: float
     offset_est: float
     offset_stderr: float
-    peak_positions: tuple
-    residual_rms: float
-    n_peaks_used: int
     offset_period: float
+    deviance_per_dof: float
 
 
-def _pyramid(x: np.ndarray, agg, pad: float) -> list[np.ndarray]:
-    """Aggregates of x over aligned blocks: entry j of level k covers
-    x[j * 2**k : (j + 1) * 2**k], samples past the end counting as pad.
-    The last level is a single block; all levels hold about 2 len(x).
+def _template(n_modes: int, nu_b: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bare comb s(u) = K_N(2 pi nu_b u) / N^2 and its slope ds/du."""
+    phase = TWO_PI * nu_b * u
+    phase -= TWO_PI * np.round(phase / TWO_PI)
+    half = 0.5 * phase
+    sin_half = np.sin(half)
+    # Within N |phase| < 1e-3 of a peak the quotients lose digits; the
+    # second-order series keeps s to 1e-15 and ds/dphase to 1e-11 N.
+    near = n_modes * np.abs(phase) < 1e-3
+    sin_half[near] = 1.0
+    # The Dirichlet amplitude D = sin(N phase/2) / sin(phase/2), K_N = D^2.
+    amp = np.sin(n_modes * half) / sin_half
+    slope = (n_modes * np.cos(n_modes * half) - amp * np.cos(half)) / (2.0 * sin_half)
+    curvature = n_modes * (n_modes**2 - 1) / 24.0
+    amp[near] = n_modes - curvature * phase[near] ** 2
+    slope[near] = -2.0 * curvature * phase[near]
+    return (amp / n_modes) ** 2, (2.0 * TWO_PI * nu_b / n_modes**2) * amp * slope
+
+
+def _blocks(hist: CoincidenceHistogram):
+    """(bin centers, counts) of the histogram, one block at a time."""
+    for start in range(0, hist.counts.size, _BLOCK):
+        counts = hist.counts[start : start + _BLOCK]
+        taus = hist.tau_min + (np.arange(start, start + counts.size) + 0.5) * hist.bin_width
+        yield taus, counts
+
+
+def _folded_start(hist: CoincidenceHistogram, n_modes: int, nu_b: float) -> np.ndarray:
+    """Starting (A, B, x, nu_b): the counts and the template at zero
+    offset, folded at the comb period alike and cross-correlated by FFT."""
+    period = 1.0 / nu_b
+    # Phase bins a tenth of a tooth wide, so each holds a bin or more.
+    m = 10 * n_modes
+    profile, template, hits = np.zeros((3, m))
+    for taus, counts in _blocks(hist):
+        j = np.minimum((np.mod(taus * nu_b, 1.0) * m).astype(np.int64), m - 1)
+        np.add.at(profile, j, counts)
+        np.add.at(template, j, _template(n_modes, nu_b, taus)[0])
+        np.add.at(hits, j, 1.0)
+    # Means per bin at each phase.
+    profile /= np.maximum(hits, 1.0)
+    template /= np.maximum(hits, 1.0)
+    spectrum = np.fft.rfft(profile)
+    spectrum *= np.fft.rfft(template).conj()
+    x = np.argmax(np.fft.irfft(spectrum, m)) * period / m
+    low = profile.min()
+    return np.array([profile.max() - low, low, x - period if x > period / 2 else x, nu_b])
+
+
+def _scoring_terms(hist, n_modes, theta) -> tuple[np.ndarray, np.ndarray, float]:
+    """Fisher matrix, score and Poisson deviance of the mean
+    mu = A s(tau - x; nu) + B over parameters theta = (A, B, x, nu)."""
+    a, b, x, nu = theta
+    fisher = np.zeros((4, 4))
+    score = np.zeros(4)
+    deviance = 0.0
+    for taus, n in _blocks(hist):
+        u = taus - x
+        s, ds = _template(n_modes, nu, u)
+        mu = a * s + b
+        # d mu / d(A, B, x, nu); s depends on nu through nu u alone.
+        grad = np.stack((s, np.ones_like(s), -a * ds, (a / nu) * u * ds))
+        fisher += (grad / mu) @ grad.T
+        score += grad @ (n / mu - 1.0)
+        deviance += 2.0 * float(np.sum(n * np.log(np.where(n > 0, n / mu, 1.0)) - n + mu))
+    return fisher, score, deviance
+
+
+def fit_comb(hist: CoincidenceHistogram, n_modes: int, nu_b: float) -> CombFit:
+    """Fit the comb of N = n_modes modes spaced by nu_b to the counts.
+
+    The mean count in the bin at delay tau is A s(tau - x; nu) + B,
+    where s is the bare comb K_N(2 pi nu u) / N^2 (see g2_closed); the
+    linewidth envelope is symmetric about the offset and left out.
+    Fisher scoring on (A, B, x, nu) maximizes the Poisson likelihood
+    from the folded start. The offset is x wrapped to the principal
+    interval, and its error is propagated through the period at that
+    order. Refuses binning coarser than 10 bins per tooth width
+    1 / (N nu_b), a range shorter than two periods and a flat
+    histogram.
     """
-    levels = [x]
-    while levels[-1].size > 1:
-        a = levels[-1]
-        if a.size % 2:
-            a = np.append(a, pad)
-        levels.append(agg(a[0::2], a[1::2]))
-    return levels
-
-
-def _walk_out(x: np.ndarray, peaks: np.ndarray, thr: np.ndarray) -> np.ndarray:
-    """Lowest sample on each side of each peak, walking out from it (the
-    peak included) up to the first sample above thr or the array edge.
-
-    Returns a (2, len(peaks)) array, left walks in row 0. A walk passes
-    aligned blocks of 2**k samples whole: it climbs to larger blocks
-    until one holds a stopping sample, then descends into that block.
-    No Python loop runs over samples or peaks, and memory stays linear
-    in len(x).
-    """
-    n = x.size
-    lows = _pyramid(x, np.minimum, np.inf)
-    highs = _pyramid(x, np.maximum, -np.inf)
-    top = len(lows)
-    step = np.array([[-1], [1]])
-    # Left walks track their exclusive end, right walks their start.
-    edge = np.stack((peaks + 1, peaks))
-    low = np.full(edge.shape, np.inf)
-    stuck = np.full(edge.shape, top)  # level of the block holding the stop
-
-    def pass_blocks(k, cand):
-        """Pass the level-k block beside each edge where cand holds and
-        the block has no stopping sample; return where it has one."""
-        nonlocal edge, low
-        j = np.clip((edge >> k) - (step < 0), 0, lows[k].size - 1)
-        blocked = cand & (highs[k][j] > thr)
-        passed = cand & ~blocked
-        low = np.where(passed, np.minimum(low, lows[k][j]), low)
-        edge = np.where(passed, edge + step * (1 << k), edge)
-        return blocked
-
-    for k in range(top):
-        climbing = (stuck == top) & (edge < n) & ((edge >> k) % 2 == 1)
-        stuck = np.where(pass_blocks(k, climbing), k, stuck)
-    for k in reversed(range(top)):
-        pass_blocks(k, (k < stuck) & (stuck < top))
-    return low
-
-
-def _local_maxima(x: np.ndarray) -> np.ndarray:
-    """Midpoints of every strict rise, flat run, strict fall in x."""
-    dx = np.diff(x)
-    steps = np.flatnonzero(dx)
-    slope = dx[steps]
-    is_peak = (slope[:-1] > 0) & (slope[1:] < 0)
-    return (steps[:-1][is_peak] + 1 + steps[1:][is_peak]) // 2
-
-
-def prominent_peaks(x, prominence: float) -> np.ndarray:
-    """Indices of the local maxima of x whose topographic prominence
-    reaches a threshold, in index order.
-
-    A peak is a strict rise, a flat run and a strict fall, indexed at
-    the run's midpoint (left + right) // 2, never at either edge. Its
-    prominence is its height above the higher of the two lowest samples
-    found walking out from it, on each side, up to a strictly higher
-    sample or the array edge. These are the rules of the common
-    signal-processing peak finder, and the tests hold the two to
-    identical indices.
-    """
-    x = np.asarray(x, dtype=float)
-    peaks = _local_maxima(x)
-    # No peak stands higher above its bases than above the global
-    # minimum, so lower peaks can be dropped before walking.
-    peaks = peaks[x[peaks] - x.min(initial=np.inf) >= prominence]
-    height = x[peaks]
-    lowest = _walk_out(x, peaks, height)
-    return peaks[prominence <= height - np.maximum(lowest[0], lowest[1])]
-
-
-def detect_peaks(
-    hist: CoincidenceHistogram,
-    min_prominence: float,
-    peak_width: float,
-) -> list[DetectedPeak]:
-    """Locate comb peaks and refine each center by center of mass.
-
-    Candidate maxima are the local maxima whose prominence is at least
-    min_prominence times the count span (see prominent_peaks). Each
-    center is then refined iteratively as the center of mass of the
-    bins within peak_width, the comb's 1 / (N nu_b), of the current
-    estimate. The center standard error follows from counting
-    statistics. The width must span at least 10 bins, else the binning
-    is too coarse to refine and an error is raised.
-    """
-    counts = hist.counts.astype(float)
-    span = counts.max() - counts.min()
-    if span <= 0:
-        raise ValueError("histogram is flat; no peaks found")
-    if not peak_width > 0:
-        raise ValueError("peak_width must be positive")
-    if peak_width < 10 * hist.bin_width:
-        raise ValueError(
-            "binning too coarse: need at least 10 bins per peak width "
-            f"({peak_width / hist.bin_width:.1f} found)"
-        )
-    idx = prominent_peaks(counts, min_prominence * span)
-    if idx.size == 0:
-        raise ValueError("no peaks exceed the prominence threshold")
-    taus = hist.bin_centers
-
-    peaks = []
-    for i in idx:
-        center = taus[i]
-        for _ in range(_COM_ITERATIONS):
-            sel = np.abs(taus - center) <= peak_width
-            c_sel = counts[sel]
-            total = c_sel.sum()
-            if total <= 0:
-                break
-            center = float(np.sum(c_sel * taus[sel]) / total)
-        if total <= 0:
-            continue
-        var = float(np.sum(c_sel * (taus[sel] - center) ** 2) / total)
-        peaks.append(DetectedPeak(center, math.sqrt(var / total), int(total)))
-    if not peaks:
-        raise ValueError("no peaks with nonzero support found")
-    peaks.sort(key=lambda p: p.center)
-    # Noisy tops can yield several candidates inside one physical peak;
-    # after refinement those converge to overlapping centers. Keep one
-    # peak per width so the fit is not double-weighted.
-    merged = [peaks[0]]
-    for peak in peaks[1:]:
-        if peak.center - merged[-1].center <= peak_width:
-            if peak.counts > merged[-1].counts:
-                merged[-1] = peak
-        else:
-            merged.append(peak)
-    return merged
-
-
-def _assign_indices(centers: np.ndarray, nu_b: float) -> np.ndarray:
-    """Map peak centers to integer comb orders relative to the first."""
+    if n_modes < 2:
+        raise ValueError("the comb needs at least 2 modes to have teeth")
     if not nu_b > 0:
         raise ValueError("nu_b must be positive")
-    raw = (centers - centers[0]) * nu_b
-    ns = np.round(raw)
-    drift = np.max(np.abs(raw - ns))
-    if drift > 0.25:
+    width = 1.0 / (n_modes * nu_b)
+    if width < 10 * hist.bin_width:
         raise ValueError(
-            f"index assignment ambiguous: rounding residual {drift:.3f} "
-            "exceeds 0.25 of a period"
+            f"binning too coarse: {width / hist.bin_width:.1f} bins per peak width, need 10"
         )
-    return ns.astype(int)
+    if hist.tau_max - hist.tau_min < 2.0 / nu_b:
+        raise ValueError("histogram range is shorter than two comb periods")
+    if hist.counts.max() == hist.counts.min():
+        raise ValueError("histogram is flat; no comb to fit")
 
+    # The floor B is held at or above a millionth of the mean count per
+    # bin, a level no count resolves, so every bin's mean stays positive.
+    lowest = 1e-6 * hist.total_pairs / hist.counts.size
+    theta = _folded_start(hist, n_modes, nu_b)
+    theta[1] = max(theta[1], lowest)
+    for _ in range(_MAX_STEPS):
+        fisher, score, deviance = _scoring_terms(hist, n_modes, theta)
+        # A floor at its bound that the likelihood would lower stays put.
+        free = np.array([True, theta[1] > lowest or score[1] > 0, True, True])
+        fisher = fisher[np.ix_(free, free)]
+        step = np.zeros(4)
+        step[free] = np.linalg.solve(fisher, score[free])
+        if score @ step < _TOL:
+            break
+        theta += step
+        theta[1] = max(theta[1], lowest)
+        if not theta[0] > 0:
+            raise ValueError("no comb in the histogram")
+    else:
+        raise ValueError(f"comb fit did not converge in {_MAX_STEPS} steps")
 
-def fit_comb(peaks, nu_b: float) -> CombFit:
-    """Weighted least-squares line through (order n, peak center).
-
-    peaks is a sequence of at least two DetectedPeak; nu_b is the
-    comb's mode spacing, which assigns each peak its integer order.
-    Weights are inverse variances when every stderr is positive;
-    otherwise the fit is unweighted and parameter errors are scaled
-    from the residuals. The slope gives the comb period (nu_b_est is
-    its inverse) and the intercept gives the path offset, reported in
-    the principal interval.
-    """
-    centers = np.array([p.center for p in peaks], dtype=float)
-    stderrs = np.array([p.stderr for p in peaks], dtype=float)
-    if centers.size < 2:
-        raise ValueError("need at least 2 peaks to fit the comb")
-
-    ns = _assign_indices(centers, nu_b)
-    if np.all(ns == ns[0]):
-        raise ValueError("degenerate peak set: all peaks share one index")
-
-    weighted = bool(np.all(stderrs > 0))
-    w = 1.0 / stderrs**2 if weighted else np.ones_like(centers)
-    x = ns.astype(float)
-    y = centers
-    s_w = w.sum()
-    s_x = (w * x).sum()
-    s_xx = (w * x * x).sum()
-    s_y = (w * y).sum()
-    s_xy = (w * x * y).sum()
-    det = s_w * s_xx - s_x**2
-    if det <= 0:
-        raise ValueError("degenerate peak set: singular regression")
-    slope = (s_w * s_xy - s_x * s_y) / det
-    intercept = (s_xx * s_y - s_x * s_xy) / det
-    if slope <= 0:
-        raise ValueError("fitted comb period is not positive")
-
-    resid = y - (intercept + slope * x)
-    residual_rms = float(np.sqrt(np.mean(resid**2)))
-    var_intercept = s_xx / det
-    if not weighted:
-        dof = centers.size - 2
-        scale = float((w * resid**2).sum() / dof) if dof > 0 else 0.0
-        var_intercept *= scale
-    offset_stderr = math.sqrt(var_intercept)
-
-    period = slope
-    k = math.ceil(intercept / period - 0.5)
-    offset = intercept - k * period
-
-    positions = tuple(
-        (int(n), float(c), float(s)) for n, c, s in zip(ns, centers, stderrs)
-    )
+    cov = np.zeros((4, 4))
+    cov[np.ix_(free, free)] = np.linalg.inv(fisher)
+    x, nu = theta[2], theta[3]
+    period = 1.0 / nu
+    k = math.ceil(x / period - 0.5)
+    # d(x - k / nu) / d(x, nu) carries the error to the wrapped order.
+    grad = np.array([1.0, k * period**2])
     return CombFit(
-        nu_b_est=1.0 / slope,
-        offset_est=float(offset),
-        offset_stderr=float(offset_stderr),
-        peak_positions=positions,
-        residual_rms=residual_rms,
-        n_peaks_used=int(centers.size),
+        nu_b_est=float(nu),
+        nu_b_stderr=math.sqrt(cov[3, 3]),
+        offset_est=float(x - k * period),
+        offset_stderr=math.sqrt(grad @ cov[2:, 2:] @ grad),
         offset_period=float(period),
+        deviance_per_dof=deviance / (hist.counts.size - 4),
     )
-
-
-def resolution_estimate(lattice: ModeLattice, pairs_per_peak: int) -> float:
-    """Predicted 1-sigma peak-center uncertainty from counting statistics.
-
-    One detected pair localizes a peak to about its width 1/(N nu_b);
-    averaging k pairs shrinks that by sqrt(k). This is a statistics
-    extension layered on the comb geometry, not an analytic result of
-    the correlation function itself.
-    """
-    if pairs_per_peak < 1:
-        raise ValueError("pairs_per_peak must be at least 1")
-    return comb_peak_width(lattice) / math.sqrt(pairs_per_peak)

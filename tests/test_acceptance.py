@@ -24,7 +24,6 @@ from ghostcomb import (
     comb_peak_width,
     contrast,
     curve,
-    detect_peaks,
     dirichlet_kernel,
     entangled_coherent_pairs,
     fit_comb,
@@ -210,7 +209,7 @@ def test_criterion_06_offset_recovery():
     geom = DetectorGeometry(r1=true_offset * SPEED_OF_LIGHT, r2=0.0)
     hist = simulate_histogram(lat, geom, 4.0, 2.5e5, seed=61)
     width = comb_peak_width(lat)
-    fit = fit_comb(detect_peaks(hist, 0.25, peak_width=width), lat.nu_b)
+    fit = fit_comb(hist, lat.n_modes, lat.nu_b)
     err = abs(fit.offset_est - geom.retarded_offset)
     elapsed = time.monotonic() - start
     ok = (
@@ -255,8 +254,7 @@ def test_criterion_08_offset_error_scales_with_root_pairs():
     totals = []
     for target in targets:
         hist = simulate_histogram(lat, GEOM0, target / duration, duration, seed=83)
-        peaks = detect_peaks(hist, 0.25, peak_width=comb_peak_width(lat))
-        fit = fit_comb(peaks, lat.nu_b)
+        fit = fit_comb(hist, lat.n_modes, lat.nu_b)
         stderrs.append(fit.offset_stderr)
         totals.append(hist.total_pairs)
     slope = float(np.polyfit(np.log(totals), np.log(stderrs), 1)[0])

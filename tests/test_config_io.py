@@ -107,8 +107,6 @@ class TestRunConfig:
             ("window_periods", 0.0),
             ("accidental_rate_hz", -1.0),
             ("bin_width_s", 0.0),
-            ("min_prominence", 0.0),
-            ("min_prominence", 1.0),
             ("contrast_floor", 0),
             ("oracle_pairs", 0),
             ("oracle_alpha", 0.0),
@@ -124,6 +122,9 @@ class TestRunConfig:
             ("accidental_rate_hz", 1e5),
             ("pair_rate_hz", 1e3),
             ("duration_s", 1e8),
+            ("fidelity_n", -1),
+            ("fidelity_cutoff", -3),
+            ("fidelity_cutoff", 10**4 + 1),
         ],
     )
     def test_validation_rejects(self, key, value):
