@@ -151,6 +151,10 @@ class RunConfig:
             raise ValueError("fidelity_n must be non-negative")
         if not 0 <= self.fidelity_cutoff <= _MAX_FIDELITY_CUTOFF:
             raise ValueError(f"fidelity_cutoff must lie in [0, {_MAX_FIDELITY_CUTOFF}]")
+        # The largest raw coefficient, n!/(n-m)! at m = min(n, c), must stay below 2^1024.
+        n, c = self.fidelity_n, self.fidelity_cutoff
+        if math.lgamma(n + 1) - math.lgamma(n - min(n, c) + 1) >= 1024 * math.log(2):
+            raise ValueError(f"fidelity_n={n} with fidelity_cutoff={c} overflows a double")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not 0 <= self.threads <= _MAX_THREADS:

@@ -111,13 +111,10 @@ def dirichlet_kernel(n_modes: int, x) -> np.ndarray | float:
     a = n * hi
     b = n * lo
     sn = np.sin(0.5 * a) * np.cos(0.5 * b) + np.cos(0.5 * a) * np.sin(0.5 * b)
-    s_safe = np.where(singular, 1.0, s)
-    regular = (sn / s_safe) ** 2
-
-    ratio = n * np.sinc(n * u / TWO_PI) / np.sinc(u / TWO_PI)
-    limit = ratio**2
-
-    out = np.where(singular, limit, regular)
+    out = np.asarray((sn / np.where(singular, 1.0, s)) ** 2)
+    # The sinc-ratio limit, evaluated only where it is taken.
+    us = u[singular]
+    out[singular] = (n * np.sinc(n * us / TWO_PI) / np.sinc(us / TWO_PI)) ** 2
     return out[()]
 
 

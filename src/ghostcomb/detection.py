@@ -4,8 +4,9 @@ The simulated experiment records independent timestamp streams at two
 detectors. Viewed alone each stream is a flat Poisson process carrying
 no trace of the comb; the comb appears only in the histogram of pair
 delays t1 - t2. Correlated pairs are generated by drawing the pair
-delay from the normalized correlation density and placing the pair
-uniformly in time, so the marginal of each stream stays exactly flat.
+delay exactly from the normalized correlation density, by rejection
+with no table, and placing the pair uniformly in time, so the marginal
+of each stream stays exactly flat.
 
 Histogramming is a sorted sweep, linear in the number of events plus
 tallied pairs, so million-event streams are processed in seconds
@@ -28,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlation import comb_peak_orders, comb_peak_positions, comb_peak_width, g2_closed
+from .correlation import comb_peak_orders, comb_peak_positions, comb_peak_width
+from .correlation import dirichlet_kernel
 from .lattice import DetectorGeometry, ModeLattice
 from .seeding import (
     LABEL_JITTER_DET1,
@@ -41,12 +43,9 @@ from .seeding import (
     derive_rng,
 )
 
-# Inverse-CDF sampling grid: this many points per comb peak width.
-_GRID_PER_WIDTH = 50
-# Guard against runaway grids when the window spans many peak widths.
-_MAX_GRID_POINTS = 5_000_000
-# Grid points evaluated at once; bounds g2_closed's temporaries.
-_GRID_BLOCK = 65536
+# Delay proposals drawn at once; bounds the sampler's temporaries to a
+# few hundred kB, well under one pair stream.
+_DELAY_BATCH = 1 << 14
 
 # Detector-1 events whose pair windows are located by one merge, and
 # the chunk length a detector-1 stream is fed to the sweep in.
@@ -192,40 +191,45 @@ def add_singles(stream: EventStream, rate: float, seed: int, label: int) -> Even
     return EventStream(stream.detector_id, times, stream.duration, stream.rate + rate, None)
 
 
-def _delay_density_grid(
-    lattice: ModeLattice,
-    geom: DetectorGeometry,
-    tau_window: tuple[float, float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized delay CDF on a fine grid over the lab-delay window."""
-    lo, hi = float(tau_window[0]), float(tau_window[1])
-    if not hi > lo:
-        raise ValueError("tau window must have positive extent")
-    step = comb_peak_width(lattice) / _GRID_PER_WIDTH
-    n_points = int(math.ceil((hi - lo) / step)) + 1
-    if n_points > _MAX_GRID_POINTS:
-        raise ValueError(
-            "delay window spans too many peak widths for the sampling "
-            f"grid ({n_points} points); narrow the window"
-        )
-    grid = np.linspace(lo, hi, n_points)
-    density = np.empty(n_points)
-    for start in range(0, n_points, _GRID_BLOCK):
-        block = grid[start : start + _GRID_BLOCK]
-        density[start : start + block.size] = g2_closed(lattice, block - geom.retarded_offset)
-    # Trapezoid rule in place: cdf[i] sums the panels below grid[i].
-    cdf = np.empty(n_points)
-    cdf[0] = 0.0
-    panels = cdf[1:]
-    np.add(density[1:], density[:-1], out=panels)
-    panels *= 0.5
-    panels *= np.subtract(grid[1:], grid[:-1], out=density[:-1])
-    np.cumsum(panels, out=panels)
-    total = cdf[-1]
-    if not (np.isfinite(total) and total > 0):
-        raise ValueError("delay window contains no correlation density")
-    cdf /= total
-    return grid, cdf
+def _core_tails(u: np.ndarray, core: float, edge: float) -> np.ndarray:
+    """Uniforms u in [0, 1) mapped by inverse CDF to [-edge, edge) with
+    density min(1, (core/z)^2): a flat core and two 1/z^2 tails."""
+    core = min(core, edge)
+    v = (2.0 * u - 1.0) * (2.0 * core - core * core / edge)
+    t = np.abs(v)
+    return np.copysign(np.where(t <= core, t, core * core / (2.0 * core - t)), v)
+
+
+def _draw_delays(lattice: ModeLattice, window_periods: float, rng, out: np.ndarray) -> None:
+    """Fill out with retarded delays drawn exactly from g2_closed within
+    window_periods comb periods centred on zero.
+
+    A proposal is a period k = rint(w) and a phase x: the delay is
+    (k + x / 2 pi) / nu_b. x follows min(N^2, pi^2/x^2) >= K_N(x), as
+    |sin(x/2)| >= |x|/pi, narrowed to a window inside one period; w
+    follows min(1, (c/w)^2), c = 1 + nu_b / (pi dnu), which bounds
+    sinc^2(dnu tau) over period k. One inside the window is kept with
+    probability target over bound: about two proposals per delay, at
+    most about eleven, in fixed batches so the seed alone fixes them.
+    """
+    n, nu_b, dnu = lattice.n_modes, lattice.nu_b, lattice.delta_nu
+    half = 0.5 * window_periods
+    core = nu_b / (math.pi * dnu) + 1.0 if dnu > 0 else math.inf
+    filled = 0
+    while filled < out.size:
+        u = rng.random((3, _DELAY_BATCH))
+        w = _core_tails(u[0], core, math.ceil(half + 0.5) - 0.5)
+        x = _core_tails(u[1], math.pi / n, math.pi * min(window_periods, 1.0))
+        periods = np.rint(w) + x / (2.0 * math.pi)
+        # Target over bound, times pi^2, with no division by x or w.
+        score = dirichlet_kernel(n, x) * np.maximum(x * x, (math.pi / n) ** 2)
+        if dnu > 0:
+            score *= np.sinc(dnu / nu_b * periods) ** 2 * np.maximum(1.0, (w / core) ** 2)
+        kept = periods[(u[2] * math.pi**2 < score) & (np.abs(periods) <= half)]
+        kept = kept[: out.size - filled]
+        out[filled : filled + kept.size] = kept
+        filled += kept.size
+    out /= nu_b
 
 
 def sample_pairs(
@@ -237,44 +241,40 @@ def sample_pairs(
     seed: int,
     *,
     window_periods: float = 5.0,
-    tau_window: tuple[float, float] | None = None,
 ) -> tuple[EventStream, EventStream]:
     """Correlated pair streams whose delay histogram traces the comb.
 
     The number of pairs is Poisson with mean pair_rate * duration. Each
-    pair's delay t1 - t2 is drawn by inverse-CDF sampling from the
-    normalized correlation density over a lab-delay window (default:
-    window_periods comb periods centered on the geometric offset); t2
-    is uniform over the duration and t1 wraps modulo the duration, so
-    both marginal streams are exactly flat. Optional Gaussian jitter of
-    width jitter_sigma is added to every timestamp (also wrapped).
+    pair's delay t1 - t2 is drawn exactly from g2_closed within
+    window_periods comb periods centred on the geometric offset (see
+    _draw_delays); t2 is uniform over the duration and t1 wraps modulo
+    it, so both marginal streams are exactly flat. Gaussian jitter of
+    width jitter_sigma is added to (and wraps) every timestamp.
     Detector 1 receives the signal-side times.
     """
-    if pair_rate <= 0:
+    # Written so that a NaN fails them too.
+    if not pair_rate > 0:
         raise ValueError("pair_rate must be positive")
-    if duration <= 0:
+    if not duration > 0:
         raise ValueError("duration must be positive")
-    if jitter_sigma < 0:
+    if not jitter_sigma >= 0:
         raise ValueError("jitter_sigma must be non-negative")
-    if tau_window is None:
-        half = 0.5 * window_periods / lattice.nu_b
-        center = geom.retarded_offset
-        tau_window = (center - half, center + half)
-    grid, cdf = _delay_density_grid(lattice, geom, tau_window)
+    if not 0 < window_periods < math.inf:
+        raise ValueError("window_periods must be positive and finite")
 
     # The delays are drawn into t1's buffer and every later step works
     # in place, so at most three pair-sized arrays are held at once.
     count = int(derive_rng(seed, LABEL_PAIR_COUNT).poisson(pair_rate * duration))
-    t1 = np.interp(derive_rng(seed, LABEL_PAIR_DELAY).uniform(0.0, 1.0, size=count), cdf, grid)
-    del grid, cdf
+    t1 = np.empty(count)
+    _draw_delays(lattice, window_periods, derive_rng(seed, LABEL_PAIR_DELAY), t1)
+    t1 += geom.retarded_offset
     t2 = derive_rng(seed, LABEL_PAIR_PLACEMENT).uniform(0.0, duration, size=count)
     t1 += t2
     np.mod(t1, duration, out=t1)
     if jitter_sigma > 0:
-        t1 += derive_rng(seed, LABEL_JITTER_DET1).normal(0.0, jitter_sigma, count)
-        np.mod(t1, duration, out=t1)
-        t2 += derive_rng(seed, LABEL_JITTER_DET2).normal(0.0, jitter_sigma, count)
-        np.mod(t2, duration, out=t2)
+        for t, label in ((t1, LABEL_JITTER_DET1), (t2, LABEL_JITTER_DET2)):
+            t += derive_rng(seed, label).normal(0.0, jitter_sigma, count)
+            np.mod(t, duration, out=t)
     t1.sort()
     t2.sort()
     s1 = EventStream(1, t1, duration, pair_rate, seed)

@@ -35,10 +35,6 @@ TWO_PI = 2.0 * math.pi
 
 _MAX_CUTOFF = 12
 
-# log of the largest double; factorial coefficients beyond this cannot
-# be represented and the construction must fail loudly.
-_LOG_DBL_MAX = math.log(np.finfo(float).max)
-
 
 @dataclass(frozen=True)
 class TruncatedPairState:
@@ -115,19 +111,13 @@ def build_perturbation_state(n: int, cutoff: int) -> tuple[TruncatedPairState, n
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
     top = min(n, cutoff)
-    log_peak = math.lgamma(n + 1) - math.lgamma(n - top + 1)
-    if log_peak > _LOG_DBL_MAX:
-        raise OverflowError(
-            f"raw coefficient for n={n}, m={top} exceeds double range"
-        )
     raw = np.zeros(cutoff + 1)
     raw[0] = 1.0
-    for m in range(top):
-        raw[m + 1] = raw[m] * (n - m)
+    with np.errstate(over="ignore"):
+        for m in range(top):
+            raw[m + 1] = raw[m] * (n - m)
     if not np.isfinite(raw).all():
-        raise OverflowError(
-            f"raw coefficient for n={n}, m={top} exceeds double range"
-        )
+        raise OverflowError(f"raw coefficient for n={n}, m={top} exceeds double range")
     amps = raw / np.linalg.norm(raw)
     return TruncatedPairState(cutoff, amps.astype(complex)), raw
 

@@ -147,9 +147,18 @@ def fit_comb(hist: CoincidenceHistogram, n_modes: int, nu_b: float) -> CombFit:
     # bin, a level no count resolves, so every bin's mean stays positive.
     lowest = 1e-6 * hist.total_pairs / hist.counts.size
     theta = _folded_start(hist, n_modes, nu_b)
-    theta[1] = max(theta[1], lowest)
+    step, deviance = np.zeros(4), math.inf
     for _ in range(_MAX_STEPS):
-        fisher, score, deviance = _scoring_terms(hist, n_modes, theta)
+        trial = theta + step
+        trial[1] = max(trial[1], lowest)
+        terms = _scoring_terms(hist, n_modes, trial)
+        # Halve a step that lowers the likelihood; full steps can cycle at a zero floor.
+        if terms[2] > deviance and score @ step >= _TOL:
+            step *= 0.5
+            continue
+        theta, (fisher, score, deviance) = trial, terms
+        if not theta[0] > 0:
+            raise ValueError("no comb in the histogram")
         # A floor at its bound that the likelihood would lower stays put.
         free = np.array([True, theta[1] > lowest or score[1] > 0, True, True])
         fisher = fisher[np.ix_(free, free)]
@@ -157,10 +166,6 @@ def fit_comb(hist: CoincidenceHistogram, n_modes: int, nu_b: float) -> CombFit:
         step[free] = np.linalg.solve(fisher, score[free])
         if score @ step < _TOL:
             break
-        theta += step
-        theta[1] = max(theta[1], lowest)
-        if not theta[0] > 0:
-            raise ValueError("no comb in the histogram")
     else:
         raise ValueError(f"comb fit did not converge in {_MAX_STEPS} steps")
 

@@ -1,4 +1,4 @@
-"""Acceptance gate: nine end-to-end criteria, one test each.
+"""Acceptance gate: ten end-to-end criteria, one test each.
 
 Every test prints one `[criterion N] PASS/FAIL` line (written straight
 to the terminal so it survives pytest's capture) and then asserts, so
@@ -305,3 +305,27 @@ def test_criterion_09_outputs_are_deterministic(tmp_path, capsys):
     )
     assert ok, report(9, ok, detail)
     report(9, ok, detail)
+
+
+def test_criterion_10_offset_recovery_at_paper_scale():
+    """The paper's N = 1e5 comb: simulate and fit a 10 ns offset.
+
+    simulate's defaults (1e6 pairs at 4 Hz over 2.5e5 s) with 500 ps
+    teeth binned at 5e-11 s, ten bins per tooth width: 5e6 bins over
+    +/-125 us. The library calls are the ones `simulate` makes.
+    """
+    start = time.monotonic()
+    lat = ModeLattice(n_modes=100_000, nu_b=20e3, nu_s0=CARRIER)
+    geom = DetectorGeometry(r1=10.0e-9 * SPEED_OF_LIGHT, r2=0.0)
+    hist = simulate_histogram(lat, geom, 4.0, 2.5e5, seed=101, bin_width=5e-11)
+    fit = fit_comb(hist, lat.n_modes, lat.nu_b)
+    err = abs(fit.offset_est - geom.retarded_offset)
+    elapsed = time.monotonic() - start
+    ok = hist.counts.size == 5_000_000 and err < 3 * fit.offset_stderr and elapsed < 120.0
+    detail = (
+        f"N=1e5, {hist.counts.size} bins, {hist.total_pairs} pairs: offset "
+        f"{fit.offset_est * 1e9:.6f} ns vs true 10 ns, |err| {err:.2e} s < 3 sigma "
+        f"{3 * fit.offset_stderr:.2e} s; {elapsed:.1f} s (limit 120 s)"
+    )
+    assert ok, report(10, ok, detail)
+    report(10, ok, detail)

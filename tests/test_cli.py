@@ -523,16 +523,17 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
     # SHA-256 of one dense run with accidentals (sim-dense rates over
-    # 20 s: 3.3e5 events per detector, about 4 tallied pairs per event),
-    # written by the code before streams were sorted in place and the
-    # tally was budgeted; results.json's digest was re-taken when the
-    # template fit replaced the peak finder. Pins the bytes, not just
-    # run-to-run agreement.
+    # 20 s: 3.3e5 events per detector, about 4 tallied pairs per event).
+    # stream_d2.bin was written by the code before streams were sorted
+    # in place and the tally was budgeted; stream_d1.bin, histogram.csv
+    # and results.json were re-taken when the exact rejection sampler
+    # replaced the tabulated delay CDF (detector 2's times do not depend
+    # on the delays). Pins the bytes, not just run-to-run agreement.
     GOLDEN_SIMULATE = {
-        "stream_d1.bin": "0b7208a1b444fa5614bb2f7a27eb9f622f82b1aa8901f9ca9bd96045def2f0a8",
+        "stream_d1.bin": "a497ef2822f1271b632712fc3da9c6e37affb665a08c55961674189d63ced97e",
         "stream_d2.bin": "c529e7dc9136e9d74d060dce0811029e70ed4a8e0c3a5aac94a7d5d78f010e94",
-        "histogram.csv": "eb7f2406b6a23b94d8752ee63d1207879d81be55728f8e6733c9f1bc169749ec",
-        "results.json": "2cae2b529934eb25c957f0b263211a76b67d3543d8a871375b7376b69b14fdac",
+        "histogram.csv": "df3ede6f2ef6181cb78bdf485adb2c59c668e5f605f8c1fde13e25b8d27ed3be",
+        "results.json": "a413b2bb5736f72a07aae9dc451c6a017d69bb29e9a7986e1da7db719fb3cedc",
     }
 
     def test_simulate_bytes_match_golden_digests(self, tmp_path, capsys):

@@ -125,11 +125,20 @@ class TestRunConfig:
             ("fidelity_n", -1),
             ("fidelity_cutoff", -3),
             ("fidelity_cutoff", 10**4 + 1),
+            ("fidelity_n", 10**6),
         ],
     )
     def test_validation_rejects(self, key, value):
         with pytest.raises(ValueError, match=key):
             load_config(overrides={key: value})
+
+    def test_large_fidelity_n_with_a_low_cutoff_is_accepted(self):
+        # n!/(n-10)! is about 1e60 at n = 1e6, well inside double range;
+        # at the default cutoff of 120 it would be about 1e720.
+        cfg = load_config(overrides={"fidelity_n": 10**6, "fidelity_cutoff": 10})
+        assert (cfg.fidelity_n, cfg.fidelity_cutoff) == (10**6, 10)
+        with pytest.raises(ValueError, match="fidelity_cutoff"):
+            load_config(overrides={"fidelity_n": 10**6})
 
     @pytest.mark.parametrize(
         "key,text",

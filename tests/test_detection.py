@@ -14,7 +14,13 @@ from scipy import stats
 
 from ghostcomb import detection
 from ghostcomb.io import EventStreamFile, write_event_stream
-from ghostcomb.seeding import LABEL_ACCIDENTAL_DET1, LABEL_ACCIDENTAL_DET2, derive_rng
+from ghostcomb.correlation import TWO_PI
+from ghostcomb.seeding import (
+    LABEL_ACCIDENTAL_DET1,
+    LABEL_ACCIDENTAL_DET2,
+    LABEL_PAIR_DELAY,
+    derive_rng,
+)
 from ghostcomb import (
     CoincidenceHistogram,
     DetectorGeometry,
@@ -33,6 +39,7 @@ from ghostcomb import (
 
 CARRIER = 2.82e14
 LAT10 = ModeLattice(n_modes=10, nu_b=20e3, nu_s0=CARRIER)
+LAT1E5 = ModeLattice(n_modes=100_000, nu_b=20e3, nu_s0=CARRIER)
 GEOM0 = DetectorGeometry(r1=0.0, r2=0.0)
 
 
@@ -179,7 +186,8 @@ class TestSamplePairs:
         dens = np.asarray(g2_closed(LAT10, grid))
         centers = np.arange(-2, 3) / LAT10.nu_b
         lobe = np.min(np.abs(grid[:, None] - centers[None, :]), axis=1) <= width
-        frac_expected = np.trapezoid(dens * lobe, grid) / np.trapezoid(dens, grid)
+        panels = 0.5 * (dens[1:] + dens[:-1]) * np.diff(grid)
+        frac_expected = np.sum(panels * lobe[1:]) / np.sum(panels)
         taus = hist.bin_centers
         in_lobe = np.min(np.abs(taus[:, None] - centers[None, :]), axis=1) <= width
         frac = hist.counts[in_lobe].sum() / hist.total_pairs
@@ -216,31 +224,150 @@ class TestSamplePairs:
 
     @pytest.mark.parametrize("jitter", [0.0, 1e-7])
     def test_draws_in_place(self, jitter):
-        # LAT10's delay grid (2501 points) is negligible beside 2e5
-        # pairs, so the peak is the two output streams plus at most one
-        # pair-sized temporary.
+        # The delays are drawn in fixed batches of a few hundred kB, so
+        # the peak is the two output streams plus at most one pair-sized
+        # temporary.
         (s1, s2), peak = traced_peak(sample_pairs, LAT10, GEOM0, 2e5, 1.0, jitter, seed=3)
         assert peak <= 1.6 * (s1.timestamps.nbytes + s2.timestamps.nbytes)
 
-    def test_degenerate_window_is_an_error(self):
-        with pytest.raises(ValueError, match="extent"):
-            sample_pairs(
-                LAT10, GEOM0, 1.0, 10.0, 0.0, seed=1, tau_window=(1e-5, 1e-5)
-            )
-
-    def test_oversized_window_is_an_error(self):
-        with pytest.raises(ValueError, match="narrow"):
-            sample_pairs(
-                LAT10, GEOM0, 1.0, 10.0, 0.0, seed=1, tau_window=(-0.3, 0.3)
-            )
+    def test_memory_does_not_grow_with_the_comb(self):
+        # At N = 1e5 a tabulated CDF would need 250 N points (200 MB);
+        # the sampler's batches do not depend on N.
+        (s1, s2), peak = traced_peak(sample_pairs, LAT1E5, GEOM0, 2e5, 1.0, 0.0, seed=3)
+        assert peak <= 1.6 * (s1.timestamps.nbytes + s2.timestamps.nbytes)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            sample_pairs(LAT10, GEOM0, 0.0, 1.0, 0.0, seed=1)
-        with pytest.raises(ValueError):
-            sample_pairs(LAT10, GEOM0, 1.0, 0.0, 0.0, seed=1)
-        with pytest.raises(ValueError):
-            sample_pairs(LAT10, GEOM0, 1.0, 1.0, -1e-9, seed=1)
+        # Each argument is refused by name, and a NaN fails each check
+        # rather than passing it.
+        for args, message in [
+            ((0.0, 1.0, 0.0), "pair_rate"),
+            ((np.nan, 1.0, 0.0), "pair_rate"),
+            ((1.0, 0.0, 0.0), "duration"),
+            ((1.0, np.nan, 0.0), "duration"),
+            ((1.0, 1.0, -1e-9), "jitter_sigma"),
+            ((100.0, 1.0, np.nan), "jitter_sigma"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                sample_pairs(LAT10, GEOM0, *args, seed=1)
+        for periods in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="window_periods"):
+                sample_pairs(LAT10, GEOM0, 1.0, 10.0, 0.0, seed=1, window_periods=periods)
+
+
+def ks_distance(samples, cdf):
+    """Kolmogorov-Smirnov distance of samples from the CDF cdf(x)."""
+    f = cdf(np.sort(samples))
+    m = f.size
+    return max(np.max(np.arange(1, m + 1) / m - f), np.max(f - np.arange(m) / m))
+
+
+def ks_critical(m):
+    """The 1% critical value of the KS distance for m samples."""
+    return 1.628 / math.sqrt(m)
+
+
+def trapezoid_cdf(grid, density):
+    """Normalized running trapezoid integral of density over grid."""
+    panels = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
+    cdf = np.concatenate(([0.0], np.cumsum(panels)))
+    return cdf / cdf[-1]
+
+
+def draw_delays(lattice, window_periods, count, seed, rng=None):
+    """count retarded delays from the sampler, by default on its own stream."""
+    out = np.empty(count)
+    rng = rng if rng is not None else derive_rng(seed, LABEL_PAIR_DELAY)
+    detection._draw_delays(lattice, window_periods, rng, out)
+    return out
+
+
+class CountingRng:
+    """Wraps a Generator and counts the proposals drawn: one column each."""
+
+    def __init__(self, rng):
+        self.rng, self.proposals = rng, 0
+
+    def random(self, shape):
+        self.proposals += shape[-1]
+        return self.rng.random(shape)
+
+
+class TestDrawDelays:
+    """The gridless sampler draws exactly from the comb, at bounded cost.
+
+    Every expectation is integrated here from the sin ratio or from
+    g2_closed on a grid; none comes from the sampler.
+    """
+
+    @pytest.mark.parametrize("n_modes", [10, 1000, 100_000])
+    def test_folded_phase_matches_the_kernel(self, n_modes):
+        # Delays folded into one period, against K_N integrated on a grid
+        # of 400 points per tooth width within 20 widths of the peak and
+        # 40 per width beyond, where the side lobes oscillate.
+        lat = ModeLattice(n_modes=n_modes, nu_b=20e3, nu_s0=CARRIER)
+        turns = draw_delays(lat, 5.0, 10**6, seed=n_modes) * lat.nu_b
+        phase = TWO_PI * (turns - np.rint(turns))
+        width = TWO_PI / n_modes
+        near = np.linspace(0.0, min(20 * width, math.pi), 8001)
+        far = np.linspace(near[-1], math.pi, int((math.pi - near[-1]) / width * 40) + 2)
+        x = np.concatenate((near, far[1:]))
+        with np.errstate(invalid="ignore"):
+            kernel = (np.sin(0.5 * n_modes * x) / np.sin(0.5 * x)) ** 2
+        kernel[0] = n_modes**2
+        half = trapezoid_cdf(x, kernel)
+        cdf = lambda v: 0.5 + 0.5 * np.sign(v) * np.interp(np.abs(v), x, half)
+        assert ks_distance(phase, cdf) < ks_critical(phase.size)
+
+    def test_period_index_is_uniform(self):
+        lat = ModeLattice(n_modes=1000, nu_b=20e3, nu_s0=CARRIER)
+        turns = draw_delays(lat, 7.0, 10**5, seed=4) * lat.nu_b
+        counts = np.bincount((np.rint(turns) + 3).astype(int), minlength=7)
+        assert counts.size == 7
+        assert stats.chisquare(counts).pvalue > 0.01
+
+    @pytest.mark.parametrize(
+        "n_modes, delta_nu, window_periods",
+        [(1000, 0.0, 2.5), (1000, 200.0, 5.0), (10, 200.0, 1000.0), (10, 19_000.0, 10.0)],
+        ids=["window-2.5", "linewidth-200Hz", "linewidth-200Hz-wide", "linewidth-19kHz"],
+    )
+    def test_delays_match_g2_closed_over_the_window(self, n_modes, delta_nu, window_periods):
+        # The wide case spans five envelope lobes each way, and the last
+        # puts the envelope's zeros a period apart: in both the period
+        # proposal follows the envelope's 1/tau^2 bound, not a flat one.
+        lat = ModeLattice(n_modes=n_modes, nu_b=20e3, nu_s0=CARRIER, delta_nu=delta_nu)
+        half = 0.5 * window_periods / lat.nu_b
+        steps = int(2 * half / comb_peak_width(lat) * 40)
+        grid = np.linspace(-half, half, steps + 1)
+        cdf = trapezoid_cdf(grid, np.asarray(g2_closed(lat, grid)))
+        delays = draw_delays(lat, window_periods, 3 * 10**5, seed=9)
+        assert np.all(np.abs(delays) <= half)
+        distance = ks_distance(delays, lambda v: np.interp(v, grid, cdf))
+        assert distance < ks_critical(delays.size)
+
+    @pytest.mark.parametrize("delta_nu", [0.0, 200.0, 19_999.0])
+    @pytest.mark.parametrize("window_periods", [1e-4, 0.01, 0.5, 1.01, 2.5, 5.0, 1e4])
+    def test_proposals_per_delay_are_bounded(self, window_periods, delta_nu):
+        # The phase proposal holds 4 pi N against K_N's 2 pi N, and the
+        # period proposal at most 4 (p + 1) / (pi p), p = nu_b / (pi dnu),
+        # against the envelope's mass: 10.5 proposals per delay as dnu
+        # nears nu_b. A window just over one period covers three; one
+        # inside a period narrows the phase proposal instead.
+        lat = ModeLattice(n_modes=1000, nu_b=20e3, nu_s0=CARRIER, delta_nu=delta_nu)
+        rng = CountingRng(derive_rng(2, LABEL_PAIR_DELAY))
+        delays = draw_delays(lat, window_periods, 2 * 10**5, seed=2, rng=rng)
+        assert np.all(np.abs(delays) * lat.nu_b <= 0.5 * window_periods)
+        assert rng.proposals / delays.size < 12.0
+
+    def test_two_proposals_per_delay_at_zero_linewidth(self):
+        rng = CountingRng(derive_rng(2, LABEL_PAIR_DELAY))
+        delays = draw_delays(LAT1E5, 5.0, 10**6, seed=2, rng=rng)
+        assert rng.proposals / delays.size < 2.1
+
+    def test_batches_make_the_draws_a_prefix(self):
+        # Fixed-size batches: a shorter draw is the start of a longer one.
+        long = draw_delays(LAT10, 5.0, 50_000, seed=6)
+        short = draw_delays(LAT10, 5.0, 1234, seed=6)
+        assert short.tobytes() == long[:1234].tobytes()
 
 
 class TestAddSingles:
@@ -514,29 +641,6 @@ class TestStreamMemory:
         m, peak = traced_peak(add_singles, pairs, 1e6, 9, LABEL_ACCIDENTAL_DET2)
         assert len(m) > 10 * len(pairs)
         assert peak <= 1.2 * m.timestamps.nbytes
-
-
-class TestDelayDensityGrid:
-    """The sampling grid is evaluated in blocks, with no grid-sized temporaries."""
-
-    # About 1e6 points: 1000 modes at 50 points per width over 20 periods.
-    LAT = ModeLattice(n_modes=1000, nu_b=20e3, nu_s0=CARRIER)
-    GEOM = DetectorGeometry(r1=3.0, r2=0.0)
-    WINDOW = (-5e-4, 5e-4)
-
-    def test_cdf_matches_full_array_formula_in_a_few_grid_arrays(self):
-        (grid, cdf), peak = traced_peak(
-            detection._delay_density_grid, self.LAT, self.GEOM, self.WINDOW
-        )
-        assert grid.size > 1e6
-        # The whole-grid formula the blocked evaluation replaced.
-        density = g2_closed(self.LAT, grid - self.GEOM.retarded_offset)
-        expected = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(grid)))
-        )
-        assert np.array_equal(cdf, expected / expected[-1])
-        # grid, density and cdf; the whole-grid formula took about 15.
-        assert peak <= 3.5 * grid.nbytes
 
 
 class TestContrast:
