@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import io as gio
-from .config import RunConfig, load_config, parse_overrides
+from .config import _METHODS, RunConfig, load_config, parse_overrides
 from .correlation import (
     comb_peak_orders,
     comb_peak_positions,
@@ -60,16 +60,6 @@ _MC_SAMPLE_CAP = 10**9
 
 def _threads(cfg: RunConfig) -> int:
     return cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
-
-
-def _lattice_dict(cfg: RunConfig) -> dict:
-    return {
-        "n_modes": cfg.n_modes,
-        "nu_b_hz": cfg.nu_b_hz,
-        "nu_s0_hz": cfg.nu_s0_hz,
-        "delta_nu_hz": cfg.delta_nu_hz,
-        "profile": cfg.profile,
-    }
 
 
 def _write_manifest(out: Path, cfg: RunConfig, command: str, outputs: list[str]) -> None:
@@ -205,7 +195,9 @@ def cmd_curve(cfg: RunConfig, out: Path) -> int:
 
     peaks, truncated = _peak_list(cfg)
     summary = {
-        "lattice": _lattice_dict(cfg),
+        "lattice": {
+            key: getattr(cfg, key) for key in ("n_modes", "nu_b_hz", "nu_s0_hz", "delta_nu_hz")
+        },
         "geometry": {"r1_m": cfg.r1_m, "r2_m": cfg.r2_m, "c_mps": cfg.c_mps},
         "method": cfg.method,
         "normalization": primary.normalization,
@@ -422,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="path to a key=value config file")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
-        p.add_argument("--out", help="output directory (overrides config)")
+        p.add_argument("--out", dest="out_dir", help="output directory (overrides config)")
         p.add_argument("--threads", type=int, help="worker threads, 0 = auto")
         p.add_argument(
             "--set",
@@ -436,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_curve)
     p_curve.add_argument(
         "--method",
-        choices=["closed", "direct", "mc", "fock", "all"],
+        choices=_METHODS,
         help="evaluation method (overrides config)",
     )
 
@@ -459,14 +451,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         overrides = parse_overrides(args.sets)
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if args.threads is not None:
-            overrides["threads"] = args.threads
-        if getattr(args, "method", None) is not None:
-            overrides["method"] = args.method
+        # Dedicated flags are stored under their config keys.
+        for key in ("seed", "out_dir", "threads", "method"):
+            if getattr(args, key, None) is not None:
+                overrides[key] = getattr(args, key)
         cfg = load_config(args.config, overrides)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -11,10 +11,13 @@ run's manifest so a run is reproducible from the manifest alone.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
-from .fock import _MAX_CUTOFF
+from .correlation import _MAX_MODES
+from .fock import _MAX_CUTOFF, build_coherent_product, build_perturbation_state
 from .lattice import SPEED_OF_LIGHT, DetectorGeometry, ModeLattice
 
 _METHODS = ("closed", "direct", "mc", "fock", "all")
@@ -48,7 +51,6 @@ class RunConfig:
     nu_b_hz: float = 20e3
     nu_s0_hz: float = 2.82e14
     delta_nu_hz: float = 0.0
-    profile: str = "rectangular"
     r1_m: float = 0.0
     r2_m: float = 0.0
     c_mps: float = SPEED_OF_LIGHT
@@ -88,7 +90,6 @@ class RunConfig:
             nu_b=self.nu_b_hz,
             nu_s0=self.nu_s0_hz,
             delta_nu=self.delta_nu_hz,
-            profile=self.profile,
         )
 
     def geometry(self) -> DetectorGeometry:
@@ -103,62 +104,36 @@ class RunConfig:
         )
 
     def validate(self) -> "RunConfig":
-        """Cross-field checks beyond what the dataclass types enforce."""
+        """Check every key against _RULES, then the rules that join keys.
+
+        Each refusal is a ValueError that names the key or keys at fault.
+        """
         for key, kind in _FIELD_TYPES.items():
-            if kind == "float" and not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
-        self.lattice()
-        self.geometry()
-        if self.method not in _METHODS:
-            raise ValueError(
-                f"method must be one of {', '.join(_METHODS)}; got {self.method!r}"
-            )
+            value = getattr(self, key)
+            if not isinstance(value, _TYPES[kind]) or isinstance(value, bool):
+                raise ValueError(f"{key} must be of type {kind}, got {value!r}")
+            if kind == "float" and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+            for op, bound in _RULES[key]:
+                if not _TESTS[op](value, bound):
+                    raise ValueError(f"{key} must be {op} {bound}, got {value!r}")
         if not self.tau_max_s > self.tau_min_s:
             raise ValueError("tau_max_s must exceed tau_min_s")
-        if not 2 <= self.n_points <= _MAX_POINTS:
-            raise ValueError(f"n_points must lie in [2, {_MAX_POINTS}]")
-        if not 2 <= self.mc_realizations <= _MAX_MC_REALIZATIONS:
-            raise ValueError(f"mc_realizations must lie in [2, {_MAX_MC_REALIZATIONS}]")
-        if self.pair_rate_hz <= 0:
-            raise ValueError("pair_rate_hz must be positive")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.jitter_sigma_s < 0:
-            raise ValueError("jitter_sigma_s must be non-negative")
-        if self.window_periods <= 0:
-            raise ValueError("window_periods must be positive")
-        if self.accidental_rate_hz < 0:
-            raise ValueError("accidental_rate_hz must be non-negative")
+        if not self.delta_nu_hz < self.nu_b_hz:
+            raise ValueError("delta_nu_hz must stay below nu_b_hz; modes would overlap")
         events = (self.pair_rate_hz + self.accidental_rate_hz) * self.duration_s
         if events > _MAX_EVENTS:
             raise ValueError(
                 f"(pair_rate_hz + accidental_rate_hz) * duration_s gives {events:.3g} "
                 f"expected events per detector; at most {_MAX_EVENTS:.0e} are allowed"
             )
-        if self.bin_width_s <= 0:
-            raise ValueError("bin_width_s must be positive")
-        if self.contrast_floor < 1:
-            raise ValueError("contrast_floor must be positive")
-        if self.oracle_pairs < 1:
-            raise ValueError("oracle_pairs must be positive")
-        if self.oracle_alpha <= 0:
-            raise ValueError("oracle_alpha must be positive")
-        if not 0 <= self.oracle_cutoff <= _MAX_CUTOFF:
-            raise ValueError(f"oracle_cutoff must lie in [0, {_MAX_CUTOFF}]")
-        if not 2 <= self.oracle_n_points <= _MAX_POINTS:
-            raise ValueError(f"oracle_n_points must lie in [2, {_MAX_POINTS}]")
-        if self.fidelity_n < 0:
-            raise ValueError("fidelity_n must be non-negative")
-        if not 0 <= self.fidelity_cutoff <= _MAX_FIDELITY_CUTOFF:
-            raise ValueError(f"fidelity_cutoff must lie in [0, {_MAX_FIDELITY_CUTOFF}]")
-        # The largest raw coefficient, n!/(n-m)! at m = min(n, c), must stay below 2^1024.
-        n, c = self.fidelity_n, self.fidelity_cutoff
-        if math.lgamma(n + 1) - math.lgamma(n - min(n, c) + 1) >= 1024 * math.log(2):
-            raise ValueError(f"fidelity_n={n} with fidelity_cutoff={c} overflows a double")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if not 0 <= self.threads <= _MAX_THREADS:
-            raise ValueError(f"threads must lie in [0, {_MAX_THREADS}] (0 = auto)")
+        # The fidelity diagnostic's states, built as `oracle` builds them.
+        n, cutoff = self.fidelity_n, self.fidelity_cutoff
+        try:
+            pert, _ = build_perturbation_state(n, cutoff)
+            build_coherent_product(math.sqrt(pert.mean_pair_number()), cutoff)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"fidelity_n={n} with fidelity_cutoff={cutoff}: {exc}") from exc
         return self
 
     def as_dict(self) -> dict:
@@ -166,34 +141,86 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclass_fields(RunConfig)}
+_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+_TESTS = {
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<=": operator.le,
+    "in": lambda value, choices: value in choices,
+}
+
+# Every key's bounds, as (test, bound) pairs that its value must pass.
+# Float values must also be finite. With the rules in validate() that
+# join keys, they accept nothing that lattice() or geometry() refuses.
+# The work caps that depend on the command are checked by that command.
+_RULES = {
+    "n_modes": ((">=", 1), ("<=", _MAX_MODES)),
+    "nu_b_hz": ((">", 0),),
+    "nu_s0_hz": ((">", 0),),
+    "delta_nu_hz": ((">=", 0),),
+    "r1_m": ((">=", 0),),
+    "r2_m": ((">=", 0),),
+    "c_mps": ((">", 0),),
+    "tau_min_s": (),
+    "tau_max_s": (),
+    "n_points": ((">=", 2), ("<=", _MAX_POINTS)),
+    "method": (("in", _METHODS),),
+    "mc_realizations": ((">=", 2), ("<=", _MAX_MC_REALIZATIONS)),
+    "pair_rate_hz": ((">", 0),),
+    "duration_s": ((">", 0),),
+    "jitter_sigma_s": ((">=", 0),),
+    "window_periods": ((">", 0),),
+    "accidental_rate_hz": ((">=", 0),),
+    "bin_width_s": ((">", 0),),
+    "contrast_floor": ((">=", 1),),
+    "oracle_pairs": ((">=", 1),),
+    "oracle_alpha": ((">", 0),),
+    "oracle_cutoff": ((">=", 0), ("<=", _MAX_CUTOFF)),
+    "oracle_n_points": ((">=", 2), ("<=", _MAX_POINTS)),
+    "fidelity_n": ((">=", 0),),
+    "fidelity_cutoff": ((">=", 0), ("<=", _MAX_FIDELITY_CUTOFF)),
+    "seed": ((">=", 0),),
+    "threads": ((">=", 0), ("<=", _MAX_THREADS)),
+    "out_dir": (),
+}
 
 
-def _coerce(key: str, text: str):
-    """Parse a raw string into the declared type of the config key."""
-    kind = _FIELD_TYPES[key]
-    text = text.strip()
-    if kind == "int":
-        value = float(text)
-        if not math.isfinite(value) or value != int(value):
-            raise ValueError(f"config key {key!r} expects an integer, got {text!r}")
-        return int(value)
+def _coerce(key: str, value, where: str = ""):
+    """Check that key is a config key; parse a string value to its type.
+
+    where prefixes every error, to place it in a config file.
+    """
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
+        raise ValueError(f"{where}unknown config key: {key!r}")
+    if not isinstance(value, str):
+        return value
+    text = value.strip()
+    if kind == "str":
+        return text
+    try:
+        number = float(text)
+    except ValueError:
+        raise ValueError(f"{where}config key {key!r} expects a number, got {text!r}") from None
     if kind == "float":
-        return float(text)
-    return text
+        return number
+    if not math.isfinite(number) or number != int(number):
+        raise ValueError(f"{where}config key {key!r} expects an integer, got {text!r}")
+    return int(number)
+
+
+def _parse_item(item: str, where: str = "") -> tuple:
+    """Split a `key = value` item, from a file line or --set, and type it."""
+    key, eq, text = item.partition("=")
+    if not eq:
+        raise ValueError(f"{where}expected key=value, got {item!r}")
+    key = key.strip()
+    return key, _coerce(key, text, where)
 
 
 def parse_overrides(pairs) -> dict:
     """Turn `key=value` strings (from --set flags) into typed values."""
-    out = {}
-    for item in pairs or ():
-        if "=" not in item:
-            raise ValueError(f"override {item!r} is not of the form key=value")
-        key, _, text = item.partition("=")
-        key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise ValueError(f"unknown config key: {key!r}")
-        out[key] = _coerce(key, text)
-    return out
+    return dict(_parse_item(item) for item in pairs or ())
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
@@ -202,20 +229,9 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     if path is not None:
         for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'key = value', got {line!r}"
-                )
-            key, _, text = line.partition("=")
-            key = key.strip()
-            if key not in _FIELD_TYPES:
-                raise ValueError(f"{path}:{lineno}: unknown config key: {key!r}")
-            values[key] = _coerce(key, text)
-    if overrides:
-        for key, value in overrides.items():
-            if key not in _FIELD_TYPES:
-                raise ValueError(f"unknown config key: {key!r}")
-            values[key] = value if not isinstance(value, str) else _coerce(key, value)
+            if line:
+                key, value = _parse_item(line, f"{path}:{lineno}: ")
+                values[key] = value
+    for key, value in (overrides or {}).items():
+        values[key] = _coerce(key, value)
     return RunConfig(**values).validate()

@@ -52,6 +52,9 @@ SINC_SQ_HALF_POWER = 1.3915573782515098
 # at u = 0 finite and accurate.
 _SINGULAR_SIN_HALF = 1e-8
 
+# Most modes whose phases the head/tail split keeps exact (see above).
+_MAX_MODES = 2**27 - 1
+
 _MC_CHUNK = 512
 # Realizations drawn and reduced at once within a chunk: at 1000 modes
 # a block's few temporaries fit in L2 instead of streaming through RAM.
@@ -100,8 +103,8 @@ def dirichlet_kernel(n_modes: int, x) -> np.ndarray | float:
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
     n = int(n_modes)
-    if n >= 2**27:
-        raise ValueError("n_modes too large for exact phase splitting")
+    if n > _MAX_MODES:
+        raise ValueError(f"n_modes above {_MAX_MODES} is too large for exact phase splitting")
     xs = np.asarray(x, dtype=float)
     u = _wrap(xs)
     s = np.sin(0.5 * u)
@@ -151,7 +154,7 @@ def psi_direct(
     if weights is not None:
         terms = terms * weights
     comb = complex(math.fsum(terms.real), math.fsum(terms.imag))
-    pump = np.exp(-1j * math.pi * lattice.nu_p * (tau1 + tau2))
+    pump = np.exp(-1j * math.pi * (2.0 * lattice.nu_s0) * (tau1 + tau2))
     return complex(pump) * comb
 
 

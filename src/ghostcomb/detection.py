@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlation import comb_peak_orders, comb_peak_positions, comb_peak_width
-from .correlation import dirichlet_kernel
+from .correlation import comb_peak_width, dirichlet_kernel
 from .lattice import DetectorGeometry, ModeLattice
 from .seeding import (
     LABEL_JITTER_DET1,
@@ -60,6 +59,9 @@ _MERGE_RATIO = 2
 _PAIR_BUDGET = 1 << 17
 # Most histogram bins; at this cap the counts alone take 80 MB.
 _MAX_HISTOGRAM_BINS = 10_000_000
+# Bins `contrast` classifies at once; its temporaries are a few arrays
+# of this length (about 2 MB), whatever the bin count.
+_CONTRAST_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -434,26 +436,27 @@ def contrast(
             f"histogram has {hist.total_pairs} counts; "
             f"at least {min_counts} required for a contrast estimate"
         )
-    # Widened by a period so every bin's nearest center is included.
-    period = 1.0 / lattice.nu_b
-    orders = comb_peak_orders(lattice, geom, hist.tau_min - period, hist.tau_max + period)
-    centers = comb_peak_positions(lattice, geom, orders)
     width = comb_peak_width(lattice)
-    taus = hist.bin_centers
-    # Distance to the nearest center, as a running minimum over the
-    # centers rather than a bins x centers array.
-    dist = np.full(taus.size, np.inf)
-    gap = np.empty_like(taus)
-    for c in centers:
-        np.subtract(taus, c, out=gap)
-        np.minimum(dist, np.abs(gap, out=gap), out=dist)
-    del gap
-    peak_bins = dist <= width
-    valley_bins = dist >= 3.0 * width
-    if not peak_bins.any() or not valley_bins.any():
+    nu_b, offset = lattice.nu_b, geom.retarded_offset
+    # Count sums and bin counts of the peak and valley regions, over
+    # blocks of bins so no array of the bin count is formed.
+    sums, sizes = [0, 0], [0, 0]
+    for start in range(0, hist.counts.size, _CONTRAST_BLOCK):
+        block = hist.counts[start : start + _CONTRAST_BLOCK]
+        # Bin centres as hist.bin_centers forms them; the nearest comb
+        # centre is the rounded order's or a neighbour's, each formed
+        # as comb_peak_positions forms it.
+        taus = hist.tau_min + (np.arange(start, start + block.size) + 0.5) * hist.bin_width
+        order = np.rint((taus - offset) * nu_b)
+        dist = np.abs(taus - (order / nu_b + offset))
+        for step in (-1.0, 1.0):
+            np.minimum(dist, np.abs(taus - ((order + step) / nu_b + offset)), out=dist)
+        for i, region in enumerate((dist <= width, dist >= 3.0 * width)):
+            sums[i] += int(block[region].sum())
+            sizes[i] += int(np.count_nonzero(region))
+    if not all(sizes):
         raise ValueError("histogram range lacks peak or valley bins")
-    peak_mean = float(hist.counts[peak_bins].mean())
-    valley_mean = float(hist.counts[valley_bins].mean())
+    peak_mean, valley_mean = sums[0] / sizes[0], sums[1] / sizes[1]
     if peak_mean + valley_mean == 0:
         return 0.0
     return (peak_mean - valley_mean) / (peak_mean + valley_mean)

@@ -118,7 +118,10 @@ def build_perturbation_state(n: int, cutoff: int) -> tuple[TruncatedPairState, n
             raw[m + 1] = raw[m] * (n - m)
     if not np.isfinite(raw).all():
         raise OverflowError(f"raw coefficient for n={n}, m={top} exceeds double range")
-    amps = raw / np.linalg.norm(raw)
+    # Scaled by a power of two first, which is exact, so the squared norm
+    # stays finite whenever the coefficients do.
+    scaled = np.ldexp(raw, -math.frexp(raw[top])[1])
+    amps = scaled / np.linalg.norm(scaled)
     return TruncatedPairState(cutoff, amps.astype(complex)), raw
 
 

@@ -1,9 +1,9 @@
 """Mode lattice and detector geometry.
 
 A resonator with free spectral range nu_b supports N signal/idler mode pairs
-around the degenerate point nu_s0 = nu_p/2. Pair n puts its signal at
-nu_s0 + n*nu_b and its idler at nu_s0 - n*nu_b, so every pair sums to the pump
-frequency exactly. The comb depends only on the detunings n*nu_b and on the
+around the degenerate point nu_s0, half the pump frequency. Pair n puts its
+signal at nu_s0 + n*nu_b and its idler at nu_s0 - n*nu_b, so every pair sums to
+the pump frequency 2*nu_s0 exactly. The comb depends only on the detunings n*nu_b and on the
 retarded delay tau = (t1 - t2) - (r1 - r2)/c, so the package never forms
 absolute optical frequencies (~1e14 Hz): a 20 kHz spacing is below the
 double-precision ulp of the carrier.
@@ -12,13 +12,11 @@ double-precision ulp of the carrier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
-
-_PROFILES = ("rectangular",)
 
 
 @dataclass(frozen=True)
@@ -27,18 +25,14 @@ class ModeLattice:
 
     n_modes   -- number of pairs N (>= 1)
     nu_b      -- mode spacing in Hz (finite, > 0); angular spacing is 2*pi*nu_b
-    nu_s0     -- signal central frequency in Hz (finite, > 0)
+    nu_s0     -- signal central frequency in Hz (finite, > 0); the pump is 2*nu_s0
     delta_nu  -- per-mode spectral linewidth in Hz (0 = monochromatic modes)
-    nu_p      -- pump frequency; must equal 2*nu_s0 exactly (degenerate pairing)
-    profile   -- per-mode spectral profile tag ("rectangular" is the only one)
     """
 
     n_modes: int
     nu_b: float
     nu_s0: float
     delta_nu: float = 0.0
-    nu_p: float | None = None
-    profile: str = "rectangular"
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_modes, (int, np.integer)) or isinstance(self.n_modes, bool):
@@ -55,17 +49,6 @@ class ModeLattice:
             raise ValueError(
                 f"delta_nu ({self.delta_nu}) must stay below the mode spacing "
                 f"nu_b ({self.nu_b}); modes would overlap"
-            )
-        if self.nu_p is None:
-            object.__setattr__(self, "nu_p", 2.0 * self.nu_s0)
-        elif self.nu_p != 2.0 * self.nu_s0:
-            raise ValueError(
-                f"nu_p must equal 2*nu_s0 exactly (degenerate pairing): "
-                f"got nu_p={self.nu_p}, 2*nu_s0={2.0 * self.nu_s0}"
-            )
-        if self.profile not in _PROFILES:
-            raise ValueError(
-                f"unknown profile {self.profile!r}; supported: {_PROFILES}"
             )
 
 

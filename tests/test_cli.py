@@ -419,6 +419,27 @@ class TestOracleCommand:
         assert "oracle_pairs=1000001" in err and "reduce oracle_pairs" in err
         assert not (tmp_path / "oracle_comparison.csv").exists()
 
+    def test_fidelity_pair_it_cannot_build_is_refused_at_load(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "oracle", "--out", str(tmp_path),
+            "--set", "fidelity_n=200", "--set", "fidelity_cutoff=10",
+        )
+        assert code == 1
+        assert "fidelity_n=200" in err and "fidelity_cutoff=10" in err
+        assert not (tmp_path / "oracle_comparison.csv").exists()
+
+    def test_fidelity_state_past_the_squared_norm_range(self, tmp_path, capsys):
+        # 100! squared passes the double range; the report stays finite.
+        code, _, err = run(
+            capsys, "oracle", "--out", str(tmp_path),
+            "--set", "fidelity_n=100", "--set", "fidelity_cutoff=250",
+            "--set", "oracle_n_points=11",
+        )
+        assert code == 0, err
+        report = read_json(tmp_path / "fidelity_report.json")
+        assert report["mean_pair_number"] == pytest.approx(99.3022, rel=1e-5)
+        assert 0.0 < report["fidelity"] < 1.0
+
 
 class TestErrorHandling:
     def test_unknown_set_key(self, tmp_path, capsys):

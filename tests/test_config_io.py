@@ -126,19 +126,54 @@ class TestRunConfig:
             ("fidelity_cutoff", -3),
             ("fidelity_cutoff", 10**4 + 1),
             ("fidelity_n", 10**6),
+            ("nu_b_hz", -1.0),
+            ("delta_nu_hz", RunConfig().nu_b_hz),
+            ("r1_m", -1.0),
+            ("r2_m", -1.0),
+            ("c_mps", 0.0),
+            ("nu_s0_hz", 0.0),
+            ("n_modes", 2.5),
+            ("n_modes", 2**27),
         ],
     )
     def test_validation_rejects(self, key, value):
         with pytest.raises(ValueError, match=key):
             load_config(overrides={key: value})
 
-    def test_large_fidelity_n_with_a_low_cutoff_is_accepted(self):
-        # n!/(n-10)! is about 1e60 at n = 1e6, well inside double range;
-        # at the default cutoff of 120 it would be about 1e720.
-        cfg = load_config(overrides={"fidelity_n": 10**6, "fidelity_cutoff": 10})
-        assert (cfg.fidelity_n, cfg.fidelity_cutoff) == (10**6, 10)
-        with pytest.raises(ValueError, match="fidelity_cutoff"):
-            load_config(overrides={"fidelity_n": 10**6})
+    def test_fidelity_pair_is_refused_unless_oracle_can_build_it(self):
+        # n!/(n-10)! fits a double at n = 1e6 and n = 200, but the matched
+        # coherent state needs far more than 10 levels; n!/(n-120)!
+        # overflows a double.
+        for n, cutoff in [(10**6, 10), (200, 10), (10**6, 120)]:
+            with pytest.raises(ValueError, match=r"fidelity_n\b.*fidelity_cutoff\b"):
+                load_config(overrides={"fidelity_n": n, "fidelity_cutoff": cutoff})
+        for n, cutoff in [(50, 120), (10**6, 0), (0, 10), (100, 400)]:
+            cfg = load_config(overrides={"fidelity_n": n, "fidelity_cutoff": cutoff})
+            assert (cfg.fidelity_n, cfg.fidelity_cutoff) == (n, cutoff)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        key=st.sampled_from(sorted(RunConfig().as_dict())),
+        text=st.one_of(
+            st.sampled_from(
+                ["nan", "-nan", "inf", "-inf", "0", "-0", "-1", "-1e-300", "1e-320",
+                 "2.5", "-2.5", "0.5", "1e300", "-1e300", "1e400", "10" * 20, "1e19",
+                 "", "abc", "1,5"]
+            ),
+            st.floats().map(repr),
+            st.integers(min_value=-(10**30), max_value=10**30).map(str),
+        ),
+    )
+    def test_any_set_value_is_accepted_or_refused_by_key(self, key, text):
+        try:
+            cfg = load_config(overrides=parse_overrides([f"{key}={text}"]))
+        except ValueError as exc:
+            assert key in str(exc)
+        else:
+            # What load accepts, the library accepts.
+            cfg.lattice()
+            cfg.geometry()
+            cfg.oracle_lattice()
 
     @pytest.mark.parametrize(
         "key,text",

@@ -643,6 +643,18 @@ class TestStreamMemory:
         assert peak <= 1.2 * m.timestamps.nbytes
 
 
+def running_min_regions(hist, lattice, geom):
+    """Peak and valley bins by a running minimum over every comb center."""
+    period = 1.0 / lattice.nu_b
+    orders = comb_peak_orders(lattice, geom, hist.tau_min - period, hist.tau_max + period)
+    taus = hist.bin_centers
+    dist = np.full(taus.size, np.inf)
+    for c in comb_peak_positions(lattice, geom, orders):
+        np.minimum(dist, np.abs(taus - c), out=dist)
+    width = comb_peak_width(lattice)
+    return dist <= width, dist >= 3.0 * width
+
+
 class TestContrast:
     def synthetic_histogram(self, peak, valley, skirt):
         width = comb_peak_width(LAT10)
@@ -696,6 +708,51 @@ class TestContrast:
         assert value == (peak_mean - valley_mean) / (peak_mean + valley_mean)
         assert centers.size >= 5
         assert peak <= 4 * 8 * n_bins
+
+    @pytest.mark.parametrize(
+        "n_modes,nu_b,r1,bin_width,tau_min,tau_max",
+        [
+            (10, 20e3, 0.0, 5e-9, -1.25e-4, 1.25e-4),
+            (7, 17e3, 2.99792458, 3.7e-9, -1.3e-4, 1.1e-4),
+            # Bin centres fall on the midpoints between comb centres, where
+            # the two nearest centres tie.
+            (7, 20e3, 0.0, 1 / (14 * 20e3), -2 / 20e3 - 1 / (28 * 20e3), 2 / 20e3),
+            (1000, 20e3, 1234.5, 5e-10, 1e-3, 1.05e-3),
+            # Three peak widths are half a period: a bin at a midpoint is
+            # a valley only if neither neighbouring centre is nearer.
+            # (Bins of 1/24 period from 3 periods before the offset.)
+            (6, 20e3, 0.1, 2.0833333333333334e-06, -0.00015104133310257147,
+             0.00015000033356409522),
+        ],
+    )
+    def test_matches_the_running_minimum_over_every_center(
+        self, n_modes, nu_b, r1, bin_width, tau_min, tau_max
+    ):
+        lat = ModeLattice(n_modes=n_modes, nu_b=nu_b, nu_s0=CARRIER)
+        geom = DetectorGeometry(r1=r1, r2=0.0)
+        n_bins = int(round((tau_max - tau_min) / bin_width))
+        counts = np.random.default_rng(n_modes).integers(0, 10**6, n_bins)
+        hist = CoincidenceHistogram(bin_width, tau_min, tau_max, counts, int(counts.sum()))
+        peak_bins, valley_bins = running_min_regions(hist, lat, geom)
+        peak_mean = counts[peak_bins].mean()
+        valley_mean = counts[valley_bins].mean()
+        expected = (peak_mean - valley_mean) / (peak_mean + valley_mean)
+        assert contrast(hist, lat, geom) == expected
+
+    def test_paper_scale_stays_under_10_mb(self):
+        # N = 1e5 on 5e6 bins of 50 ps, the configuration of criterion 10.
+        n_bins, bin_width = 5_000_000, 5e-11
+        counts = np.random.default_rng(12).poisson(0.2, n_bins)
+        hist = CoincidenceHistogram(
+            bin_width, -1.25e-4, -1.25e-4 + n_bins * bin_width, counts, int(counts.sum())
+        )
+        geom = DetectorGeometry(r1=2.99792458, r2=0.0)
+        value, peak = traced_peak(contrast, hist, LAT1E5, geom)
+        assert peak < 10 * 2**20
+        peak_bins, valley_bins = running_min_regions(hist, LAT1E5, geom)
+        peak_mean = counts[peak_bins].mean()
+        valley_mean = counts[valley_bins].mean()
+        assert value == (peak_mean - valley_mean) / (peak_mean + valley_mean)
 
     def test_range_without_valleys(self):
         # Two modes: every delay is within one width of some peak center.

@@ -119,6 +119,22 @@ class TestPerturbationState:
         assert state.norm == pytest.approx(1.0, abs=1e-12)
         assert np.all(state.amplitudes[51:] == 0)
 
+    def test_normalized_when_the_squared_norm_would_overflow(self):
+        # 100! is about 9e157, so the sum of squared coefficients passes
+        # the double range although every coefficient fits.
+        for n in (100, 150, 170):
+            state, raw = build_perturbation_state(n, 171)
+            assert raw.max() > math.sqrt(np.finfo(float).max)
+            assert state.norm == pytest.approx(1.0, abs=1e-12)
+            assert state.mean_pair_number() == pytest.approx(n - 0.6978, abs=1e-3)
+
+    def test_amplitudes_are_the_plain_normalization_where_it_fits(self):
+        # Scaling by a power of two changes no bit while raw / |raw| is finite.
+        for n in range(0, 98, 7):
+            for cutoff in (0, 5, 120):
+                state, raw = build_perturbation_state(n, cutoff)
+                assert np.array_equal(state.amplitudes, raw / np.linalg.norm(raw))
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             build_perturbation_state(-1, 5)

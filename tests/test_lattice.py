@@ -16,19 +16,6 @@ class TestModeLattice:
         lat = make_lattice()
         assert lat.n_modes == 3
         assert lat.delta_nu == 0.0
-        assert lat.profile == "rectangular"
-
-    def test_pump_derived_from_signal_center(self):
-        lat = make_lattice()
-        assert lat.nu_p == 2.0 * lat.nu_s0
-
-    def test_explicit_consistent_pump_accepted(self):
-        lat = make_lattice(nu_p=2 * 2.82e14)
-        assert lat.nu_p == 2 * 2.82e14
-
-    def test_inconsistent_pump_rejected(self):
-        with pytest.raises(ValueError, match="nu_p"):
-            make_lattice(nu_p=2.82e14)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -43,9 +30,9 @@ class TestModeLattice:
             dict(delta_nu=-1.0),
             dict(delta_nu=float("nan")),
             dict(nu_b=100.0, delta_nu=100.0),
-            dict(profile="gaussian"),
             dict(nu_b=float("inf")),
             dict(nu_s0=float("inf")),
+            dict(nu_b=float("nan")),
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):

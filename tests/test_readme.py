@@ -3,6 +3,9 @@
 import re
 from pathlib import Path
 
+from ghostcomb import RunConfig
+from ghostcomb.config import parse_overrides
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -18,3 +21,30 @@ def test_library_use_block_runs(capsys):
     fit, geom = namespace["fit"], namespace["geom"]
     assert abs(fit.offset_est - geom.retarded_offset) < 5 * fit.offset_stderr
     assert capsys.readouterr().out.count("\n") == 2
+
+
+def config_table() -> dict:
+    """Key -> default text, from the README's config key table."""
+    text = README.read_text()
+    section = text[text.index("## Config keys") :]
+    section = section[: section.index("\n## ", 1)]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if len(cells) < 3 or not cells[0].startswith("`"):
+            continue
+        keys = re.findall(r"`(\w+)`", cells[0])
+        defaults = [d.strip() for d in cells[1].split(",")]
+        if len(defaults) == 1:
+            defaults *= len(keys)
+        assert len(defaults) == len(keys), line
+        rows.update(zip(keys, defaults))
+    return rows
+
+
+def test_config_table_lists_every_key_with_its_default():
+    table = config_table()
+    defaults = RunConfig().as_dict()
+    assert sorted(table) == sorted(defaults)
+    for key, text in table.items():
+        assert parse_overrides([f"{key}={text}"])[key] == defaults[key], key
