@@ -198,6 +198,12 @@ def _coerce(key: str, value, where: str = ""):
     text = value.strip()
     if kind == "str":
         return text
+    if kind == "int":
+        # Exact above 2**53, where the float path would round.
+        try:
+            return int(text)
+        except ValueError:
+            pass
     try:
         number = float(text)
     except ValueError:

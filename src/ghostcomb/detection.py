@@ -59,9 +59,10 @@ _MERGE_RATIO = 2
 _PAIR_BUDGET = 1 << 17
 # Most histogram bins; at this cap the counts alone take 80 MB.
 _MAX_HISTOGRAM_BINS = 10_000_000
-# Bins `contrast` classifies at once; its temporaries are a few arrays
-# of this length (about 2 MB), whatever the bin count.
-_CONTRAST_BLOCK = 1 << 16
+# Bins per block of CoincidenceHistogram.blocks(), so its readers'
+# temporaries are a few arrays of this length whatever the bin count.
+# The fit sums floats block by block, so its results depend on it.
+_BIN_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -133,10 +134,16 @@ class CoincidenceHistogram:
             raise ValueError("total_pairs must equal the sum of counts")
         object.__setattr__(self, "counts", counts.astype(np.int64, copy=False))
 
-    @property
-    def bin_centers(self) -> np.ndarray:
-        n = self.counts.size
-        return self.tau_min + (np.arange(n) + 0.5) * self.bin_width
+    def blocks(self):
+        """(bin centres, counts) in consecutive blocks of _BIN_BLOCK bins.
+
+        Bin i's centre is tau_min + (i + 0.5) * bin_width, formed a
+        block at a time, so no array of the bin count is formed.
+        """
+        for start in range(0, self.counts.size, _BIN_BLOCK):
+            counts = self.counts[start : start + _BIN_BLOCK]
+            taus = self.tau_min + (np.arange(start, start + counts.size) + 0.5) * self.bin_width
+            yield taus, counts
 
 
 def _with_singles(head: np.ndarray, rate: float, duration: float, rng) -> np.ndarray:
@@ -382,30 +389,22 @@ def build_histogram(
         hi = a + _rank(t2[a:b], khi)
         m = hi - lo
         ends = np.cumsum(m)
-        # Tally events [i, j) together, j as far as the budget allows.
-        i = 0
-        while i < c1.size:
-            done = int(ends[i - 1]) if i else 0
-            j = int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right"))
-            if j == i:
-                # Event i alone exceeds the budget: slice its window.
-                for k in range(lo[i], hi[i], _PAIR_BUDGET):
-                    window = t2[k : min(k + _PAIR_BUDGET, hi[i])]
-                    _tally(counts, c1[i] - window, tau_min, bin_width)
-                i += 1
-                continue
-            total = int(ends[j - 1]) - done
-            if total:
-                # Pair p of event e sits at t2 index lo_e + p - first_e,
-                # first_e being the block position of e's first pair.
-                mb = m[i:j]
-                idx = np.repeat(lo[i:j] - (ends[i:j] - mb - done), mb)
-                idx += np.arange(total)
-                d = np.repeat(c1[i:j], mb)
-                d -= t2[idx]
-                del idx
-                _tally(counts, d, tau_min, bin_width)
-            i = j
+        starts = ends - m
+        total = int(ends[-1])
+        # Expand the chunk's pair positions [p, q) one budget at a time:
+        # events [i, j) hold them, each clipped to its share mb.
+        for p in range(0, total, _PAIR_BUDGET):
+            q = min(p + _PAIR_BUDGET, total)
+            i = int(np.searchsorted(ends, p, side="right"))
+            j = int(np.searchsorted(ends, q, side="left")) + 1
+            mb = np.minimum(ends[i:j], q) - np.maximum(starts[i:j], p)
+            # Position s of event e pairs with t2 index lo_e + s - start_e.
+            idx = np.repeat(lo[i:j] - starts[i:j] + p, mb)
+            idx += np.arange(q - p)
+            d = np.repeat(c1[i:j], mb)
+            d -= t2[idx]
+            del idx
+            _tally(counts, d, tau_min, bin_width)
 
     return CoincidenceHistogram(
         bin_width, tau_min, tau_max, counts, int(counts.sum()), meta
@@ -441,12 +440,9 @@ def contrast(
     # Count sums and bin counts of the peak and valley regions, over
     # blocks of bins so no array of the bin count is formed.
     sums, sizes = [0, 0], [0, 0]
-    for start in range(0, hist.counts.size, _CONTRAST_BLOCK):
-        block = hist.counts[start : start + _CONTRAST_BLOCK]
-        # Bin centres as hist.bin_centers forms them; the nearest comb
-        # centre is the rounded order's or a neighbour's, each formed
-        # as comb_peak_positions forms it.
-        taus = hist.tau_min + (np.arange(start, start + block.size) + 0.5) * hist.bin_width
+    for taus, block in hist.blocks():
+        # The nearest comb centre is the rounded order's or a
+        # neighbour's, each formed as comb_peak_positions forms it.
         order = np.rint((taus - offset) * nu_b)
         dist = np.abs(taus - (order / nu_b + offset))
         for step in (-1.0, 1.0):

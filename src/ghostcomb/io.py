@@ -28,32 +28,38 @@ _HEADER = struct.Struct("<4sHHQ")
 _ROWS_PER_BLOCK = 1 << 16
 
 
-def _write_rows(path, header: list[str], row_format: str, columns: list) -> None:
-    """Write a CSV header, then one row_format line per row of the columns.
+def _write_rows(path, header: list[str], row_format: str, blocks) -> None:
+    """Write a CSV header, then one row_format line per row of each block.
 
-    Each block of rows is one "%"-format over the block's values
-    flattened row by row, which gives the same bytes as formatting
-    every value with an f-string, at a fraction of the cost.
+    A block is a sequence of equal-length columns. It is one "%"-format
+    over its values flattened row by row, which gives the same bytes as
+    formatting every value with an f-string, at a fraction of the cost.
     """
-    columns = [np.asarray(c) for c in columns]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for columns in blocks:
+            width, n_rows = len(columns), len(columns[0])
+            flat = [None] * (width * n_rows)
+            for j, column in enumerate(columns):
+                flat[j::width] = column.tolist()
+            fh.write(row_format * n_rows % tuple(flat))
+
+
+def _row_blocks(columns: list[np.ndarray]):
+    """Equal-length columns, cut into blocks of _ROWS_PER_BLOCK rows."""
     n_rows = len(columns[0]) if columns else 0
     if any(len(c) != n_rows for c in columns):
         raise ValueError("columns must have equal length")
-    width = len(columns)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, n_rows, _ROWS_PER_BLOCK):
-            stop = min(start + _ROWS_PER_BLOCK, n_rows)
-            flat = [None] * (width * (stop - start))
-            for j, column in enumerate(columns):
-                flat[j::width] = column[start:stop].tolist()
-            fh.write(row_format * (stop - start) % tuple(flat))
+    return (
+        [c[start : start + _ROWS_PER_BLOCK] for c in columns]
+        for start in range(0, n_rows, _ROWS_PER_BLOCK)
+    )
 
 
 def write_curve_csv(path, taus, values) -> None:
     """Write a correlation curve as rows of "tau_s,g2"."""
     columns = [np.asarray(taus, dtype=float), np.asarray(values, dtype=float)]
-    _write_rows(path, ["tau_s", "g2"], "%.11e,%.11e\n", columns)
+    _write_rows(path, ["tau_s", "g2"], "%.11e,%.11e\n", _row_blocks(columns))
 
 
 def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -66,17 +72,17 @@ def write_columns_csv(path, header: list[str], columns: list[np.ndarray]) -> Non
     if len(header) != len(columns):
         raise ValueError("one header name per column required")
     columns = [np.asarray(c, dtype=float) for c in columns]
-    _write_rows(path, header, ",".join(["%.11e"] * len(columns)) + "\n", columns)
+    row_format = ",".join(["%.11e"] * len(columns)) + "\n"
+    _write_rows(path, header, row_format, _row_blocks(columns))
 
 
 def write_histogram(path_csv, path_meta, hist: CoincidenceHistogram) -> None:
-    """Write histogram counts as CSV plus a JSON metadata sidecar."""
-    _write_rows(
-        path_csv,
-        ["tau_bin_center_s", "count"],
-        "%.11e,%d\n",
-        [hist.bin_centers, hist.counts],
-    )
+    """Write histogram counts as CSV plus a JSON metadata sidecar.
+
+    The rows are written a block of bins at a time (see
+    CoincidenceHistogram.blocks), so no array of the bin count is formed.
+    """
+    _write_rows(path_csv, ["tau_bin_center_s", "count"], "%.11e,%d\n", hist.blocks())
     meta = {
         "bin_width_s": hist.bin_width,
         "tau_min_s": hist.tau_min,
@@ -90,11 +96,11 @@ def write_histogram(path_csv, path_meta, hist: CoincidenceHistogram) -> None:
 def read_histogram(path_csv, path_meta) -> CoincidenceHistogram:
     """Rebuild a histogram from its CSV and metadata sidecar.
 
-    Counts are authoritative from the CSV; binning comes from the
-    sidecar because bin centers in the CSV are rounded to 12 digits.
+    Counts are authoritative from the CSV, whose count column alone is
+    read; binning comes from the sidecar because bin centers in the CSV
+    are rounded to 12 digits.
     """
-    data = np.loadtxt(path_csv, delimiter=",", skiprows=1, ndmin=2)
-    counts = data[:, 1]
+    counts = np.loadtxt(path_csv, delimiter=",", skiprows=1, usecols=1, ndmin=1)
     if np.any(counts != np.round(counts)):
         raise ValueError("histogram counts must be integers")
     meta = json.loads(Path(path_meta).read_text())

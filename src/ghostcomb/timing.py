@@ -21,9 +21,6 @@ import numpy as np
 from .correlation import TWO_PI
 from .detection import CoincidenceHistogram
 
-# Bins evaluated at once, so the fit's temporaries stay a few blocks
-# long however many bins the histogram has.
-_BLOCK = 1 << 15
 # Fisher scoring from the folded start takes about 6 steps.
 _MAX_STEPS = 50
 # Converged once a full step would raise the log-likelihood by less.
@@ -67,14 +64,6 @@ def _template(n_modes: int, nu_b: float, u: np.ndarray) -> tuple[np.ndarray, np.
     return (amp / n_modes) ** 2, (2.0 * TWO_PI * nu_b / n_modes**2) * amp * slope
 
 
-def _blocks(hist: CoincidenceHistogram):
-    """(bin centers, counts) of the histogram, one block at a time."""
-    for start in range(0, hist.counts.size, _BLOCK):
-        counts = hist.counts[start : start + _BLOCK]
-        taus = hist.tau_min + (np.arange(start, start + counts.size) + 0.5) * hist.bin_width
-        yield taus, counts
-
-
 def _folded_start(hist: CoincidenceHistogram, n_modes: int, nu_b: float) -> np.ndarray:
     """Starting (A, B, x, nu_b): the counts and the template at zero
     offset, folded at the comb period alike and cross-correlated by FFT."""
@@ -82,7 +71,7 @@ def _folded_start(hist: CoincidenceHistogram, n_modes: int, nu_b: float) -> np.n
     # Phase bins a tenth of a tooth wide, so each holds a bin or more.
     m = 10 * n_modes
     profile, template, hits = np.zeros((3, m))
-    for taus, counts in _blocks(hist):
+    for taus, counts in hist.blocks():
         j = np.minimum((np.mod(taus * nu_b, 1.0) * m).astype(np.int64), m - 1)
         np.add.at(profile, j, counts)
         np.add.at(template, j, _template(n_modes, nu_b, taus)[0])
@@ -104,7 +93,7 @@ def _scoring_terms(hist, n_modes, theta) -> tuple[np.ndarray, np.ndarray, float]
     fisher = np.zeros((4, 4))
     score = np.zeros(4)
     deviance = 0.0
-    for taus, n in _blocks(hist):
+    for taus, n in hist.blocks():
         u = taus - x
         s, ds = _template(n_modes, nu, u)
         mu = a * s + b

@@ -152,7 +152,9 @@ def test_criterion_04_ideal_run_contrast_and_empty_valleys():
     c = contrast(hist, lat, GEOM0)
     width = comb_peak_width(lat)
     centers = comb_peak_positions(lat, GEOM0, range(-3, 4))
-    dist = np.min(np.abs(hist.bin_centers[:, None] - centers[None, :]), axis=1)
+    # Bin i's documented centre.
+    taus = hist.tau_min + (np.arange(hist.counts.size) + 0.5) * hist.bin_width
+    dist = np.min(np.abs(taus[:, None] - centers[None, :]), axis=1)
     valley = dist >= 3.0 * width
     valley_counts = int(hist.counts[valley].sum())
     # Delay mass per bin: trapezoid CDF of g2_closed on a grid of ten

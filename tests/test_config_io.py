@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ghostcomb import RunConfig, load_config
+from ghostcomb import detection
 from ghostcomb import io as gio
 from ghostcomb.config import parse_overrides
 from ghostcomb.detection import CoincidenceHistogram, EventStream
@@ -85,8 +86,13 @@ class TestRunConfig:
         assert cfg.method == "direct"
 
     def test_parse_overrides(self):
-        out = parse_overrides(["n_modes=25", "nu_b_hz = 2e4", "method=mc"])
-        assert out == {"n_modes": 25, "nu_b_hz": 2e4, "method": "mc"}
+        out = parse_overrides(
+            ["n_modes=25", "nu_b_hz = 2e4", "method=mc", "seed=9007199254740993"]
+        )
+        # An integer above 2**53 is kept exact, not rounded through float.
+        assert out == {
+            "n_modes": 25, "nu_b_hz": 2e4, "method": "mc", "seed": 9007199254740993
+        }
         assert parse_overrides(None) == {}
         with pytest.raises(ValueError, match="key=value"):
             parse_overrides(["n_modes"])
@@ -238,12 +244,13 @@ WRITER_SETTINGS = settings(
 class TestWriterBytes:
     """The block "%"-format writers give the bytes of per-value f-strings.
 
-    The block size is cut to 3 rows so that block boundaries are crossed.
+    The block sizes are cut to 3 rows so that block boundaries are crossed.
     """
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(gio, "_ROWS_PER_BLOCK", 3)
+        monkeypatch.setattr(detection, "_BIN_BLOCK", 3)
 
     @WRITER_SETTINGS
     @given(st.lists(st.tuples(FLOATS, FLOATS), max_size=12))
@@ -288,8 +295,10 @@ class TestWriterBytes:
         )
         csv, meta = tmp_path / "h.csv", tmp_path / "h_meta.json"
         write_histogram(csv, meta, hist)
+        # Bin i's documented centre.
+        centres = tau_min + (np.arange(len(counts)) + 0.5) * bin_width
         expected = reference_rows(
-            ["tau_bin_center_s", "count"], [hist.bin_centers, hist.counts], [".11e", ""]
+            ["tau_bin_center_s", "count"], [centres, hist.counts], [".11e", ""]
         )
         assert csv.read_bytes() == expected
 
@@ -327,6 +336,22 @@ class TestHistogramFiles:
         csv.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="integer"):
             read_histogram(csv, meta)
+
+    def test_writer_holds_no_array_of_the_bin_count(self, tmp_path, monkeypatch):
+        # The histogram's rows are written in its own bin blocks.
+        monkeypatch.setattr(detection, "_BIN_BLOCK", 1024)
+        counts = np.random.default_rng(3).poisson(5.0, 200_000)
+        hist = CoincidenceHistogram(5e-11, -5e-6, 5e-6, counts, int(counts.sum()))
+        tracemalloc.start()
+        try:
+            write_histogram(tmp_path / "h.csv", tmp_path / "h_meta.json", hist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Every bin centre at once takes counts.nbytes.
+        assert peak < counts.nbytes / 4
+        back = read_histogram(tmp_path / "h.csv", tmp_path / "h_meta.json")
+        assert np.array_equal(back.counts, counts)
 
 
 class TestEventStreamFiles:

@@ -43,6 +43,11 @@ LAT1E5 = ModeLattice(n_modes=100_000, nu_b=20e3, nu_s0=CARRIER)
 GEOM0 = DetectorGeometry(r1=0.0, r2=0.0)
 
 
+def bin_centres(hist):
+    """Every bin's documented centre, tau_min + (i + 0.5) * bin_width."""
+    return hist.tau_min + (np.arange(hist.counts.size) + 0.5) * hist.bin_width
+
+
 class TestEventStream:
     def test_accepts_valid_stream(self):
         s = EventStream(1, np.array([0.1, 0.5, 0.9]), 1.0, 3.0)
@@ -172,7 +177,7 @@ class TestSamplePairs:
     def test_peaks_carry_equal_weight(self):
         _, _, hist = self.pair_histogram()
         width = comb_peak_width(LAT10)
-        taus = hist.bin_centers
+        taus = bin_centres(hist)
         per_peak = []
         for n in range(-2, 3):
             center = n / LAT10.nu_b
@@ -188,7 +193,7 @@ class TestSamplePairs:
         lobe = np.min(np.abs(grid[:, None] - centers[None, :]), axis=1) <= width
         panels = 0.5 * (dens[1:] + dens[:-1]) * np.diff(grid)
         frac_expected = np.sum(panels * lobe[1:]) / np.sum(panels)
-        taus = hist.bin_centers
+        taus = bin_centres(hist)
         in_lobe = np.min(np.abs(taus[:, None] - centers[None, :]), axis=1) <= width
         frac = hist.counts[in_lobe].sum() / hist.total_pairs
         sigma = math.sqrt(frac_expected * (1 - frac_expected) / hist.total_pairs)
@@ -199,7 +204,7 @@ class TestSamplePairs:
         # delays should stay clear of a narrow window around each zero.
         s1, s2, hist = self.pair_histogram(bins_per_width=500)
         width = comb_peak_width(LAT10)
-        taus = hist.bin_centers
+        taus = bin_centres(hist)
         zeros = np.array(
             [k / (10 * LAT10.nu_b) for k in range(-24, 25) if k % 10 != 0]
         )
@@ -210,7 +215,7 @@ class TestSamplePairs:
         _, _, sharp = self.pair_histogram(seed=22)
         _, _, fuzzy = self.pair_histogram(seed=22, jitter=5e-6)
         width = comb_peak_width(LAT10)
-        taus = sharp.bin_centers
+        taus = bin_centres(sharp)
         lobe = np.abs(taus) <= width
         frac_sharp = sharp.counts[lobe].sum() / sharp.total_pairs
         frac_fuzzy = fuzzy.counts[lobe].sum() / fuzzy.total_pairs
@@ -487,6 +492,23 @@ class TestBuildHistogram:
         assert detection.histogram_bins_error(5e-11, -1.25e-4, 1.25e-4) is None
 
 
+class TestBinBlocks:
+    """blocks() yields every bin once, in order, with its documented centre."""
+
+    @pytest.mark.parametrize("n_bins", [0, 5, detection._BIN_BLOCK + 1])
+    def test_covers_every_bin_once(self, n_bins):
+        counts = np.arange(n_bins, dtype=np.int64)
+        hist = CoincidenceHistogram(1e-9, -1e-5, 1e-5, counts, int(counts.sum()))
+        blocks = list(hist.blocks())
+        size = detection._BIN_BLOCK
+        assert [c.size for _, c in blocks] == [
+            min(size, n_bins - start) for start in range(0, n_bins, size)
+        ]
+        assert all(t.size == c.size for t, c in blocks)
+        assert np.array_equal(np.concatenate([[]] + [c for _, c in blocks]), counts)
+        assert np.array_equal(np.concatenate([[]] + [t for t, _ in blocks]), bin_centres(hist))
+
+
 def traced_peak(fn, *args, **kwargs):
     """fn's result and the peak bytes it allocated, numpy buffers included."""
     tracemalloc.start()
@@ -647,7 +669,7 @@ def running_min_regions(hist, lattice, geom):
     """Peak and valley bins by a running minimum over every comb center."""
     period = 1.0 / lattice.nu_b
     orders = comb_peak_orders(lattice, geom, hist.tau_min - period, hist.tau_max + period)
-    taus = hist.bin_centers
+    taus = bin_centres(hist)
     dist = np.full(taus.size, np.inf)
     for c in comb_peak_positions(lattice, geom, orders):
         np.minimum(dist, np.abs(taus - c), out=dist)
@@ -702,7 +724,7 @@ class TestContrast:
         period = 1.0 / LAT10.nu_b
         orders = comb_peak_orders(LAT10, GEOM0, tau_min - period, tau_max + period)
         centers = comb_peak_positions(LAT10, GEOM0, orders)
-        dist = np.min(np.abs(hist.bin_centers[:, None] - centers[None, :]), axis=1)
+        dist = np.min(np.abs(bin_centres(hist)[:, None] - centers[None, :]), axis=1)
         peak_mean = counts[dist <= comb_peak_width(LAT10)].mean()
         valley_mean = counts[dist >= 3.0 * comb_peak_width(LAT10)].mean()
         assert value == (peak_mean - valley_mean) / (peak_mean + valley_mean)
