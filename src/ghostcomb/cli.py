@@ -34,7 +34,7 @@ from .correlation import (
     envelope_fwhm,
 )
 from .detection import (
-    add_singles,
+    StreamWithSingles,
     build_histogram,
     contrast,
     histogram_bins_error,
@@ -263,31 +263,31 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         "accidental_rate_hz": cfg.accidental_rate_hz,
         "seed": cfg.seed,
     }
-    # One detector stream is held at a time: detector 1 is written and
-    # dropped before detector 2 is drawn, and the tally reads it back
-    # from its file in chunks. A run that fails leaves no stream files.
+    # No detector stream is held whole: the accidentals are sorted into
+    # each stream a slab at a time as it is written, through a scratch
+    # file in the output directory, and the tally reads both streams
+    # back from their files in chunks. A run that fails leaves no
+    # stream files.
     streams = [out / "stream_d1.bin", out / "stream_d2.bin"]
+    labels = [LABEL_ACCIDENTAL_DET1, LABEL_ACCIDENTAL_DET2]
     try:
-        if cfg.accidental_rate_hz > 0:
-            s1 = add_singles(s1, cfg.accidental_rate_hz, cfg.seed, LABEL_ACCIDENTAL_DET1)
-        gio.write_event_stream(streams[0], s1)
-        n_events_d1 = len(s1)
-        del s1
-        if cfg.accidental_rate_hz > 0:
-            s2 = add_singles(s2, cfg.accidental_rate_hz, cfg.seed, LABEL_ACCIDENTAL_DET2)
-        gio.write_event_stream(streams[1], s2)
-        n_events_d2 = len(s2)
-        d1 = gio.EventStreamFile(streams[0])
-        hist = build_histogram(d1, s2, cfg.bin_width_s, cfg.tau_min_s, cfg.tau_max_s, metadata)
-        del s2
+        n_events = []
+        for path, stream, label in zip(streams, (s1, s2), labels):
+            if cfg.accidental_rate_hz > 0:
+                stream = StreamWithSingles(stream, cfg.accidental_rate_hz, cfg.seed, label, out)
+            gio.write_event_stream(path, stream)
+            n_events.append(len(stream))
+        del s1, s2, stream
+        d1, d2 = (gio.EventStreamFile(path) for path in streams)
+        hist = build_histogram(d1, d2, cfg.bin_width_s, cfg.tau_min_s, cfg.tau_max_s, metadata)
         contrast_value = contrast(hist, lattice, geom, cfg.contrast_floor)
         fit = fit_comb(hist, cfg.n_modes, cfg.nu_b_hz)
 
         gio.write_histogram(out / "histogram.csv", out / "histogram_meta.json", hist)
         results = {
             "contrast": contrast_value,
-            "n_events_d1": n_events_d1,
-            "n_events_d2": n_events_d2,
+            "n_events_d1": n_events[0],
+            "n_events_d2": n_events[1],
             "total_pairs_in_range": int(hist.total_pairs),
             "geometry_offset_s": geom.retarded_offset,
             "fit": _fit_dict(fit),

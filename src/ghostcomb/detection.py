@@ -10,20 +10,22 @@ of each stream stays exactly flat.
 
 Histogramming is a sorted sweep, linear in the number of events plus
 tallied pairs, so million-event streams are processed in seconds
-without forming the quadratic pair set. The sweep takes detector 1 as
-sorted chunks, so detector 1 need not be in memory: `simulate` feeds it
-back from its stream file while only detector 2 is held. Each chunk
-finds its pair windows by merging against the stretch of the detector-2
-stream it can reach, not by binary search over the whole stream. The
-sweep expands at most _PAIR_BUDGET pairs at a time and adds them to
-the counts in place, so its working set stays a few arrays of that
-length whatever the number of pairs per event or bins. Streams are
-drawn and sorted in their final buffer, so each one is held once.
+without forming the quadratic pair set. The sweep takes both detectors
+as sorted chunks, so neither need be in memory: `simulate` feeds them
+back from their stream files. Each run of detector-1 events finds its
+pair windows by merging against the window of the detector-2 stream it
+can reach, not by binary search over the whole stream. The sweep
+expands at most _PAIR_BUDGET pairs at a time and adds them to the
+counts in place, so its working set stays a few arrays of that length
+whatever the number of pairs per event or bins. Accidental singles are
+sorted into a stream a slab at a time through a scratch file
+(StreamWithSingles), so `simulate` holds no detector stream whole.
 """
 
 from __future__ import annotations
 
 import math
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 
@@ -59,6 +61,10 @@ _MERGE_RATIO = 2
 _PAIR_BUDGET = 1 << 17
 # Most histogram bins; at this cap the counts alone take 80 MB.
 _MAX_HISTOGRAM_BINS = 10_000_000
+# Events per slab of a StreamWithSingles, and per block its singles
+# are drawn in: its buffers hold about this many events (4 MB), well
+# under one stream of a dense run.
+_SLAB = 1 << 19
 # Bins per block of CoincidenceHistogram.blocks(), so its readers'
 # temporaries are a few arrays of this length whatever the bin count.
 # The fit sums floats block by block, so its results depend on it.
@@ -146,25 +152,99 @@ class CoincidenceHistogram:
             yield taus, counts
 
 
-def _with_singles(head: np.ndarray, rate: float, duration: float, rng) -> np.ndarray:
-    """Sorted head plus a Poisson draw of singles over [0, duration).
+class StreamWithSingles:
+    """A sorted stream plus Poisson singles, sorted a slab at a time.
 
-    One buffer of the final length is allocated; head is copied to its
-    front and the singles are drawn into the rest, so no second stream
-    is held. The draw is bit-identical to rng.uniform(0.0, duration).
+    The timestamps equal the sorted concatenation of head's and the
+    singles that sample_singles(rate, head.duration, seed,
+    head.detector_id, label) draws, but no array of the stream's length
+    is formed. chunks() draws the singles in blocks of _SLAB, sorts each
+    block and appends it to an unnamed scratch file in scratch_dir (the
+    system's temporary directory if None), noting where it crosses the
+    slab edges j * duration / k, with k slabs of about _SLAB events. It
+    then gathers each slab's pieces and head's share into one reused
+    buffer and sorts it. The stream is the sorted multiset, so its bytes
+    do not depend on _SLAB; the blocked draw is bit-identical to
+    rng.uniform(0.0, duration). The singles are drawn afresh from the
+    seed on every call, so chunks() may be called more than once.
     """
-    if not rate > 0:
-        raise ValueError("rate must be positive")
-    count = int(rng.poisson(rate * duration))
-    times = np.empty(head.size + count)
-    times[: head.size] = head
-    tail = times[head.size :]
-    rng.random(out=tail)
-    tail *= duration
-    tail.sort()
-    # Two sorted runs: timsort merges them in one linear pass.
-    times.sort(kind="stable")
-    return times
+
+    def __init__(self, head: EventStream, rate: float, seed: int, label: int, scratch_dir=None):
+        if not rate > 0:
+            raise ValueError("rate must be positive")
+        self.head = head
+        self.detector_id = head.detector_id
+        self.duration = head.duration
+        self.rate = head.rate + rate
+        self.singles_rate = rate
+        self.seed, self.label, self.scratch_dir = seed, label, scratch_dir
+        self.n_singles = self._singles()[0]
+
+    def _singles(self):
+        """The number of singles and the generator positioned to draw them."""
+        rng = derive_rng(self.seed, self.label)
+        return int(rng.poisson(self.singles_rate * self.duration)), rng
+
+    def __len__(self) -> int:
+        return len(self.head) + self.n_singles
+
+    def chunks(self, size: int):
+        """The timestamps in consecutive chunks of at most size events.
+
+        Each chunk is a view of the reused slab buffer, valid until the
+        next chunk is asked for.
+        """
+        head, duration = self.head.timestamps, self.duration
+        count, rng = self._singles()
+        slabs = -(-(head.size + count) // _SLAB)
+        if not slabs:
+            return
+        edges = np.arange(1, slabs) * duration / slabs
+        with tempfile.TemporaryFile(dir=self.scratch_dir) as fh:
+            cuts = _write_sorted_blocks(fh, rng, count, duration, edges)
+            head_cuts = np.concatenate([[0], np.searchsorted(head, edges), [head.size]])
+            sizes = np.diff(head_cuts) + np.diff(cuts, axis=1).sum(axis=0)
+            slab = np.empty(int(sizes.max()))
+            for j in range(slabs):
+                n = int(head_cuts[j + 1] - head_cuts[j])
+                slab[:n] = head[head_cuts[j] : head_cuts[j + 1]]
+                for lo, hi in cuts[:, j : j + 2].tolist():
+                    fh.seek(8 * lo)
+                    if fh.readinto(slab[n : n + hi - lo]) != 8 * (hi - lo):
+                        raise OSError("short read from the singles scratch file")
+                    n += hi - lo
+                run = slab[:n]
+                run.sort()
+                for start in range(0, n, size):
+                    yield run[start : start + size]
+
+
+def _write_sorted_blocks(fh, rng, count: int, duration: float, edges: np.ndarray) -> np.ndarray:
+    """Draw count singles over [0, duration) in blocks of _SLAB, sort each
+    block and append it to fh. Returns cuts: cuts[b, j] is the position in
+    fh, in events, where block b's share of the slab above edges[j - 1]
+    starts, and cuts[b, -1] is the block's end."""
+    cuts = np.empty((-(-count // _SLAB), edges.size + 2), dtype=np.int64)
+    block = np.empty(min(count, _SLAB))
+    for b, start in enumerate(range(0, count, _SLAB)):
+        part = block[: min(_SLAB, count - start)]
+        rng.random(out=part)
+        part *= duration
+        part.sort()
+        cuts[b, 0], cuts[b, -1] = start, start + part.size
+        cuts[b, 1:-1] = start + np.searchsorted(part, edges)
+        fh.write(part)
+    return cuts
+
+
+def _read_back(stream: StreamWithSingles) -> np.ndarray:
+    """A stream's timestamps, written to a temporary file and read back,
+    so the writer's buffers are freed before the output is allocated."""
+    with tempfile.TemporaryFile() as fh:
+        # writelines keeps no chunk, so the slab buffer is freed here.
+        fh.writelines(stream.chunks(_SLAB))
+        fh.seek(0)
+        return np.fromfile(fh, count=len(stream))
 
 
 def sample_singles(
@@ -180,11 +260,10 @@ def sample_singles(
     generate auxiliary uncorrelated streams (accidental background) that
     do not collide with the primary singles streams under one seed.
     """
-    if not duration >= 0:
-        raise ValueError("duration must be non-negative")
     if label is None:
         label = LABEL_SINGLES_DET1 if detector_id == 1 else LABEL_SINGLES_DET2
-    times = _with_singles(np.empty(0), rate, duration, derive_rng(seed, label))
+    empty = EventStream(detector_id, np.empty(0), duration, 0.0)
+    times = _read_back(StreamWithSingles(empty, rate, seed, label))
     return EventStream(detector_id, times, duration, rate, seed)
 
 
@@ -193,11 +272,11 @@ def add_singles(stream: EventStream, rate: float, seed: int, label: int) -> Even
 
     The singles are those sample_singles(rate, stream.duration, seed,
     stream.detector_id, label) draws, and the timestamps equal the
-    sorted concatenation of the two streams; but they are drawn into
-    the output's buffer, so only the output is allocated.
+    sorted concatenation of the two streams; the output is the only
+    array of the stream's length (see StreamWithSingles).
     """
-    times = _with_singles(stream.timestamps, rate, stream.duration, derive_rng(seed, label))
-    return EventStream(stream.detector_id, times, stream.duration, stream.rate + rate, None)
+    merged = StreamWithSingles(stream, rate, seed, label)
+    return EventStream(stream.detector_id, _read_back(merged), stream.duration, merged.rate, None)
 
 
 def _core_tails(u: np.ndarray, core: float, edge: float) -> np.ndarray:
@@ -327,9 +406,45 @@ def _tally(counts: np.ndarray, d: np.ndarray, tau_min: float, bin_width: float) 
     np.add.at(counts, np.clip(b, 0, counts.size - 1, out=b), 1)
 
 
+def _tally_events(
+    counts: np.ndarray, c1: np.ndarray, w: np.ndarray, tau_min: float, tau_max: float,
+    bin_width: float,
+) -> None:
+    """Add every pair of the t1 events c1 to counts, in place.
+
+    w is a stretch of t2 that holds each event's whole window, from the
+    first value the first window reaches.
+    """
+    klo = c1 - tau_max
+    khi = c1 - tau_min
+    # Both key arrays are sorted, so every window lies in t2, bounded by
+    # the last key; each event's bounds are ranked by a merge (_rank).
+    t2 = w[: np.searchsorted(w, khi[-1], side="right")]
+    lo = _rank(t2, klo)
+    hi = _rank(t2, khi)
+    m = hi - lo
+    ends = np.cumsum(m)
+    starts = ends - m
+    total = int(ends[-1])
+    # Expand the pair positions [p, q) one budget at a time: events
+    # [i, j) hold them, each clipped to its share mb.
+    for p in range(0, total, _PAIR_BUDGET):
+        q = min(p + _PAIR_BUDGET, total)
+        i = int(np.searchsorted(ends, p, side="right"))
+        j = int(np.searchsorted(ends, q, side="left")) + 1
+        mb = np.minimum(ends[i:j], q) - np.maximum(starts[i:j], p)
+        # Position s of event e pairs with t2 index lo_e + s - start_e.
+        idx = np.repeat(lo[i:j] - starts[i:j] + p, mb)
+        idx += np.arange(q - p)
+        d = np.repeat(c1[i:j], mb)
+        d -= t2[idx]
+        del idx
+        _tally(counts, d, tau_min, bin_width)
+
+
 def build_histogram(
     s1,
-    s2: EventStream,
+    s2,
     bin_width: float,
     tau_min: float,
     tau_max: float,
@@ -337,22 +452,26 @@ def build_histogram(
 ) -> CoincidenceHistogram:
     """Histogram of all pair delays t1 - t2 within [tau_min, tau_max).
 
-    s1 is detector 1 as anything whose chunks(size) yields its sorted
-    timestamps in consecutive chunks: an EventStream, which gives
-    slices of itself, or an io.EventStreamFile, which reads them from
-    disk so the stream is never held whole. s2 is held in memory.
+    s1 and s2 are the two detectors as anything whose chunks(size)
+    yields its sorted timestamps in consecutive chunks: an EventStream,
+    which gives slices of itself, or an io.EventStreamFile, which reads
+    them from disk, so neither stream is ever held whole.
 
     Runs a vectorized sweep over the sorted streams, linear in the
-    number of events plus tallied pairs: each chunk of _HISTOGRAM_CHUNK
-    t1 events ranks its window bounds by merging with the stretch of t2
-    it reaches (see _rank). At most _PAIR_BUDGET pair delays are
-    expanded at once and added to the counts in place, so the working
-    set beyond the counts and s2 is bounded by those constants, whatever
-    the pair density or the number of bins. If bin_width does not
-    divide the range to within one part in 1e6, the range is expanded
-    upward to a whole number of bins and the expansion is recorded in
-    the metadata (and warned about). More than _MAX_HISTOGRAM_BINS bins
-    are refused before any allocation.
+    number of events plus tallied pairs. It keeps a window of t2 that
+    starts where the first pending t1 event's window does and reads on
+    until the window passes the chunk's last event, or until it holds
+    _PAIR_BUDGET values beyond the first event's window; then it tallies
+    the t1 events whose windows are complete. Each run of them ranks
+    its window bounds by merging with the stretch of t2 it reaches (see
+    _rank), and at most _PAIR_BUDGET pair delays are expanded at once
+    and added to the counts in place. So the working set beyond the
+    counts is bounded by those constants and one event's window,
+    whatever the stream lengths, the pair density or the number of
+    bins. If bin_width does not divide the range to within one part in
+    1e6, the range is expanded upward to a whole number of bins and the
+    expansion is recorded in the metadata (and warned about). More than
+    _MAX_HISTOGRAM_BINS bins are refused before any allocation.
     """
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
@@ -375,36 +494,35 @@ def build_histogram(
         meta["range_expanded_from"] = tau_max
         tau_max = new_max
 
-    t2 = s2.timestamps
     counts = np.zeros(n_bins, dtype=np.int64)
+    # Pairs with tau_min <= t1 - t2 < tau_max, i.e. t2 in
+    # (t1 - tau_max, t1 - tau_min]. w is the stretch of t2 read so far
+    # from the first value the first pending t1 event's window reaches.
+    t2_chunks = s2.chunks(_HISTOGRAM_CHUNK)
+    w, exhausted = np.empty(0), False
     for c1 in s1.chunks(_HISTOGRAM_CHUNK):
-        # Pairs with tau_min <= t1 - t2 < tau_max, i.e. t2 in
-        # (t1 - tau_max, t1 - tau_min]. Both key arrays are sorted, so
-        # every window lies in t2[a:b], bounded by the first and last.
-        klo = c1 - tau_max
-        khi = c1 - tau_min
-        a = int(np.searchsorted(t2, klo[0], side="right"))
-        b = int(np.searchsorted(t2, khi[-1], side="right"))
-        lo = a + _rank(t2[a:b], klo)
-        hi = a + _rank(t2[a:b], khi)
-        m = hi - lo
-        ends = np.cumsum(m)
-        starts = ends - m
-        total = int(ends[-1])
-        # Expand the chunk's pair positions [p, q) one budget at a time:
-        # events [i, j) hold them, each clipped to its share mb.
-        for p in range(0, total, _PAIR_BUDGET):
-            q = min(p + _PAIR_BUDGET, total)
-            i = int(np.searchsorted(ends, p, side="right"))
-            j = int(np.searchsorted(ends, q, side="left")) + 1
-            mb = np.minimum(ends[i:j], q) - np.maximum(starts[i:j], p)
-            # Position s of event e pairs with t2 index lo_e + s - start_e.
-            idx = np.repeat(lo[i:j] - starts[i:j] + p, mb)
-            idx += np.arange(q - p)
-            d = np.repeat(c1[i:j], mb)
-            d -= t2[idx]
-            del idx
-            _tally(counts, d, tau_min, bin_width)
+        while c1.size:
+            w = w[np.searchsorted(w, c1[0] - tau_max, side="right") :]
+            # Read until w passes the last window, or holds _PAIR_BUDGET
+            # values beyond the first event's window (sparse t1 against
+            # dense t2), so w stays the size of a window plus the budget.
+            while not exhausted and (
+                w.size == 0
+                or (
+                    w[-1] <= c1[-1] - tau_min
+                    and w.size - np.searchsorted(w, c1[0] - tau_min, side="right") <= _PAIR_BUDGET
+                )
+            ):
+                chunk = next(t2_chunks, None)
+                if chunk is None:
+                    exhausted = True
+                else:
+                    w = np.concatenate([w, chunk])
+            # t2 is sorted, so an event whose window ends before w does
+            # is complete; the first event always is.
+            n = c1.size if exhausted else int(np.searchsorted(c1 - tau_min, w[-1], side="left"))
+            _tally_events(counts, c1[:n], w, tau_min, tau_max, bin_width)
+            c1 = c1[n:]
 
     return CoincidenceHistogram(
         bin_width, tau_min, tau_max, counts, int(counts.sum()), meta

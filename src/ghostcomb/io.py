@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import CoincidenceHistogram, EventStream
+from .detection import _SLAB, CoincidenceHistogram, EventStream
 
 _MAGIC = b"GCEV"
 _VERSION = 1
@@ -97,32 +97,40 @@ def read_histogram(path_csv, path_meta) -> CoincidenceHistogram:
     """Rebuild a histogram from its CSV and metadata sidecar.
 
     Counts are authoritative from the CSV, whose count column alone is
-    read; binning comes from the sidecar because bin centers in the CSV
-    are rounded to 12 digits.
+    read, straight into int64, so the counts are held once; binning
+    comes from the sidecar because bin centers in the CSV are rounded
+    to 12 digits.
     """
-    counts = np.loadtxt(path_csv, delimiter=",", skiprows=1, usecols=1, ndmin=1)
-    if np.any(counts != np.round(counts)):
-        raise ValueError("histogram counts must be integers")
+    try:
+        counts = np.loadtxt(
+            path_csv, delimiter=",", skiprows=1, usecols=1, ndmin=1, dtype=np.int64
+        )
+    except ValueError as err:
+        raise ValueError(f"{path_csv}: histogram counts must be integers: {err}") from None
     meta = json.loads(Path(path_meta).read_text())
     return CoincidenceHistogram(
         bin_width=float(meta["bin_width_s"]),
         tau_min=float(meta["tau_min_s"]),
         tau_max=float(meta["tau_max_s"]),
-        counts=counts.astype(np.int64),
+        counts=counts,
         total_pairs=int(meta["total_pairs"]),
         metadata=dict(meta.get("metadata", {})),
     )
 
 
-def write_event_stream(path, stream: EventStream) -> None:
+def write_event_stream(path, stream) -> None:
     """Write a stream as the binary GCEV record.
 
-    The timestamps go out straight from their buffer, which a
-    contiguous little-endian float64 array needs no copy for.
+    stream is anything with detector_id, len() and chunks(size): an
+    EventStream, or a detection.StreamWithSingles that sorts its
+    timestamps a slab at a time. They are written a chunk at a time,
+    each straight from its buffer, which a contiguous little-endian
+    float64 array needs no copy for.
     """
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, stream.detector_id, len(stream)))
-        fh.write(np.ascontiguousarray(stream.timestamps, dtype="<f8"))
+        for chunk in stream.chunks(_SLAB):
+            fh.write(np.ascontiguousarray(chunk, dtype="<f8"))
 
 
 def _read_stream_header(fh, path) -> tuple[int, int]:

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ghostcomb import cli
+from ghostcomb import cli, detection
 from ghostcomb.cli import _applicable_methods, main
 from ghostcomb.config import load_config
 from ghostcomb.correlation import g2_closed
@@ -257,6 +257,25 @@ class TestSimulateCommand:
         # streams through the tally peaked at 18.6 MB here.
         assert peak < 1.3 * stream_bytes + 6e6
 
+    def test_holds_no_stream_whole(self, tmp_path):
+        # The sim-dense run: 4.1e6 events per detector, 32.8 MB a stream.
+        # Holding detector 2 through the tally traced 37.8 MB here; the
+        # slab writer and the two-file tally trace about 7 MB.
+        cfg = load_config(None, {
+            "r1_m": 3.0, "pair_rate_hz": 400.0, "duration_s": 250.0,
+            "accidental_rate_hz": 16000.0, "jitter_sigma_s": 2e-9, "seed": 3,
+            "out_dir": str(tmp_path),
+        })
+        tracemalloc.start()
+        try:
+            assert cli.cmd_simulate(cfg, tmp_path) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stream_bytes = (tmp_path / "stream_d2.bin").stat().st_size
+        assert stream_bytes > 32e6
+        assert peak < 0.4 * stream_bytes
+
     def test_failure_leaves_no_stream_files(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "simulate", "--out", str(tmp_path), "--seed", "11", *SIM_ARGS,
@@ -265,6 +284,8 @@ class TestSimulateCommand:
         assert code == 1
         assert "at least 1000000000 required" in err
         assert not list(tmp_path.glob("stream_d*.bin"))
+        # The accidentals' scratch files have no name in the directory.
+        assert not list(tmp_path.iterdir())
 
     def test_accidentals_lower_contrast(self, tmp_path, capsys):
         clean = tmp_path / "clean"
@@ -556,6 +577,14 @@ class TestDeterminism:
         "histogram.csv": "df3ede6f2ef6181cb78bdf485adb2c59c668e5f605f8c1fde13e25b8d27ed3be",
         "results.json": "a413b2bb5736f72a07aae9dc451c6a017d69bb29e9a7986e1da7db719fb3cedc",
     }
+
+    def test_simulate_bytes_match_golden_digests_in_small_slabs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The default slab holds a whole 3.3e5-event stream; at 4096
+        # events each stream is sorted in about 80 slabs.
+        monkeypatch.setattr(detection, "_SLAB", 1 << 12)
+        self.test_simulate_bytes_match_golden_digests(tmp_path, capsys)
 
     def test_simulate_bytes_match_golden_digests(self, tmp_path, capsys):
         code, _, err = run(

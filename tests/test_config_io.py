@@ -337,6 +337,31 @@ class TestHistogramFiles:
         with pytest.raises(ValueError, match="integer"):
             read_histogram(csv, meta)
 
+    def test_non_integer_count_names_its_row(self, tmp_path):
+        hist = self.make_hist()
+        csv, meta = tmp_path / "h.csv", tmp_path / "h_meta.json"
+        write_histogram(csv, meta, hist)
+        lines = csv.read_text().splitlines()
+        lines[4] = lines[4].rsplit(",", 1)[0] + ",3.0"
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="integers.*'3.0'.*row 3"):
+            read_histogram(csv, meta)
+
+    def test_reader_holds_the_counts_once(self, tmp_path):
+        # The count column is parsed straight into int64. A float column
+        # beside its rounded copy, then an int64 cast, peaked at 2.1x.
+        counts = np.random.default_rng(4).poisson(5.0, 1_500_000)
+        hist = CoincidenceHistogram(1e-9, -1e-3, 5e-4, counts, int(counts.sum()))
+        write_histogram(tmp_path / "h.csv", tmp_path / "h_meta.json", hist)
+        tracemalloc.start()
+        try:
+            back = read_histogram(tmp_path / "h.csv", tmp_path / "h_meta.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.counts, counts)
+        assert peak < 1.25 * back.counts.nbytes
+
     def test_writer_holds_no_array_of_the_bin_count(self, tmp_path, monkeypatch):
         # The histogram's rows are written in its own bin blocks.
         monkeypatch.setattr(detection, "_BIN_BLOCK", 1024)

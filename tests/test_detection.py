@@ -378,9 +378,11 @@ class TestDrawDelays:
 class TestAddSingles:
     @staticmethod
     def merged(stream, rate, seed, label):
-        """The two-stream formula add_singles replaces."""
-        singles = sample_singles(rate, stream.duration, seed, stream.detector_id, label)
-        return np.sort(np.concatenate([stream.timestamps, singles.timestamps]))
+        """The sorted concatenation of the stream and its singles, drawn
+        here as one uniform array, not by the code under test."""
+        rng = derive_rng(seed, label)
+        singles = rng.uniform(0.0, stream.duration, rng.poisson(rate * stream.duration))
+        return np.sort(np.concatenate([stream.timestamps, singles]))
 
     @pytest.mark.parametrize("seed", [1, 2, 7, 2026])
     def test_equals_sorted_concatenation(self, seed):
@@ -415,6 +417,78 @@ class TestAddSingles:
         for rate in (0.0, np.nan):
             with pytest.raises(ValueError, match="rate"):
                 add_singles(stream, rate, 4, LABEL_ACCIDENTAL_DET2)
+
+
+class TestStreamWithSingles:
+    """The slab writer's bytes do not depend on its slab length."""
+
+    merged = staticmethod(TestAddSingles.merged)
+
+    @staticmethod
+    def written(stream, size=1 << 20):
+        chunks = [c.copy() for c in stream.chunks(size)]
+        assert all(0 < c.size <= size for c in chunks)
+        return np.concatenate([np.empty(0)] + chunks)
+
+    @pytest.mark.parametrize("slab", [3, 50, 4096])
+    def test_bytes_match_across_slabs(self, slab, monkeypatch):
+        # At most about 200 slabs: the writer notes each block's cut at
+        # every slab edge, a table of (events / slab)^2 entries.
+        s1, _ = sample_pairs(LAT10, GEOM0, 100.0, 2.0, 1e-7, 7)
+        expected = self.merged(s1, 200.0, 7, LABEL_ACCIDENTAL_DET1)
+        monkeypatch.setattr(detection, "_SLAB", slab)
+        stream = detection.StreamWithSingles(s1, 200.0, 7, LABEL_ACCIDENTAL_DET1)
+        assert len(stream) == expected.size > len(s1) > 100
+        assert self.written(stream).tobytes() == expected.tobytes()
+        # The singles are drawn afresh from the seed on every pass.
+        assert self.written(stream, size=33).tobytes() == expected.tobytes()
+        out = add_singles(s1, 200.0, 7, LABEL_ACCIDENTAL_DET1)
+        assert out.timestamps.tobytes() == expected.tobytes()
+
+    def test_head_on_a_slab_edge(self, monkeypatch):
+        # Head events at every slab edge j * duration / k and at 0: each
+        # falls in the slab above the edge, as every single does.
+        rate, duration, seed, slab = 300.0, 3.0, 5, 64
+        count = derive_rng(seed, LABEL_ACCIDENTAL_DET2).poisson(rate * duration)
+        # k head events make k slabs: the fixed point of k -> ceil((count + k) / slab).
+        k = 1
+        while -(-(count + k) // slab) != k:
+            k = -(-(count + k) // slab)
+        head = np.arange(k) * duration / k
+        stream = EventStream(2, head, duration, 1.0)
+        monkeypatch.setattr(detection, "_SLAB", slab)
+        out = detection.StreamWithSingles(stream, rate, seed, LABEL_ACCIDENTAL_DET2)
+        assert len(out) == count + k and k > 10
+        expected = self.merged(stream, rate, seed, LABEL_ACCIDENTAL_DET2)
+        assert self.written(out).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("duration", [0.0, 2.0])
+    def test_empty_head(self, duration, monkeypatch):
+        monkeypatch.setattr(detection, "_SLAB", 50)
+        empty = EventStream(1, np.empty(0), duration, 0.0)
+        out = detection.StreamWithSingles(empty, 400.0, 9, LABEL_ACCIDENTAL_DET1)
+        expected = self.merged(empty, 400.0, 9, LABEL_ACCIDENTAL_DET1)
+        assert len(out) == expected.size >= duration * 300
+        assert self.written(out).tobytes() == expected.tobytes()
+        s = sample_singles(400.0, duration, 9, 1, LABEL_ACCIDENTAL_DET1)
+        assert s.timestamps.tobytes() == expected.tobytes()
+
+    def test_no_singles_drawn(self, monkeypatch):
+        monkeypatch.setattr(detection, "_SLAB", 2)
+        stream = EventStream(1, np.array([0.5, 1.0, 1.5, 2.5, 2.75]), 3.0, 1.0)
+        out = detection.StreamWithSingles(stream, 1e-9, 4, LABEL_ACCIDENTAL_DET1)
+        assert out.n_singles == 0
+        assert self.written(out).tobytes() == stream.timestamps.tobytes()
+
+    def test_scratch_file_has_no_name(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(detection, "_SLAB", 100)
+        s1, _ = sample_pairs(LAT10, GEOM0, 50.0, 4.0, 0.0, 3)
+        stream = detection.StreamWithSingles(s1, 500.0, 3, LABEL_ACCIDENTAL_DET1, tmp_path)
+        chunks = stream.chunks(10)
+        next(chunks)
+        assert not list(tmp_path.iterdir())
+        chunks.close()
+        assert not list(tmp_path.iterdir())
 
 
 class TestBuildHistogram:
@@ -628,6 +702,40 @@ class TestChunkFedSweep:
                 with mock.patch.object(detection, "_HISTOGRAM_CHUNK", size):
                     h = build_histogram(EventStreamFile(path), s2, 0.1, -1.0, 1.0)
                 assert np.array_equal(h.counts, expected)
+
+
+class TestTwoFileSweep:
+    """Both detectors read back from their files tally as in memory."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(t1=event_times, t2=event_times)
+    def test_two_files_give_the_in_memory_counts(self, t1, t2):
+        s1, s2 = EventStream(1, t1, 10.0, 1.0), EventStream(2, t2, 10.0, 1.0)
+        expected = build_histogram(s1, s2, 0.1, -1.0, 1.0).counts
+        with tempfile.TemporaryDirectory() as d:
+            paths = [Path(d) / "stream_d1.bin", Path(d) / "stream_d2.bin"]
+            write_event_stream(paths[0], s1)
+            write_event_stream(paths[1], s2)
+            # A budget of 1 stops reading t2 one value past the first
+            # event's window, so windows complete a few events at a time.
+            for size, budget in ((1, 1), (7, 3), (1 << 15, 1 << 17)):
+                with mock.patch.multiple(
+                    detection, _HISTOGRAM_CHUNK=size, _PAIR_BUDGET=budget
+                ):
+                    h = build_histogram(
+                        EventStreamFile(paths[0]), EventStreamFile(paths[1]), 0.1, -1.0, 1.0
+                    )
+                assert np.array_equal(h.counts, expected)
+
+    def test_dense_streams_from_files(self, tmp_path):
+        s1, s2 = TestTallyMemory().streams(100, 20000, seed=2)
+        paths = [tmp_path / "stream_d1.bin", tmp_path / "stream_d2.bin"]
+        write_event_stream(paths[0], s1)
+        write_event_stream(paths[1], s2)
+        args = (TestTallyMemory.BIN_WIDTH, TestTallyMemory.TAU_MIN, TestTallyMemory.TAU_MAX)
+        h = build_histogram(EventStreamFile(paths[0]), EventStreamFile(paths[1]), *args)
+        assert h.total_pairs > 1e6
+        assert np.array_equal(h.counts, build_histogram(s1, s2, *args).counts)
 
 
 class TestTallyAtManyBins:
