@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 import os
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .detection import _SLAB, CoincidenceHistogram, EventStream
+from .detection import CoincidenceHistogram, EventStream
 
 _MAGIC = b"GCEV"
 _VERSION = 1
@@ -26,6 +27,8 @@ _HEADER = struct.Struct("<4sHHQ")
 
 # Rows per "%"-format call: bounds the text held in memory at once.
 _ROWS_PER_BLOCK = 1 << 16
+# Events per write of a GCEV body; the bytes do not depend on it.
+_EVENTS_PER_WRITE = 1 << 20
 
 
 def _write_rows(path, header: list[str], row_format: str, blocks) -> None:
@@ -99,13 +102,17 @@ def read_histogram(path_csv, path_meta) -> CoincidenceHistogram:
     Counts are authoritative from the CSV, whose count column alone is
     read, straight into int64, so the counts are held once; binning
     comes from the sidecar because bin centers in the CSV are rounded
-    to 12 digits.
+    to 12 digits. numpy releases that parse "2.5" as an integer through
+    a float only warn (DeprecationWarning) and truncate, so that warning
+    is made an error here, whatever the caller's warning filters.
     """
     try:
-        counts = np.loadtxt(
-            path_csv, delimiter=",", skiprows=1, usecols=1, ndmin=1, dtype=np.int64
-        )
-    except ValueError as err:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            counts = np.loadtxt(
+                path_csv, delimiter=",", skiprows=1, usecols=1, ndmin=1, dtype=np.int64
+            )
+    except (ValueError, DeprecationWarning) as err:
         raise ValueError(f"{path_csv}: histogram counts must be integers: {err}") from None
     meta = json.loads(Path(path_meta).read_text())
     return CoincidenceHistogram(
@@ -129,7 +136,7 @@ def write_event_stream(path, stream) -> None:
     """
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, stream.detector_id, len(stream)))
-        for chunk in stream.chunks(_SLAB):
+        for chunk in stream.chunks(_EVENTS_PER_WRITE):
             fh.write(np.ascontiguousarray(chunk, dtype="<f8"))
 
 

@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -346,6 +347,38 @@ class TestHistogramFiles:
         csv.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="integers.*'3.0'.*row 3"):
             read_histogram(csv, meta)
+
+    @pytest.mark.parametrize("count", ["2.5", "3.0"])
+    def test_non_integer_counts_rejected_with_warnings_ignored(self, tmp_path, count):
+        # The refusal must not hang on the caller's warning filters.
+        hist = self.make_hist()
+        csv, meta = tmp_path / "h.csv", tmp_path / "h_meta.json"
+        write_histogram(csv, meta, hist)
+        lines = csv.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + count
+        csv.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="integers"):
+                read_histogram(csv, meta)
+
+    def test_float_parse_warning_is_refused(self, tmp_path, monkeypatch):
+        # numpy releases that parse an integer through a float warn with a
+        # DeprecationWarning and truncate; the reader must refuse instead.
+        hist = self.make_hist()
+        csv, meta = tmp_path / "h.csv", tmp_path / "h_meta.json"
+        write_histogram(csv, meta, hist)
+
+        def warn_and_truncate(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return hist.counts.copy()
+
+        monkeypatch.setattr(gio.np, "loadtxt", warn_and_truncate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="integers.*via a float"):
+                read_histogram(csv, meta)
 
     def test_reader_holds_the_counts_once(self, tmp_path):
         # The count column is parsed straight into int64. A float column
