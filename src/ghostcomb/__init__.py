@@ -42,11 +42,9 @@ from .fock import (
 from .detection import (
     CoincidenceHistogram,
     EventStream,
-    add_singles,
     build_histogram,
     contrast,
     sample_pairs,
-    sample_singles,
 )
 from .timing import CombFit, fit_comb
 from .config import RunConfig, load_config
@@ -65,7 +63,6 @@ __all__ = [
     "MultiPairState",
     "RunConfig",
     "TruncatedPairState",
-    "add_singles",
     "beat_phase",
     "build_coherent_product",
     "build_histogram",
@@ -87,6 +84,5 @@ __all__ = [
     "phase_scrambled_curve",
     "psi_direct",
     "sample_pairs",
-    "sample_singles",
     "state_fidelity",
 ]

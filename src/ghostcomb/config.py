@@ -27,8 +27,11 @@ _MAX_POINTS = 10**7
 # Most mc realizations per point: the jackknife holds about 80 bytes per
 # realization, so 80 MB per point in flight.
 _MAX_MC_REALIZATIONS = 10**6
-# Most expected events per detector in `simulate`: a stream holds 8
-# bytes per event, so 0.8 GB, and one stream is held at a time.
+# Most expected events per detector in `simulate`. No stream is held
+# whole; the cap bounds each stream file (8 bytes per event, so 0.8 GB),
+# the pair streams sample_pairs holds (at most three pair-sized arrays)
+# and the slab writer's cut table ((events / slab)^2, about 36,000
+# entries).
 _MAX_EVENTS = 10**8
 # Most levels in the fidelity diagnostic's states: its cost and memory
 # grow with the cutoff (about 80 bytes per level), and 120 is the default.

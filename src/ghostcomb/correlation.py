@@ -33,13 +33,13 @@ small-angle factors. Direct sums are accumulated with math.fsum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .lattice import DetectorGeometry, ModeLattice
-from .parallel import chunk_sizes, map_ordered
+from .parallel import map_ordered
 from .seeding import LABEL_MC_ENVELOPE, derive_rng
 
 TWO_PI = 2.0 * math.pi
@@ -121,38 +121,23 @@ def dirichlet_kernel(n_modes: int, x) -> np.ndarray | float:
     return out[()]
 
 
-def psi_direct(
-    lattice: ModeLattice,
-    tau1: float,
-    tau2: float,
-    mode_weights: Sequence[complex] | None = None,
-) -> complex:
+def psi_direct(lattice: ModeLattice, tau1: float, tau2: float) -> complex:
     """Two-photon amplitude by direct summation over the mode lattice.
 
     Valid for zero single-mode linewidth, where each mode pair
     contributes a pure phase e^{-i n omega_b (tau1 - tau2)} under a
-    common pump prefactor e^{-i omega_p (tau1 + tau2) / 2}. The optional
-    mode_weights multiply the per-pair terms, allowing shaped lattices;
-    when omitted all pairs enter with unit weight and |psi|^2 equals the
-    Dirichlet kernel exactly.
+    common pump prefactor e^{-i omega_p (tau1 + tau2) / 2}. All pairs
+    enter with unit weight, so |psi|^2 equals the Dirichlet kernel
+    exactly.
     """
     if lattice.delta_nu != 0.0:
         raise ValueError("psi_direct requires a zero-linewidth lattice")
-    n = lattice.n_modes
-    if mode_weights is not None:
-        weights = np.asarray(mode_weights, dtype=complex)
-        if weights.shape != (n,):
-            raise ValueError("mode_weights must have one entry per mode pair")
-    else:
-        weights = None
 
     x = float(beat_phase(lattice.nu_b, tau1 - tau2))
     u = float(_wrap(x))
     hi, lo = _split(np.float64(u))
-    idx = np.arange(n)
+    idx = np.arange(lattice.n_modes)
     terms = np.exp(-1j * (idx * float(hi))) * np.exp(-1j * (idx * float(lo)))
-    if weights is not None:
-        terms = terms * weights
     comb = complex(math.fsum(terms.real), math.fsum(terms.imag))
     pump = np.exp(-1j * math.pi * (2.0 * lattice.nu_s0) * (tau1 + tau2))
     return complex(pump) * comb
@@ -284,7 +269,6 @@ def g2_mc_envelope(
     tau: float,
     n_realizations: int,
     seed: int,
-    threads: int = 1,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of g2 at one delay, with its standard error.
 
@@ -300,9 +284,9 @@ def g2_mc_envelope(
     clear of the emission-epoch boundaries; without that margin the
     estimate acquires a deterministic truncation bias near the window
     edges. Requires a strictly positive linewidth and at least two
-    realizations. Each chunk of realizations derives its own RNG stream
-    and is summed without BLAS (see _mc_amplitudes), so the estimate
-    depends on neither the thread count nor BLAS threading.
+    realizations. Each chunk of _MC_CHUNK realizations derives its own RNG
+    stream and is summed without BLAS (see _mc_amplitudes), so the
+    estimate depends on neither BLAS threading nor the thread it runs on.
     """
     if lattice.delta_nu <= 0.0:
         raise ValueError("Monte Carlo envelope needs a positive linewidth")
@@ -310,12 +294,11 @@ def g2_mc_envelope(
         raise ValueError("need at least 2 realizations for the pair statistic")
     tau = float(tau)
     window = 100.0 / lattice.delta_nu + 4.0 * abs(tau)
-    counts = chunk_sizes(int(n_realizations), _MC_CHUNK)
+    r = int(n_realizations)
+    counts = [min(_MC_CHUNK, r - start) for start in range(0, r, _MC_CHUNK)]
     sampler = _mc_amplitudes(lattice, tau, window, seed, counts)
-    chunks = map_ordered(sampler, range(len(counts)), threads=threads)
-    amp = np.concatenate(chunks)
+    amp = np.concatenate([sampler(i) for i in range(len(counts))])
 
-    r = amp.size
     total = amp.sum()
     sq = np.abs(amp) ** 2
     sq_sum = float(sq.sum())
@@ -348,10 +331,8 @@ class CorrelationCurve:
 
     taus: np.ndarray
     values: np.ndarray
-    method: str
     normalization: str
     stderrs: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
@@ -369,14 +350,7 @@ class CorrelationCurve:
         if peak <= 0.0:
             raise ValueError("cannot peak-normalize a non-positive curve")
         stderrs = None if self.stderrs is None else self.stderrs / peak
-        return CorrelationCurve(
-            self.taus,
-            self.values / peak,
-            self.method,
-            "peak",
-            stderrs,
-            dict(self.metadata),
-        )
+        return CorrelationCurve(self.taus, self.values / peak, "peak", stderrs)
 
 
 def curve(
@@ -420,7 +394,6 @@ def curve(
     taus = np.linspace(tau_min, tau_max, int(n_points))
     tau_ret = taus - geom.retarded_offset
     stderrs = None
-    meta = {"n_modes": lattice.n_modes, "nu_b": lattice.nu_b, "delta_nu": lattice.delta_nu}
 
     if method == "closed":
         values = np.asarray(g2_closed(lattice, tau_ret), dtype=float)
@@ -433,7 +406,7 @@ def curve(
         if seed is None:
             raise ValueError("the mc method requires a seed")
         pairs = map_ordered(
-            lambda t: g2_mc_envelope(lattice, t, n_realizations, seed, threads=1),
+            lambda t: g2_mc_envelope(lattice, t, n_realizations, seed),
             list(tau_ret),
             threads=threads,
         )
@@ -441,19 +414,16 @@ def curve(
         # clip for the curve, whose values are nonnegative by contract.
         values = np.maximum(np.array([p[0] for p in pairs]), 0.0)
         stderrs = np.array([p[1] for p in pairs])
-        meta["n_realizations"] = int(n_realizations)
     elif method == "fock":
         from .fock import FockOracle, entangled_coherent_pairs
 
         state = entangled_coherent_pairs([alpha] * lattice.n_modes, cutoff)
         oracle = FockOracle(lattice, state)
         values = np.array([oracle.g2(t, 0.0) for t in tau_ret])
-        meta["alpha"] = float(alpha)
-        meta["cutoff"] = int(cutoff)
     else:
         raise ValueError(f"unknown method: {method!r}")
 
-    out = CorrelationCurve(taus, values, method, "raw", stderrs, meta)
+    out = CorrelationCurve(taus, values, "raw", stderrs)
     if normalization == "peak":
         out = out.peak_normalized()
     return out

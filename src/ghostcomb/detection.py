@@ -39,8 +39,6 @@ from .seeding import (
     LABEL_PAIR_COUNT,
     LABEL_PAIR_DELAY,
     LABEL_PAIR_PLACEMENT,
-    LABEL_SINGLES_DET1,
-    LABEL_SINGLES_DET2,
     derive_rng,
 )
 
@@ -51,10 +49,6 @@ _DELAY_BATCH = 1 << 14
 # Detector-1 events whose pair windows are located by one merge, and
 # the chunk length a detector-1 stream is fed to the sweep in.
 _HISTOGRAM_CHUNK = 1 << 15
-# Longest reachable detector-2 stretch, in chunk lengths, ranked by
-# merge; a longer one (sparse t1 against dense t2) is binary-searched,
-# which is faster there and keeps the working set the chunk's size.
-_MERGE_RATIO = 2
 # Most pair delays expanded at once; bounds the tally's working set to
 # a few arrays of this length (about 5 MB), well under one stream of a
 # dense run, so the tally's blocks do not set the peak of `simulate`.
@@ -155,18 +149,20 @@ class CoincidenceHistogram:
 class StreamWithSingles:
     """A sorted stream plus Poisson singles, sorted a slab at a time.
 
-    The timestamps equal the sorted concatenation of head's and the
-    singles that sample_singles(rate, head.duration, seed,
-    head.detector_id, label) draws, but no array of the stream's length
-    is formed. chunks() draws the singles in blocks of _SLAB, sorts each
-    block and appends it to an unnamed scratch file in scratch_dir (the
-    system's temporary directory if None), noting where it crosses the
-    slab edges j * duration / k, with k slabs of about _SLAB events. It
-    then gathers each slab's pieces and head's share into one reused
-    buffer and sorts it. The stream is the sorted multiset, so its bytes
-    do not depend on _SLAB; the blocked draw is bit-identical to
-    rng.uniform(0.0, duration). The singles are drawn afresh from the
-    seed on every call, so chunks() may be called more than once.
+    This is the one way singles (accidentals) enter a stream. The draw
+    is rng = derive_rng(seed, label), then count = rng.poisson(rate *
+    head.duration), then count uniforms on [0, head.duration) in blocks
+    of _SLAB, bit-identical to one rng.uniform(0.0, head.duration,
+    count). The timestamps equal the sorted concatenation of head's and
+    the singles', but no array of the stream's length is formed.
+    chunks() sorts each block of singles and appends it to an unnamed
+    scratch file in scratch_dir (the system's temporary directory if
+    None), noting where it crosses the slab edges j * duration / k, with
+    k slabs of about _SLAB events. It then gathers each slab's pieces
+    and head's share into one reused buffer and sorts it. The stream is
+    the sorted multiset, so its bytes do not depend on _SLAB. The
+    singles are drawn afresh from the seed on every call, so chunks()
+    may be called more than once.
     """
 
     def __init__(self, head: EventStream, rate: float, seed: int, label: int, scratch_dir=None):
@@ -175,7 +171,6 @@ class StreamWithSingles:
         self.head = head
         self.detector_id = head.detector_id
         self.duration = head.duration
-        self.rate = head.rate + rate
         self.singles_rate = rate
         self.seed, self.label, self.scratch_dir = seed, label, scratch_dir
         self.n_singles = self._singles()[0]
@@ -235,48 +230,6 @@ def _write_sorted_blocks(fh, rng, count: int, duration: float, edges: np.ndarray
         cuts[b, 1:-1] = start + np.searchsorted(part, edges)
         fh.write(part)
     return cuts
-
-
-def _read_back(stream: StreamWithSingles) -> np.ndarray:
-    """A stream's timestamps, written to a temporary file and read back,
-    so the writer's buffers are freed before the output is allocated."""
-    with tempfile.TemporaryFile() as fh:
-        # writelines keeps no chunk, so the slab buffer is freed here.
-        fh.writelines(stream.chunks(_SLAB))
-        fh.seek(0)
-        return np.fromfile(fh, count=len(stream))
-
-
-def sample_singles(
-    rate: float,
-    duration: float,
-    seed: int,
-    detector_id: int = 1,
-    label: int | None = None,
-) -> EventStream:
-    """Homogeneous Poisson stream of uncorrelated detection times.
-
-    The optional label overrides the RNG stream label, letting callers
-    generate auxiliary uncorrelated streams (accidental background) that
-    do not collide with the primary singles streams under one seed.
-    """
-    if label is None:
-        label = LABEL_SINGLES_DET1 if detector_id == 1 else LABEL_SINGLES_DET2
-    empty = EventStream(detector_id, np.empty(0), duration, 0.0)
-    times = _read_back(StreamWithSingles(empty, rate, seed, label))
-    return EventStream(detector_id, times, duration, rate, seed)
-
-
-def add_singles(stream: EventStream, rate: float, seed: int, label: int) -> EventStream:
-    """The stream with uncorrelated singles (accidentals) added.
-
-    The singles are those sample_singles(rate, stream.duration, seed,
-    stream.detector_id, label) draws, and the timestamps equal the
-    sorted concatenation of the two streams; the output is the only
-    array of the stream's length (see StreamWithSingles).
-    """
-    merged = StreamWithSingles(stream, rate, seed, label)
-    return EventStream(stream.detector_id, _read_back(merged), stream.duration, merged.rate, None)
 
 
 def _core_tails(u: np.ndarray, core: float, edge: float) -> np.ndarray:
@@ -388,12 +341,10 @@ def histogram_bins_error(bin_width: float, tau_min: float, tau_max: float) -> st
 def _rank(w: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """np.searchsorted(w, keys, side="right") for sorted w and keys.
 
-    Short windows are ranked by a stable merge of the two sorted runs:
-    w goes first, so a key lands after every w element equal to it, and
-    its rank is its merged position less the keys before it.
+    The ranks come from a stable merge of the two sorted runs: w goes
+    first, so a key lands after every w element equal to it, and its
+    rank is its merged position less the keys before it.
     """
-    if w.size > _MERGE_RATIO * keys.size:
-        return np.searchsorted(w, keys, side="right")
     order = np.argsort(np.concatenate([w, keys]), kind="stable")
     return np.flatnonzero(order >= w.size) - np.arange(keys.size)
 

@@ -1,9 +1,8 @@
 """Thread-pool helper with deterministic ordering.
 
-Work is split into fixed-size chunks before any thread starts, and the
-results are reassembled in chunk order. Combined with per-chunk RNG
-derivation (see seeding.py) this makes outputs byte-identical for any
-thread count, including 1.
+Results are returned in input order. Combined with an RNG stream
+derived per work item (see seeding.py) this makes outputs
+byte-identical for any thread count, including 1.
 """
 
 from __future__ import annotations
@@ -28,17 +27,3 @@ def map_ordered(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> l
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
-
-def chunk_sizes(total: int, chunk: int) -> list[int]:
-    """Fixed chunking of `total` work items into pieces of size `chunk`.
-
-    The split depends only on (total, chunk), never on the thread count.
-    """
-    if total < 0:
-        raise ValueError("total must be non-negative")
-    if chunk <= 0:
-        raise ValueError("chunk must be positive")
-    sizes = [chunk] * (total // chunk)
-    if total % chunk:
-        sizes.append(total % chunk)
-    return sizes

@@ -13,8 +13,8 @@ import numpy as np
 
 # Stream labels. Append new labels; never renumber existing ones, or
 # previously recorded runs stop being reproducible.
-LABEL_SINGLES_DET1 = 1
-LABEL_SINGLES_DET2 = 2
+LABEL_SINGLES_DET1 = 1  # reserved: its last user is gone
+LABEL_SINGLES_DET2 = 2  # reserved: its last user is gone
 LABEL_PAIR_COUNT = 3
 LABEL_PAIR_DELAY = 4
 LABEL_PAIR_PLACEMENT = 5

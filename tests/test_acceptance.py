@@ -16,6 +16,7 @@ from scipy import stats
 
 from ghostcomb import (
     DetectorGeometry,
+    EventStream,
     FockOracle,
     ModeLattice,
     beat_phase,
@@ -31,10 +32,11 @@ from ghostcomb import (
     g2_mc_envelope,
     psi_direct,
     sample_pairs,
-    sample_singles,
 )
 from ghostcomb.cli import main as cli_main
+from ghostcomb.detection import StreamWithSingles
 from ghostcomb.lattice import SPEED_OF_LIGHT
+from ghostcomb.seeding import LABEL_SINGLES_DET1, LABEL_SINGLES_DET2
 
 CARRIER = 2.82e14
 GEOM0 = DetectorGeometry(r1=0.0, r2=0.0)
@@ -189,10 +191,14 @@ def test_criterion_04_ideal_run_contrast_and_empty_valleys():
 def test_criterion_05_singles_are_uniform():
     """1e5-event singles streams carry no comb: flat to chi-square."""
     pvalues = []
-    for det in (1, 2):
-        stream = sample_singles(1000.0, 100.0, seed=907, detector_id=det)
+    for det, label in ((1, LABEL_SINGLES_DET1), (2, LABEL_SINGLES_DET2)):
+        empty = EventStream(det, np.empty(0), 100.0, 0.0)
+        stream = StreamWithSingles(empty, 1000.0, 907, label)
         assert len(stream) > 90_000
-        counts, _ = np.histogram(stream.timestamps, bins=100, range=(0, 100.0))
+        counts = sum(
+            np.histogram(chunk, bins=100, range=(0, 100.0))[0]
+            for chunk in stream.chunks(1 << 15)
+        )
         pvalues.append(float(stats.chisquare(counts).pvalue))
     ok = all(p > 0.01 for p in pvalues)
     detail = (

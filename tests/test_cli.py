@@ -212,6 +212,24 @@ class TestCurveCommand:
         assert "n_modes=1000001" in err and "reduce n_modes" in err
         assert not (tmp_path / "curve.csv").exists()
 
+    def test_peak_list_at_the_defaults(self):
+        peaks, truncated = cli._peak_list(load_config())
+        assert peaks == [n / 20e3 for n in range(-2, 3)]
+        assert not truncated
+
+    def test_peak_list_is_capped_without_listing_every_order(self):
+        # +-25 s holds 1e6 comb orders; listing them all traced 40 MB.
+        cfg = load_config(overrides={"tau_min_s": -25.0, "tau_max_s": 25.0})
+        tracemalloc.start()
+        try:
+            peaks, truncated = cli._peak_list(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert truncated
+        assert peaks == [n / 20e3 for n in range(-500_000, -500_000 + 1001)]
+
 
 class TestSimulateCommand:
     def test_end_to_end(self, tmp_path, capsys):

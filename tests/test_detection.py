@@ -19,6 +19,8 @@ from ghostcomb.seeding import (
     LABEL_ACCIDENTAL_DET1,
     LABEL_ACCIDENTAL_DET2,
     LABEL_PAIR_DELAY,
+    LABEL_SINGLES_DET1,
+    LABEL_SINGLES_DET2,
     derive_rng,
 )
 from ghostcomb import (
@@ -26,7 +28,6 @@ from ghostcomb import (
     DetectorGeometry,
     EventStream,
     ModeLattice,
-    add_singles,
     build_histogram,
     comb_peak_orders,
     comb_peak_positions,
@@ -34,7 +35,6 @@ from ghostcomb import (
     contrast,
     g2_closed,
     sample_pairs,
-    sample_singles,
 )
 
 CARRIER = 2.82e14
@@ -96,35 +96,44 @@ class TestEventStream:
 
 
 class TestSampleSingles:
+    """Singles alone: a StreamWithSingles over an empty head."""
+
+    @staticmethod
+    def singles(rate, duration, seed, detector_id=1, label=LABEL_SINGLES_DET1):
+        head = EventStream(detector_id, np.empty(0), duration, 0.0)
+        return detection.StreamWithSingles(head, rate, seed, label)
+
     def test_count_near_expectation(self):
-        s = sample_singles(1000.0, 100.0, seed=11)
+        s = self.singles(1000.0, 100.0, seed=11)
         mean = 1000.0 * 100.0
         assert abs(len(s) - mean) < 5 * math.sqrt(mean)
 
     def test_zero_duration(self):
-        s = sample_singles(5.0, 0.0, seed=11)
+        s = self.singles(5.0, 0.0, seed=11)
         assert len(s) == 0
+        assert TestStreamWithSingles.written(s).size == 0
 
     def test_uniform_timestamps(self):
-        s = sample_singles(2000.0, 50.0, seed=42)
-        p = stats.kstest(s.timestamps / s.duration, "uniform").pvalue
+        t = TestStreamWithSingles.written(self.singles(2000.0, 50.0, seed=42))
+        p = stats.kstest(t / 50.0, "uniform").pvalue
         assert p > 0.01
 
     def test_deterministic(self):
-        a = sample_singles(100.0, 10.0, seed=3)
-        b = sample_singles(100.0, 10.0, seed=3)
-        assert np.array_equal(a.timestamps, b.timestamps)
+        a = TestStreamWithSingles.written(self.singles(100.0, 10.0, seed=3))
+        b = TestStreamWithSingles.written(self.singles(100.0, 10.0, seed=3))
+        assert np.array_equal(a, b)
 
     def test_detectors_and_labels_decorrelate(self):
-        a = sample_singles(100.0, 10.0, seed=3, detector_id=1)
-        b = sample_singles(100.0, 10.0, seed=3, detector_id=2)
-        c = sample_singles(100.0, 10.0, seed=3, detector_id=1, label=10)
-        assert not np.array_equal(a.timestamps[: len(b)], b.timestamps[: len(a)])
-        assert not np.array_equal(a.timestamps[: len(c)], c.timestamps[: len(a)])
+        written = TestStreamWithSingles.written
+        a = written(self.singles(100.0, 10.0, seed=3, detector_id=1))
+        b = written(self.singles(100.0, 10.0, seed=3, detector_id=2, label=LABEL_SINGLES_DET2))
+        c = written(self.singles(100.0, 10.0, seed=3, detector_id=1, label=10))
+        assert not np.array_equal(a[: len(b)], b[: len(a)])
+        assert not np.array_equal(a[: len(c)], c[: len(a)])
 
     def test_requires_positive_rate(self):
         with pytest.raises(ValueError):
-            sample_singles(0.0, 1.0, seed=1)
+            self.singles(0.0, 1.0, seed=1)
 
     @pytest.mark.parametrize(
         "rate, duration, message", [(np.nan, 1.0, "rate"), (1.0, np.nan, "duration")]
@@ -132,15 +141,15 @@ class TestSampleSingles:
     def test_rejects_a_nan_rate_or_duration(self, rate, duration, message):
         # Refused by name, not inside numpy's Poisson draw.
         with pytest.raises(ValueError, match=message):
-            sample_singles(rate, duration, 1)
+            self.singles(rate, duration, 1)
 
     @pytest.mark.parametrize("seed", [1, 2, 7])
     def test_is_the_sorted_uniform_draw(self, seed):
         # The in-place draw keeps the bits of rng.uniform(0, duration).
         rng = derive_rng(seed, LABEL_ACCIDENTAL_DET2)
         expected = np.sort(rng.uniform(0.0, 25.0, rng.poisson(4000.0 * 25.0)))
-        s = sample_singles(4000.0, 25.0, seed, detector_id=2, label=LABEL_ACCIDENTAL_DET2)
-        assert s.timestamps.tobytes() == expected.tobytes()
+        s = self.singles(4000.0, 25.0, seed, detector_id=2, label=LABEL_ACCIDENTAL_DET2)
+        assert TestStreamWithSingles.written(s).tobytes() == expected.tobytes()
 
 
 class TestSamplePairs:
@@ -376,6 +385,8 @@ class TestDrawDelays:
 
 
 class TestAddSingles:
+    """A StreamWithSingles over a stream of pair times."""
+
     @staticmethod
     def merged(stream, rate, seed, label):
         """The sorted concatenation of the stream and its singles, drawn
@@ -388,35 +399,39 @@ class TestAddSingles:
     def test_equals_sorted_concatenation(self, seed):
         s1, s2 = sample_pairs(LAT10, GEOM0, 50.0, 20.0, 1e-7, seed)
         for stream, label in ((s1, LABEL_ACCIDENTAL_DET1), (s2, LABEL_ACCIDENTAL_DET2)):
-            out = add_singles(stream, 5000.0, seed, label)
+            out = TestStreamWithSingles.written(
+                detection.StreamWithSingles(stream, 5000.0, seed, label)
+            )
             expected = self.merged(stream, 5000.0, seed, label)
-            assert out.timestamps.tobytes() == expected.tobytes()
-            assert len(out) > len(stream)
+            assert out.tobytes() == expected.tobytes()
+            assert out.size > len(stream)
 
     def test_zero_duration(self):
         empty = EventStream(2, np.empty(0), 0.0, 1.0)
-        out = add_singles(empty, 5000.0, 3, LABEL_ACCIDENTAL_DET2)
+        out = detection.StreamWithSingles(empty, 5000.0, 3, LABEL_ACCIDENTAL_DET2)
         assert len(out) == 0
         expected = self.merged(empty, 5000.0, 3, LABEL_ACCIDENTAL_DET2)
-        assert out.timestamps.tobytes() == expected.tobytes()
+        assert TestStreamWithSingles.written(out).tobytes() == expected.tobytes()
 
     def test_interleaves(self):
+        written = TestStreamWithSingles.written
         stream = EventStream(2, np.array([0.1, 0.4]), 1.0, 2.0)
-        out = add_singles(stream, 30.0, 5, LABEL_ACCIDENTAL_DET2)
-        singles = sample_singles(30.0, 1.0, 5, 2, LABEL_ACCIDENTAL_DET2)
-        assert len(out) == len(singles) + 2
-        assert np.array_equal(np.setdiff1d(out.timestamps, singles.timestamps), [0.1, 0.4])
-        assert np.all(np.diff(out.timestamps) > 0)
-        assert out.rate == 32.0
+        out = written(detection.StreamWithSingles(stream, 30.0, 5, LABEL_ACCIDENTAL_DET2))
+        singles = written(
+            TestSampleSingles.singles(30.0, 1.0, 5, 2, LABEL_ACCIDENTAL_DET2)
+        )
+        assert out.size == singles.size + 2
+        assert np.array_equal(np.setdiff1d(out, singles), [0.1, 0.4])
+        assert np.all(np.diff(out) > 0)
 
     def test_keeps_detector_and_duration(self):
         stream = EventStream(2, np.array([0.1]), 3.0, 1.0, seed=4)
-        out = add_singles(stream, 10.0, 4, LABEL_ACCIDENTAL_DET2)
-        assert (out.detector_id, out.duration, out.seed) == (2, 3.0, None)
-        assert out.timestamps[-1] < 3.0
+        out = detection.StreamWithSingles(stream, 10.0, 4, LABEL_ACCIDENTAL_DET2)
+        assert (out.detector_id, out.duration) == (2, 3.0)
+        assert TestStreamWithSingles.written(out)[-1] < 3.0
         for rate in (0.0, np.nan):
             with pytest.raises(ValueError, match="rate"):
-                add_singles(stream, rate, 4, LABEL_ACCIDENTAL_DET2)
+                detection.StreamWithSingles(stream, rate, 4, LABEL_ACCIDENTAL_DET2)
 
 
 class TestStreamWithSingles:
@@ -442,8 +457,6 @@ class TestStreamWithSingles:
         assert self.written(stream).tobytes() == expected.tobytes()
         # The singles are drawn afresh from the seed on every pass.
         assert self.written(stream, size=33).tobytes() == expected.tobytes()
-        out = add_singles(s1, 200.0, 7, LABEL_ACCIDENTAL_DET1)
-        assert out.timestamps.tobytes() == expected.tobytes()
 
     def test_head_on_a_slab_edge(self, monkeypatch):
         # Head events at every slab edge j * duration / k and at 0: each
@@ -470,8 +483,6 @@ class TestStreamWithSingles:
         expected = self.merged(empty, 400.0, 9, LABEL_ACCIDENTAL_DET1)
         assert len(out) == expected.size >= duration * 300
         assert self.written(out).tobytes() == expected.tobytes()
-        s = sample_singles(400.0, duration, 9, 1, LABEL_ACCIDENTAL_DET1)
-        assert s.timestamps.tobytes() == expected.tobytes()
 
     def test_no_singles_drawn(self, monkeypatch):
         monkeypatch.setattr(detection, "_SLAB", 2)
@@ -674,10 +685,7 @@ class TestRank:
     def test_equals_searchsorted(self, w, keys):
         w, keys = np.array(w), np.array(keys)
         expected = np.searchsorted(w, keys, side="right")
-        # A ratio of 0 binary-searches every window, a huge one merges.
-        for ratio in (0, detection._MERGE_RATIO, 10**9):
-            with mock.patch.object(detection, "_MERGE_RATIO", ratio):
-                assert np.array_equal(detection._rank(w, keys), expected)
+        assert np.array_equal(detection._rank(w, keys), expected)
 
 
 # Sorted event times on a 0.025 grid over [0, 10), so delays often
@@ -757,20 +765,6 @@ class TestTallyAtManyBins:
         expected = brute_force_counts(t1, t2, self.BIN_WIDTH, self.TAU_MIN, self.TAU_MAX)
         assert h.total_pairs > 3e6
         assert np.array_equal(h.counts, expected)
-
-
-class TestStreamMemory:
-    """Sampling and adding singles allocate the output stream once."""
-
-    def test_sample_singles_holds_one_stream(self):
-        s, peak = traced_peak(sample_singles, 1e6, 1.0, seed=8)
-        assert peak <= 1.2 * s.timestamps.nbytes
-
-    def test_add_singles_holds_one_stream(self):
-        pairs = sample_singles(1e5, 1.0, seed=8, detector_id=2)
-        m, peak = traced_peak(add_singles, pairs, 1e6, 9, LABEL_ACCIDENTAL_DET2)
-        assert len(m) > 10 * len(pairs)
-        assert peak <= 1.2 * m.timestamps.nbytes
 
 
 def running_min_regions(hist, lattice, geom):

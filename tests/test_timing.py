@@ -12,13 +12,13 @@ from ghostcomb import (
     CombFit,
     DetectorGeometry,
     ModeLattice,
-    add_singles,
     build_histogram,
     comb_peak_width,
     fit_comb,
     g2_closed,
     sample_pairs,
 )
+from ghostcomb.detection import StreamWithSingles
 from ghostcomb.lattice import SPEED_OF_LIGHT
 from ghostcomb.seeding import LABEL_ACCIDENTAL_DET1, LABEL_ACCIDENTAL_DET2
 
@@ -182,8 +182,8 @@ def dense_fits():
     out = []
     for seed in SEEDS:
         s1, s2 = sample_pairs(LAT1000, geom, 400.0, 25.0, 2e-9, seed)
-        s1 = add_singles(s1, 16000.0, seed, LABEL_ACCIDENTAL_DET1)
-        s2 = add_singles(s2, 16000.0, seed, LABEL_ACCIDENTAL_DET2)
+        s1 = StreamWithSingles(s1, 16000.0, seed, LABEL_ACCIDENTAL_DET1)
+        s2 = StreamWithSingles(s2, 16000.0, seed, LABEL_ACCIDENTAL_DET2)
         hist = build_histogram(s1, s2, 5e-9, -1.25e-4, 1.25e-4)
         fit = fit_comb(hist, LAT1000.n_modes, LAT1000.nu_b)
         out.append((fit.offset_est - geom.retarded_offset, fit.offset_stderr,
