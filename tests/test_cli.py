@@ -617,6 +617,72 @@ class TestDeterminism:
         }
         assert digests == self.GOLDEN_SIMULATE
 
+    @staticmethod
+    def digests(root, names):
+        return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in names}
+
+    # The sidecar of the GOLDEN_SIMULATE run, and fit.json from `fit`
+    # on its histogram.
+    GOLDEN_FIT = {
+        "histogram_meta.json": "97922b42808c6f7c24ec4cf597cab71ed2e860a2db67f1bca0f13f9cf2417ddb",
+        "fit.json": "cd7f312487a3b81c05b2077e2eda0b0a514c40b7686294b37f047074166b59c4",
+    }
+
+    def test_sidecar_and_fit_match_golden_digests(self, tmp_path, capsys):
+        sim, fit = tmp_path / "sim", tmp_path / "fit"
+        code, _, err = run(
+            capsys, "simulate", "--out", str(sim), "--seed", "11", "--threads", "1",
+            "--set", "r1_m=3.0", "--set", "pair_rate_hz=400", "--set", "duration_s=20",
+            "--set", "accidental_rate_hz=16000", "--set", "jitter_sigma_s=2e-9",
+        )
+        assert code == 0, err
+        code, _, err = run(capsys, "fit", str(sim / "histogram.csv"), "--out", str(fit))
+        assert code == 0, err
+        digests = self.digests(sim, ["histogram_meta.json"]) | self.digests(fit, ["fit.json"])
+        assert digests == self.GOLDEN_FIT
+
+    # The curve comparison at N = 4 (direct, fock), the mc comparison
+    # path (delta_nu > 0) and the oracle at the defaults.
+    GOLDEN_COMMANDS = {
+        "curve-all": (
+            ["curve", "--method", "all", "--set", "n_modes=4", "--set", "oracle_cutoff=4",
+             "--set", "n_points=2001"],
+            {
+                "curve.csv": "7d5ea4d514466bf9662c8d6edc587e79f504cfa90987e1a4daf608bb89f3dcef",
+                "curve_comparison.csv":
+                    "7243b801ff88fdf47db6c31090427cdfb82ad5b5202ccf05b7c44d48955ed489",
+                "curve_summary.json":
+                    "037ad17ba08e1d3b91a38f8d389d58dad0d9e8cc7e6e23e988b8f6666cc30efa",
+            },
+        ),
+        "curve-all-mc": (
+            ["curve", "--method", "all", "--set", "delta_nu_hz=200", "--set", "n_modes=16",
+             "--set", "n_points=5", "--set", "mc_realizations=200"],
+            {
+                "curve_comparison.csv":
+                    "3630ec0909641dfba85f4124476935df1c882a29e3319bcfaa6f4b8807ed9b94",
+                "curve_mc_stderr.csv":
+                    "9529a33340ae4f350d4d5299ea54252f95add91818b02236f4e1ae2ae1ff4e9f",
+            },
+        ),
+        "oracle": (
+            ["oracle"],
+            {
+                "oracle_comparison.csv":
+                    "036b42bdbd53f96ae5f46bc54f3fe2c34ed6ed1dd92aac30f6b1da1ac3b28552",
+                "fidelity_report.json":
+                    "7b5f2a28b563df91c34fc2f5b509d9acfcfc038ec07ffcebf89028a27879fdc0",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("name", GOLDEN_COMMANDS)
+    def test_command_bytes_match_golden_digests(self, tmp_path, capsys, name):
+        argv, golden = self.GOLDEN_COMMANDS[name]
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 0, err
+        assert self.digests(tmp_path, golden) == golden
+
     def test_seed_changes_outputs(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         run(capsys, "simulate", "--out", str(a), "--seed", "1", *SIM_ARGS)
