@@ -32,6 +32,7 @@ from .correlation import (
     curve,
     envelope_first_zero,
     envelope_fwhm,
+    g2_closed,
 )
 from .detection import (
     StreamWithSingles,
@@ -43,7 +44,7 @@ from .detection import (
 from .fock import build_coherent_product, build_perturbation_state, state_fidelity
 from .lattice import DetectorGeometry
 from .seeding import LABEL_ACCIDENTAL_DET1, LABEL_ACCIDENTAL_DET2
-from .timing import CombFit, fit_comb
+from .timing import CombFit, comb_fit_error, fit_comb
 
 # Largest points * modes product accepted for a sum over the modes at
 # every point (the direct and fock methods); beyond this the cost stops
@@ -183,10 +184,7 @@ def cmd_curve(cfg: RunConfig, out: Path) -> int:
                 continue
             base = curves["closed"].values
             if curves[m].normalization == "raw":
-                base = curve(
-                    lattice, geom, cfg.tau_min_s, cfg.tau_max_s, cfg.n_points,
-                    "closed", normalization="raw",
-                ).values
+                base = g2_closed(lattice, curves[m].taus - geom.retarded_offset)
             header.append(f"rel_err_{m}")
             columns.append(np.abs(curves[m].values - base))
         gio.write_columns_csv(out / "curve_comparison.csv", header, columns)
@@ -235,7 +233,11 @@ def _fit_dict(fit: CombFit) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
-    if error := histogram_bins_error(cfg.bin_width_s, cfg.tau_min_s, cfg.tau_max_s):
+    # Refuse a histogram, or a fit of it, that would fail, before any work.
+    span = (cfg.tau_min_s, cfg.tau_max_s)
+    if error := histogram_bins_error(cfg.bin_width_s, *span) or comb_fit_error(
+        cfg.n_modes, cfg.nu_b_hz, cfg.bin_width_s, *span
+    ):
         raise ValueError(error)
     lattice = cfg.lattice()
     geom = cfg.geometry()
@@ -287,7 +289,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
             "contrast": contrast_value,
             "n_events_d1": n_events[0],
             "n_events_d2": n_events[1],
-            "total_pairs_in_range": int(hist.total_pairs),
+            "total_pairs_in_range": hist.total_pairs,
             "geometry_offset_s": geom.retarded_offset,
             "fit": _fit_dict(fit),
         }

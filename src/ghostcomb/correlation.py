@@ -361,7 +361,6 @@ def curve(
     n_points: int,
     method: str = "closed",
     *,
-    normalization: str | None = None,
     n_realizations: int = 2000,
     seed: int | None = None,
     threads: int = 1,
@@ -377,19 +376,16 @@ def curve(
     (exact moments of a truncated entangled coherent state, zero
     linewidth only; cost grows as n_modes * n_points, like "direct").
 
-    normalization is "raw" or "peak"; None picks the method's natural
-    scale: "raw" for "mc", whose estimate is already on g2_closed's
-    peak-1 scale (dividing by its own noisy maximum would bias the values
-    and leave that noise out of the standard errors), "peak" otherwise.
+    Each method keeps its natural scale: "raw" for "mc", whose estimate
+    is already on g2_closed's peak-1 scale (dividing by its own noisy
+    maximum would bias the values and leave that noise out of the
+    standard errors), "peak" otherwise. A caller who wants a
+    peak-scaled mc curve calls peak_normalized().
     """
     if not tau_max > tau_min:
         raise ValueError("tau_max must exceed tau_min")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    if normalization is None:
-        normalization = "raw" if method == "mc" else "peak"
-    if normalization not in ("raw", "peak"):
-        raise ValueError("normalization must be 'raw' or 'peak'")
 
     taus = np.linspace(tau_min, tau_max, int(n_points))
     tau_ret = taus - geom.retarded_offset
@@ -424,6 +420,4 @@ def curve(
         raise ValueError(f"unknown method: {method!r}")
 
     out = CorrelationCurve(taus, values, "raw", stderrs)
-    if normalization == "peak":
-        out = out.peak_normalized()
-    return out
+    return out if method == "mc" else out.peak_normalized()

@@ -72,8 +72,6 @@ class EventStream:
     detector_id: int
     timestamps: np.ndarray
     duration: float
-    rate: float
-    seed: int | None = None
 
     def __post_init__(self):
         if self.detector_id not in (1, 2):
@@ -89,8 +87,6 @@ class EventStream:
                 raise ValueError("timestamps must lie within [0, duration)")
         if not self.duration >= 0:
             raise ValueError("duration must be non-negative")
-        if not self.rate >= 0:
-            raise ValueError("rate must be non-negative")
         object.__setattr__(self, "timestamps", ts)
 
     def __len__(self) -> int:
@@ -107,7 +103,6 @@ class CoincidenceHistogram:
     """Binned counts of pair delays t1 - t2 over [tau_min, tau_max).
 
     Bin i covers [tau_min + i * bin_width, tau_min + (i+1) * bin_width).
-    total_pairs is the number of tallied pairs, equal to counts.sum().
     An int64 counts array is kept as given, not copied.
     metadata is an opaque record of the run that produced the counts;
     no analysis here reads it, so callers pass the comb explicitly.
@@ -117,7 +112,6 @@ class CoincidenceHistogram:
     tau_min: float
     tau_max: float
     counts: np.ndarray
-    total_pairs: int
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -130,9 +124,12 @@ class CoincidenceHistogram:
             raise ValueError("bin_width must be positive")
         if not self.tau_max > self.tau_min:
             raise ValueError("tau_max must exceed tau_min")
-        if int(counts.sum()) != int(self.total_pairs):
-            raise ValueError("total_pairs must equal the sum of counts")
         object.__setattr__(self, "counts", counts.astype(np.int64, copy=False))
+
+    @property
+    def total_pairs(self) -> int:
+        """The number of tallied pairs."""
+        return int(self.counts.sum())
 
     def blocks(self):
         """(bin centres, counts) in consecutive blocks of _BIN_BLOCK bins.
@@ -318,9 +315,7 @@ def sample_pairs(
             np.mod(t, duration, out=t)
     t1.sort()
     t2.sort()
-    s1 = EventStream(1, t1, duration, pair_rate, seed)
-    s2 = EventStream(2, t2, duration, pair_rate, seed)
-    return s1, s2
+    return EventStream(1, t1, duration), EventStream(2, t2, duration)
 
 
 def histogram_bins_error(bin_width: float, tau_min: float, tau_max: float) -> str | None:
@@ -475,9 +470,7 @@ def build_histogram(
             _tally_events(counts, c1[:n], w, tau_min, tau_max, bin_width)
             c1 = c1[n:]
 
-    return CoincidenceHistogram(
-        bin_width, tau_min, tau_max, counts, int(counts.sum()), meta
-    )
+    return CoincidenceHistogram(bin_width, tau_min, tau_max, counts, meta)
 
 
 def contrast(

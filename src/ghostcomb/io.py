@@ -5,7 +5,7 @@ CSV floats use fixed 12-significant-digit scientific notation, and
 JSON is emitted with sorted keys and fixed indentation. Event streams use a compact binary
 record: a 16-byte little-endian header (magic "GCEV", u16 version,
 u16 detector_id, u64 count) followed by count float64 timestamps,
-read back whole (read_event_stream) or in chunks (EventStreamFile).
+read back in chunks by EventStreamFile, the one reader of that format.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import CoincidenceHistogram, EventStream
+from .detection import CoincidenceHistogram
 
 _MAGIC = b"GCEV"
 _VERSION = 1
@@ -90,7 +90,7 @@ def write_histogram(path_csv, path_meta, hist: CoincidenceHistogram) -> None:
         "bin_width_s": hist.bin_width,
         "tau_min_s": hist.tau_min,
         "tau_max_s": hist.tau_max,
-        "total_pairs": int(hist.total_pairs),
+        "total_pairs": hist.total_pairs,
         "metadata": hist.metadata,
     }
     write_json(path_meta, meta)
@@ -104,7 +104,10 @@ def read_histogram(path_csv, path_meta) -> CoincidenceHistogram:
     comes from the sidecar because bin centers in the CSV are rounded
     to 12 digits. numpy releases that parse "2.5" as an integer through
     a float only warn (DeprecationWarning) and truncate, so that warning
-    is made an error here, whatever the caller's warning filters.
+    is made an error here, whatever the caller's warning filters. The
+    two files may come from outside the program, so a sidecar that lacks
+    a key, a row count off the sidecar's grid and a total_pairs other
+    than the counts' sum are refused.
     """
     try:
         with warnings.catch_warnings():
@@ -115,14 +118,29 @@ def read_histogram(path_csv, path_meta) -> CoincidenceHistogram:
     except (ValueError, DeprecationWarning) as err:
         raise ValueError(f"{path_csv}: histogram counts must be integers: {err}") from None
     meta = json.loads(Path(path_meta).read_text())
-    return CoincidenceHistogram(
+    for key in ("bin_width_s", "tau_min_s", "tau_max_s", "total_pairs"):
+        if key not in meta:
+            raise ValueError(f"{path_meta}: sidecar lacks {key!r}")
+    hist = CoincidenceHistogram(
         bin_width=float(meta["bin_width_s"]),
         tau_min=float(meta["tau_min_s"]),
         tau_max=float(meta["tau_max_s"]),
         counts=counts,
-        total_pairs=int(meta["total_pairs"]),
         metadata=dict(meta.get("metadata", {})),
     )
+    # Written so that an infinite or NaN grid fails it too.
+    bins = (hist.tau_max - hist.tau_min) / hist.bin_width
+    if not abs(bins - counts.size) < 0.5:
+        raise ValueError(
+            f"{path_csv} has {counts.size} rows, but its sidecar {path_meta} "
+            f"gives a grid of {bins:.0f} bins"
+        )
+    if hist.total_pairs != int(meta["total_pairs"]):
+        raise ValueError(
+            f"{path_csv}: counts sum to {hist.total_pairs}, but its sidecar "
+            f"{path_meta} gives total_pairs={meta['total_pairs']}"
+        )
+    return hist
 
 
 def write_event_stream(path, stream) -> None:
@@ -140,51 +158,30 @@ def write_event_stream(path, stream) -> None:
             fh.write(np.ascontiguousarray(chunk, dtype="<f8"))
 
 
-def _read_stream_header(fh, path) -> tuple[int, int]:
-    """Check a GCEV header and the file's size; return (detector_id, count)."""
-    head = fh.read(_HEADER.size)
-    if len(head) < _HEADER.size:
-        raise ValueError(f"{path}: truncated stream header")
-    magic, version, detector_id, count = _HEADER.unpack(head)
-    if magic != _MAGIC:
-        raise ValueError(f"{path}: not an event-stream file")
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported stream version {version}")
-    expected = _HEADER.size + 8 * count
-    size = os.fstat(fh.fileno()).st_size
-    if size != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {size}")
-    return detector_id, count
-
-
-def read_event_stream(path, duration: float | None = None, rate: float = 0.0) -> EventStream:
-    """Read a binary GCEV record back into an EventStream.
-
-    The timestamps are read straight into their final array, so the
-    stream is held once. The binary record does not carry duration or
-    rate (they live in the run manifest); pass them in, or the duration
-    defaults to just past the final timestamp.
-    """
-    with open(path, "rb") as fh:
-        detector_id, count = _read_stream_header(fh, path)
-        times = np.fromfile(fh, dtype="<f8", count=count)
-    if duration is None:
-        duration = float(np.nextafter(times[-1], np.inf)) if times.size else 0.0
-    return EventStream(detector_id, times, duration, rate, None)
-
-
 class EventStreamFile:
-    """A GCEV record on disk, read back a chunk at a time.
+    """A GCEV record on disk, the one reader of that format.
 
-    Opening it checks the header, version and size as read_event_stream
-    does and holds no timestamps; chunks(size) reads them in order, so
-    build_histogram can sweep a stream that is never held whole.
+    Opening it checks the header, version and size and holds no
+    timestamps; chunks(size) reads them in order, so build_histogram can
+    sweep a stream that is never held whole. The record carries no
+    duration (it lives in the run manifest).
     """
 
     def __init__(self, path):
         self.path = Path(path)
         with open(self.path, "rb") as fh:
-            self.detector_id, self.count = _read_stream_header(fh, self.path)
+            head = fh.read(_HEADER.size)
+            size = os.fstat(fh.fileno()).st_size
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{self.path}: truncated stream header")
+        magic, version, self.detector_id, self.count = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            raise ValueError(f"{self.path}: not an event-stream file")
+        if version != _VERSION:
+            raise ValueError(f"{self.path}: unsupported stream version {version}")
+        expected = _HEADER.size + 8 * self.count
+        if size != expected:
+            raise ValueError(f"{self.path}: expected {expected} bytes, found {size}")
 
     def __len__(self) -> int:
         return self.count

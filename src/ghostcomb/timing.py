@@ -105,6 +105,25 @@ def _scoring_terms(hist, n_modes, theta) -> tuple[np.ndarray, np.ndarray, float]
     return fisher, score, deviance
 
 
+def comb_fit_error(
+    n_modes: int, nu_b: float, bin_width: float, tau_min: float, tau_max: float
+) -> str | None:
+    """Why fit_comb refuses this comb and binning, or None; simulate asks first."""
+    if n_modes < 2:
+        return f"n_modes={n_modes}: the comb needs at least 2 modes to have teeth"
+    if not nu_b > 0:
+        return f"nu_b_hz={nu_b!r}: nu_b must be positive"
+    width = 1.0 / (n_modes * nu_b)
+    if width < 10 * bin_width:
+        return (
+            f"binning too coarse: bin_width_s={bin_width!r} gives "
+            f"{width / bin_width:.1f} bins per peak width 1/(n_modes nu_b_hz), need 10"
+        )
+    if tau_max - tau_min < 2.0 / nu_b:
+        return f"tau_max_s - tau_min_s is shorter than two comb periods, {2.0 / nu_b:.3g} s"
+    return None
+
+
 def fit_comb(hist: CoincidenceHistogram, n_modes: int, nu_b: float) -> CombFit:
     """Fit the comb of N = n_modes modes spaced by nu_b to the counts.
 
@@ -115,20 +134,11 @@ def fit_comb(hist: CoincidenceHistogram, n_modes: int, nu_b: float) -> CombFit:
     from the folded start. The offset is x wrapped to the principal
     interval, and its error is propagated through the period at that
     order. Refuses binning coarser than 10 bins per tooth width
-    1 / (N nu_b), a range shorter than two periods and a flat
-    histogram.
+    1 / (N nu_b), a range shorter than two periods (see comb_fit_error)
+    and a flat histogram.
     """
-    if n_modes < 2:
-        raise ValueError("the comb needs at least 2 modes to have teeth")
-    if not nu_b > 0:
-        raise ValueError("nu_b must be positive")
-    width = 1.0 / (n_modes * nu_b)
-    if width < 10 * hist.bin_width:
-        raise ValueError(
-            f"binning too coarse: {width / hist.bin_width:.1f} bins per peak width, need 10"
-        )
-    if hist.tau_max - hist.tau_min < 2.0 / nu_b:
-        raise ValueError("histogram range is shorter than two comb periods")
+    if error := comb_fit_error(n_modes, nu_b, hist.bin_width, hist.tau_min, hist.tau_max):
+        raise ValueError(error)
     if hist.counts.max() == hist.counts.min():
         raise ValueError("histogram is flat; no comb to fit")
 

@@ -192,7 +192,7 @@ def test_criterion_05_singles_are_uniform():
     """1e5-event singles streams carry no comb: flat to chi-square."""
     pvalues = []
     for det, label in ((1, LABEL_SINGLES_DET1), (2, LABEL_SINGLES_DET2)):
-        empty = EventStream(det, np.empty(0), 100.0, 0.0)
+        empty = EventStream(det, np.empty(0), 100.0)
         stream = StreamWithSingles(empty, 1000.0, 907, label)
         assert len(stream) > 90_000
         counts = sum(

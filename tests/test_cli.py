@@ -14,8 +14,8 @@ from ghostcomb.cli import _applicable_methods, main
 from ghostcomb.config import load_config
 from ghostcomb.correlation import g2_closed
 from ghostcomb.io import (
+    EventStreamFile,
     read_curve_csv,
-    read_event_stream,
     read_histogram,
     read_json,
     write_json,
@@ -252,7 +252,7 @@ class TestSimulateCommand:
             tmp_path / "histogram.csv", tmp_path / "histogram_meta.json"
         )
         assert hist.total_pairs == results["total_pairs_in_range"]
-        s1 = read_event_stream(tmp_path / "stream_d1.bin", duration=2e5)
+        s1 = EventStreamFile(tmp_path / "stream_d1.bin")
         assert len(s1) == results["n_events_d1"]
         assert s1.detector_id == 1
 
@@ -393,6 +393,24 @@ class TestFitCommand:
         )
         assert code == 0, err
 
+    def test_rows_off_the_sidecar_grid_are_refused(self, tmp_path, capsys):
+        # Three zero-count rows gone, two trailing and one interior: the
+        # fit would shift the offset by the interior one's bin.
+        sim = tmp_path / "sim"
+        code, _, err = run(capsys, "simulate", "--out", str(sim), "--seed", "19", *SIM_ARGS)
+        assert code == 0, err
+        csv = sim / "histogram.csv"
+        lines = csv.read_text().splitlines()
+        zeros = [i for i, line in enumerate(lines[1:-2], 1) if line.endswith(",0")]
+        assert lines[-1].endswith(",0") and lines[-2].endswith(",0") and zeros
+        del lines[-2:]
+        del lines[zeros[len(zeros) // 2]]
+        csv.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "fit", str(csv), "--out", str(tmp_path / "fit"))
+        assert code == 1
+        assert str(csv) in err and str(sim / "histogram_meta.json") in err
+        assert not (tmp_path / "fit" / "fit.json").exists()
+
     def test_missing_histogram(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "fit", str(tmp_path / "nope.csv"), "--out", str(tmp_path)
@@ -505,6 +523,28 @@ class TestErrorHandling:
         )
         assert code == 1
         assert "bin_width_s" in err and "histogram bins" in err
+
+    @pytest.mark.parametrize(
+        "sets, key",
+        [
+            (["bin_width_s=1e-8"], "bin_width_s"),
+            (["n_modes=1"], "n_modes"),
+            (["tau_min_s=-2e-5", "tau_max_s=2e-5"], "tau_min_s"),
+        ],
+        ids=["coarse", "one-mode", "short-range"],
+    )
+    def test_fit_refusals_are_checked_before_sampling(
+        self, tmp_path, capsys, monkeypatch, sets, key
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking the fit's binning")
+
+        monkeypatch.setattr(cli, "sample_pairs", no_sampling)
+        argv = [arg for value in sets for arg in ("--set", value)]
+        code, _, err = run(capsys, "simulate", "--out", str(tmp_path), *argv)
+        assert code == 1
+        assert key in err
+        assert not list(tmp_path.iterdir())
 
     def test_config_file_flag(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -16,7 +16,6 @@ from ghostcomb.detection import CoincidenceHistogram, EventStream
 from ghostcomb.io import (
     EventStreamFile,
     read_curve_csv,
-    read_event_stream,
     read_histogram,
     read_json,
     write_columns_csv,
@@ -292,7 +291,7 @@ class TestWriterBytes:
     def test_histogram(self, tmp_path, tau_min, bin_width, counts):
         tau_max = float(np.nextafter(tau_min, np.inf))
         hist = CoincidenceHistogram(
-            bin_width, tau_min, tau_max, np.array(counts, dtype=np.int64), sum(counts)
+            bin_width, tau_min, tau_max, np.array(counts, dtype=np.int64)
         )
         csv, meta = tmp_path / "h.csv", tmp_path / "h_meta.json"
         write_histogram(csv, meta, hist)
@@ -312,7 +311,7 @@ class TestHistogramFiles:
     def make_hist(self):
         counts = np.array([0, 3, 17, 2, 0, 1], dtype=np.int64)
         return CoincidenceHistogram(
-            1e-6, -3e-6, 3e-6, counts, int(counts.sum()),
+            1e-6, -3e-6, 3e-6, counts,
             {"n_modes": 10, "nu_b": 20e3, "note": "test"},
         )
 
@@ -327,6 +326,40 @@ class TestHistogramFiles:
         assert back.tau_max == hist.tau_max
         assert back.total_pairs == hist.total_pairs
         assert back.metadata == hist.metadata
+
+    @pytest.mark.parametrize("row", [3, 5], ids=["interior", "trailing"])
+    def test_rows_off_the_sidecar_grid_are_refused(self, tmp_path, row):
+        # A missing zero-count row leaves the sum alone but shifts every
+        # later bin onto the wrong delay.
+        counts = np.array([0, 3, 17, 0, 2, 0], dtype=np.int64)
+        hist = CoincidenceHistogram(1e-6, -3e-6, 3e-6, counts)
+        csv, meta = tmp_path / "h.csv", tmp_path / "h_meta.json"
+        write_histogram(csv, meta, hist)
+        lines = csv.read_text().splitlines()
+        del lines[1 + row]
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="5 rows.*grid of 6 bins") as refused:
+            read_histogram(csv, meta)
+        assert str(csv) in str(refused.value) and str(meta) in str(refused.value)
+
+    @pytest.mark.parametrize("key", ["bin_width_s", "tau_min_s", "tau_max_s", "total_pairs"])
+    def test_sidecar_without_a_key_is_refused(self, tmp_path, key):
+        csv, meta = tmp_path / "h.csv", tmp_path / "h_meta.json"
+        write_histogram(csv, meta, self.make_hist())
+        sidecar = read_json(meta)
+        del sidecar[key]
+        write_json(meta, sidecar)
+        with pytest.raises(ValueError, match=f"lacks '{key}'"):
+            read_histogram(csv, meta)
+
+    def test_sidecar_total_pairs_off_the_counts_is_refused(self, tmp_path):
+        csv, meta = tmp_path / "h.csv", tmp_path / "h_meta.json"
+        write_histogram(csv, meta, self.make_hist())
+        sidecar = read_json(meta)
+        sidecar["total_pairs"] += 1
+        write_json(meta, sidecar)
+        with pytest.raises(ValueError, match="sum to 23.*total_pairs=24"):
+            read_histogram(csv, meta)
 
     def test_non_integer_counts_rejected(self, tmp_path):
         hist = self.make_hist()
@@ -384,7 +417,7 @@ class TestHistogramFiles:
         # The count column is parsed straight into int64. A float column
         # beside its rounded copy, then an int64 cast, peaked at 2.1x.
         counts = np.random.default_rng(4).poisson(5.0, 1_500_000)
-        hist = CoincidenceHistogram(1e-9, -1e-3, 5e-4, counts, int(counts.sum()))
+        hist = CoincidenceHistogram(1e-9, -1e-3, 5e-4, counts)
         write_histogram(tmp_path / "h.csv", tmp_path / "h_meta.json", hist)
         tracemalloc.start()
         try:
@@ -399,7 +432,7 @@ class TestHistogramFiles:
         # The histogram's rows are written in its own bin blocks.
         monkeypatch.setattr(detection, "_BIN_BLOCK", 1024)
         counts = np.random.default_rng(3).poisson(5.0, 200_000)
-        hist = CoincidenceHistogram(5e-11, -5e-6, 5e-6, counts, int(counts.sum()))
+        hist = CoincidenceHistogram(5e-11, -5e-6, 5e-6, counts)
         tracemalloc.start()
         try:
             write_histogram(tmp_path / "h.csv", tmp_path / "h_meta.json", hist)
@@ -414,30 +447,25 @@ class TestHistogramFiles:
 
 class TestEventStreamFiles:
     def make_stream(self):
-        return EventStream(2, np.array([0.125, 0.5, 0.7500000001]), 1.0, 3.0, 4)
+        return EventStream(2, np.array([0.125, 0.5, 0.7500000001]), 1.0)
+
+    @staticmethod
+    def read(path):
+        """The stream's timestamps, read back through its chunks."""
+        return np.concatenate([np.empty(0), *EventStreamFile(path).chunks(2)])
 
     def test_roundtrip_is_exact(self, tmp_path):
         path = tmp_path / "s.bin"
         stream = self.make_stream()
         write_event_stream(path, stream)
-        back = read_event_stream(path, duration=stream.duration, rate=stream.rate)
-        assert np.array_equal(back.timestamps, stream.timestamps)
-        assert back.detector_id == 2
-        assert back.duration == 1.0
-        assert back.rate == 3.0
-
-    def test_default_duration_just_covers_last_event(self, tmp_path):
-        path = tmp_path / "s.bin"
-        write_event_stream(path, self.make_stream())
-        back = read_event_stream(path)
-        assert back.duration == np.nextafter(0.7500000001, np.inf)
+        assert np.array_equal(self.read(path), stream.timestamps)
+        assert EventStreamFile(path).detector_id == 2
 
     def test_empty_stream(self, tmp_path):
         path = tmp_path / "s.bin"
-        write_event_stream(path, EventStream(1, np.empty(0), 0.0, 1.0))
-        back = read_event_stream(path)
-        assert len(back) == 0
-        assert back.duration == 0.0
+        write_event_stream(path, EventStream(1, np.empty(0), 0.0))
+        assert len(EventStreamFile(path)) == 0
+        assert self.read(path).size == 0
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "s.bin"
@@ -446,7 +474,7 @@ class TestEventStreamFiles:
         blob[:4] = b"NOPE"
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="not an event-stream"):
-            read_event_stream(path)
+            EventStreamFile(path)
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "s.bin"
@@ -455,7 +483,7 @@ class TestEventStreamFiles:
         blob[4] = 99
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="version"):
-            read_event_stream(path)
+            EventStreamFile(path)
 
     def test_truncated_body(self, tmp_path):
         path = tmp_path / "s.bin"
@@ -463,28 +491,20 @@ class TestEventStreamFiles:
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
         with pytest.raises(ValueError, match="bytes"):
-            read_event_stream(path)
+            EventStreamFile(path)
 
     def test_one_nan_event_is_rejected(self, tmp_path):
         path = tmp_path / "s.bin"
         head = struct.pack("<4sHHQ", b"GCEV", 1, 1, 1)
         path.write_bytes(head + np.array([np.nan], dtype="<f8").tobytes())
-        with pytest.raises(ValueError, match="within"):
-            read_event_stream(path)
-        with pytest.raises(ValueError, match="within"):
-            read_event_stream(path, duration=1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            self.read(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "s.bin"
         path.write_bytes(b"GC")
         with pytest.raises(ValueError, match="truncated"):
-            read_event_stream(path)
-
-    def test_nan_duration_is_refused(self, tmp_path):
-        path = tmp_path / "s.bin"
-        write_event_stream(path, EventStream(1, np.empty(0), 0.0, 1.0))
-        with pytest.raises(ValueError, match="duration"):
-            read_event_stream(path, duration=np.nan)
+            EventStreamFile(path)
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -497,12 +517,13 @@ class TestEventStreamFiles:
         ids=["bad-magic", "bad-version", "truncated-body", "truncated-header"],
     )
     def test_chunked_reader_makes_the_same_checks(self, tmp_path, corrupt, message):
+        # Each refusal comes at open, before any chunk is read, and names the file.
         path = tmp_path / "s.bin"
         write_event_stream(path, self.make_stream())
         path.write_bytes(corrupt(path.read_bytes()))
-        for reader in (read_event_stream, EventStreamFile):
-            with pytest.raises(ValueError, match=message):
-                reader(path)
+        with pytest.raises(ValueError, match=message) as refused:
+            EventStreamFile(path)
+        assert str(path) in str(refused.value)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 10])
     def test_chunked_reader_yields_the_stream_in_order(self, tmp_path, size):
@@ -533,14 +554,14 @@ class TestEventStreamFiles:
         ids=["empty", "one-event", "strided-view"],
     )
     def test_bytes_match_header_plus_copied_body(self, tmp_path, timestamps):
-        stream = EventStream(2, timestamps, 1.0, 1.0)
+        stream = EventStream(2, timestamps, 1.0)
         path = tmp_path / "s.bin"
         write_event_stream(path, stream)
         header = struct.pack("<4sHHQ", b"GCEV", 1, 2, timestamps.size)
         assert path.read_bytes() == header + timestamps.astype("<f8").tobytes()
 
     def test_writes_without_copying_the_stream(self, tmp_path):
-        stream = EventStream(1, np.arange(1_000_000) * 1e-6, 1.0, 1e6)
+        stream = EventStream(1, np.arange(1_000_000) * 1e-6, 1.0)
         tracemalloc.start()
         try:
             write_event_stream(tmp_path / "s.bin", stream)
@@ -551,16 +572,20 @@ class TestEventStreamFiles:
         assert (tmp_path / "s.bin").stat().st_size == 16 + 8 * len(stream)
 
     def test_reads_the_stream_once(self, tmp_path):
+        # Each event is read once, into a chunk; no chunk is held past the next.
         path = tmp_path / "s.bin"
-        write_event_stream(path, EventStream(1, np.arange(1_000_000) * 1e-6, 1.0, 1e6))
+        write_event_stream(path, EventStream(1, np.arange(1_000_000) * 1e-6, 1.0))
+        size, count, total = 1 << 16, 0, 0.0
         tracemalloc.start()
         try:
-            back = read_event_stream(path)
+            for chunk in EventStreamFile(path).chunks(size):
+                count, total = count + chunk.size, total + chunk.sum()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * back.timestamps.nbytes
-        assert np.array_equal(back.timestamps, np.arange(1_000_000) * 1e-6)
+        assert peak <= 2.5 * 8 * size  # the stream itself is 8 MB
+        assert count == 1_000_000
+        assert total == pytest.approx(np.sum(np.arange(1_000_000) * 1e-6))
 
 
 class TestJson:

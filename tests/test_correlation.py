@@ -348,8 +348,13 @@ class TestCurve:
         assert np.min(c.values) >= 0
 
     def test_raw_normalization(self):
-        c = curve(lattice(10), self.GEOM, -1e-5, 1e-5, 11, "closed", normalization="raw")
-        assert c.normalization == "raw"
+        # The raw closed form is g2_closed at the retarded delays, as
+        # cmd_curve takes it to compare the raw mc curve against.
+        lat, geom = lattice(10), DetectorGeometry(r1=3.0, r2=0.0, c=3e8)
+        c = curve(lat, geom, -1e-5, 1e-5, 11, "closed")
+        raw = g2_closed(lat, c.taus - geom.retarded_offset)
+        assert c.normalization == "peak"
+        np.testing.assert_array_equal(c.values, raw / np.max(raw))
 
     def test_geometry_shifts_peak(self):
         geom = DetectorGeometry(r1=3.0, r2=0.0, c=3e8)
@@ -379,9 +384,8 @@ class TestCurve:
 
     def test_mc_curve_takes_an_explicit_peak_normalization(self):
         lat = lattice(16, delta_nu=200.0)
-        args = (lat, self.GEOM, -1e-5, 1e-5, 3, "mc")
-        raw = curve(*args, n_realizations=200, seed=5)
-        peak = curve(*args, normalization="peak", n_realizations=200, seed=5)
+        raw = curve(lat, self.GEOM, -1e-5, 1e-5, 3, "mc", n_realizations=200, seed=5)
+        peak = raw.peak_normalized()
         assert peak.normalization == "peak"
         assert np.max(peak.values) == 1.0
         scale = np.max(raw.values)
@@ -401,8 +405,6 @@ class TestCurve:
             curve(lat, self.GEOM, 0.0, 1.0, 1, "closed")
         with pytest.raises(ValueError):
             curve(lat, self.GEOM, 0.0, 1.0, 10, "nope")
-        with pytest.raises(ValueError):
-            curve(lat, self.GEOM, 0.0, 1.0, 10, "closed", normalization="other")
 
 
 class TestCorrelationCurve:

@@ -39,7 +39,7 @@ def synthetic_histogram(
     taus = tau_min + (np.arange(n_bins) + 0.5) * h
     mean = 1e9 * np.asarray(g2_closed(lattice, taus - offset)) + 1e3
     counts = np.round(mean).astype(np.int64)
-    return CoincidenceHistogram(h, tau_min, tau_max, counts, int(counts.sum()))
+    return CoincidenceHistogram(h, tau_min, tau_max, counts)
 
 
 def fit10(hist):
@@ -98,7 +98,7 @@ class TestFitComb:
             fit_comb(hist, 10, -5.0)
 
     def test_flat_histogram(self):
-        h = CoincidenceHistogram(1e-7, -1.25e-4, 1.25e-4, np.full(2500, 7), 17500, {})
+        h = CoincidenceHistogram(1e-7, -1.25e-4, 1.25e-4, np.full(2500, 7), {})
         with pytest.raises(ValueError, match="flat"):
             fit10(h)
 
