@@ -76,9 +76,16 @@ class TestEventStream:
         with pytest.raises(ValueError, match="within"):
             EventStream(1, np.array([np.nan]), duration)
 
-    def test_rejects_a_nan_duration(self):
-        with pytest.raises(ValueError, match="duration"):
-            EventStream(1, np.empty(0), np.nan)
+    @pytest.mark.parametrize(
+        "duration, rate, message",
+        [(np.nan, 1.0, "duration"), (1.0, np.nan, "rate"), (np.nan, np.nan, "duration")],
+    )
+    def test_rejects_a_nan_duration_or_rate(self, duration, rate, message):
+        # The stream refuses a NaN duration before a singles rate is seen.
+        with pytest.raises(ValueError, match=message):
+            detection.StreamWithSingles(
+                EventStream(1, np.empty(0), duration), rate, 1, LABEL_SINGLES_DET1
+            )
 
     @pytest.mark.parametrize("size", [1, 2, 5])
     def test_chunks_are_consecutive_slices(self, size):
