@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -59,10 +58,6 @@ _MODE_SUM_MAX_MODES = 10**6
 _MC_SAMPLE_CAP = 10**9
 
 
-def _threads(cfg: RunConfig) -> int:
-    return cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
-
-
 def _write_manifest(out: Path, cfg: RunConfig, command: str, outputs: list[str]) -> None:
     gio.write_json(
         out / "manifest.json",
@@ -88,7 +83,7 @@ def _peak_list(cfg: RunConfig) -> tuple[list[float], bool]:
     orders = comb_peak_orders(lattice, geom, cfg.tau_min_s, cfg.tau_max_s)
     # A range slices without listing the orders it leaves out.
     peaks = comb_peak_positions(lattice, geom, orders[:1001])
-    return [float(p) for p in peaks], len(orders) > 1001
+    return [float(p) for p in peaks], len(orders[:1002]) > 1001
 
 
 def _mode_sum_error(
@@ -155,7 +150,7 @@ def cmd_curve(cfg: RunConfig, out: Path) -> int:
             m,
             n_realizations=cfg.mc_realizations,
             seed=cfg.seed,
-            threads=_threads(cfg),
+            threads=cfg.threads,
             alpha=cfg.oracle_alpha,
             cutoff=cfg.oracle_cutoff,
         )
@@ -382,10 +377,7 @@ def cmd_fit(cfg: RunConfig, out: Path, hist_path: str, meta_path: str | None) ->
     """
     csv_path = Path(hist_path)
     if meta_path is None:
-        stem = csv_path.name
-        if stem.endswith(".csv"):
-            stem = stem[: -len(".csv")]
-        meta = csv_path.with_name(stem + "_meta.json")
+        meta = csv_path.with_name(csv_path.name.removesuffix(".csv") + "_meta.json")
     else:
         meta = Path(meta_path)
     hist = gio.read_histogram(csv_path, meta)

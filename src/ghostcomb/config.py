@@ -36,8 +36,8 @@ _MAX_EVENTS = 10**8
 # Most levels in the fidelity diagnostic's states: its cost and memory
 # grow with the cutoff (about 80 bytes per level), and 120 is the default.
 _MAX_FIDELITY_CUTOFF = 10**4
-# Most worker threads accepted at load; map_ordered further clamps the
-# pool to the CPU count and the number of work items.
+# Most worker threads accepted at load; curve() further clamps its
+# pool to the CPU count and the number of grid points.
 _MAX_THREADS = 1024
 
 

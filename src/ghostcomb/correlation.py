@@ -33,13 +33,14 @@ small-angle factors. Direct sums are accumulated with math.fsum.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .lattice import DetectorGeometry, ModeLattice
-from .parallel import map_ordered
 from .seeding import LABEL_MC_ENVELOPE, derive_rng
 
 TWO_PI = 2.0 * math.pi
@@ -200,15 +201,14 @@ def envelope_fwhm(lattice: ModeLattice) -> float:
 
 
 def _mc_amplitudes(
-    lattice: ModeLattice, tau: float, window: float, seed: int, counts: list[int]
-) -> Callable[[int], np.ndarray]:
-    """Build the per-chunk amplitude sampler for g2_mc_envelope.
+    lattice: ModeLattice, tau: float, window: float, seed: int, r: int
+) -> np.ndarray:
+    """The r realization amplitudes g2_mc_envelope averages.
 
-    A chunk draws one emission epoch t0 ~ U(0, window) per realization
-    and mode pair and returns each realization's amplitude
-    sum_n w_n e^{-i n x}, with x = 2 pi nu_b tau and the weight
-    w = sinc(dnu (t1 - t0)) sinc(dnu (t2 - t0)). With u = pi dnu (t1 - t0)
-    and c = pi dnu tau that product is
+    Each realization draws one emission epoch t0 ~ U(0, window) per mode
+    pair and has the amplitude sum_n w_n e^{-i n x}, with x = 2 pi nu_b tau
+    and the weight w = sinc(dnu (t1 - t0)) sinc(dnu (t2 - t0)). With
+    u = pi dnu (t1 - t0) and c = pi dnu tau that product is
 
         sin(u) sin(u - c) / (u (u - c)) = [cos c - cos(2u - c)] / (2u (u - c)),
 
@@ -216,10 +216,11 @@ def _mc_amplitudes(
     u = c the cosine difference cancels (it is 0/0 at those points):
     samples with |4u (u - c)| < _MC_GUARD take the two-sinc product
     instead. The weights are reduced against the real cos/sin phase
-    vectors with einsum, which never calls BLAS, so a chunk runs on the
-    calling thread alone. A chunk draws and reduces _MC_BLOCK_ROWS
-    realizations at a time; successive draws from one generator give
-    the same values as one draw of the whole chunk.
+    vectors with einsum, which never calls BLAS, so the sampler runs on
+    the calling thread alone. Each chunk of _MC_CHUNK realizations draws
+    from its own stream, _MC_BLOCK_ROWS realizations at a time;
+    successive draws from one generator give the same values as one
+    draw of the whole chunk.
     """
     n = lattice.n_modes
     dnu = lattice.delta_nu
@@ -228,40 +229,39 @@ def _mc_amplitudes(
     c = math.pi * dnu * tau
     cos_c = math.cos(c)
     nx = np.arange(n) * float(beat_phase(lattice.nu_b, tau))
-    # The chunk forms w / 2; the phase vectors carry the factor 2 back.
+    # The block forms w / 2; the phase vectors carry the factor 2 back.
     re_phase = 2.0 * np.cos(nx)
     im_phase = -2.0 * np.sin(nx)
     # Distinct stream per delay value so neighboring grid points are
     # statistically independent rather than sharing epoch draws.
     tau_bits = int(np.float64(tau).view(np.uint64))
 
-    def one_block(rng: np.random.Generator, out: np.ndarray) -> None:
-        t0 = rng.uniform(0.0, window, size=(out.size, n))
-        two_u = np.subtract(t1, t0)
-        two_u *= TWO_PI * dnu
-        den = np.subtract(two_u, 2.0 * c)
-        den *= two_u  # 4u(u - c)
-        near = np.flatnonzero((den < _MC_GUARD) & (den > -_MC_GUARD))
-        t0_near = t0.ravel()[near]
-        arg = np.subtract(two_u, c, out=t0)  # 2u - c
-        np.cos(arg, out=arg)
-        half_w = np.subtract(cos_c, arg, out=arg)
-        den.ravel()[near] = 1.0
-        half_w /= den  # w / 2
-        half_w.ravel()[near] = 0.5 * (
-            np.sinc(dnu * (t1 - t0_near)) * np.sinc(dnu * (t2 - t0_near))
-        )
-        np.einsum("ij,j->i", half_w, re_phase, out=out.real)
-        np.einsum("ij,j->i", half_w, im_phase, out=out.imag)
-
-    def one_chunk(chunk_index: int) -> np.ndarray:
-        rng = derive_rng(seed, LABEL_MC_ENVELOPE, tau_bits, chunk_index)
-        amp = np.empty(counts[chunk_index], dtype=complex)
-        for start in range(0, amp.size, _MC_BLOCK_ROWS):
-            one_block(rng, amp[start : start + _MC_BLOCK_ROWS])
-        return amp
-
-    return one_chunk
+    amp = np.empty(r, dtype=complex)
+    for k, chunk_start in enumerate(range(0, r, _MC_CHUNK)):
+        rng = derive_rng(seed, LABEL_MC_ENVELOPE, tau_bits, k)
+        chunk = amp[chunk_start : chunk_start + _MC_CHUNK]
+        for start in range(0, chunk.size, _MC_BLOCK_ROWS):
+            out = chunk[start : start + _MC_BLOCK_ROWS]
+            t0 = rng.uniform(0.0, window, size=(out.size, n))
+            two_u = np.subtract(t1, t0)
+            two_u *= TWO_PI * dnu
+            den = np.subtract(two_u, 2.0 * c)
+            den *= two_u  # 4u(u - c)
+            near = np.flatnonzero((den < _MC_GUARD) & (den > -_MC_GUARD))
+            t0_near = t0.ravel()[near]
+            arg = np.subtract(two_u, c, out=t0)  # 2u - c
+            np.cos(arg, out=arg)
+            half_w = np.subtract(cos_c, arg, out=arg)
+            den.ravel()[near] = 1.0
+            half_w /= den  # w / 2
+            half_w.ravel()[near] = 0.5 * (
+                np.sinc(dnu * (t1 - t0_near)) * np.sinc(dnu * (t2 - t0_near))
+            )
+            np.einsum("ij,j->i", half_w, re_phase, out=out.real)
+            np.einsum("ij,j->i", half_w, im_phase, out=out.imag)
+            # Free the block's temporaries before the next block draws.
+            del t0, two_u, den, arg, half_w
+    return amp
 
 
 def g2_mc_envelope(
@@ -295,9 +295,7 @@ def g2_mc_envelope(
     tau = float(tau)
     window = 100.0 / lattice.delta_nu + 4.0 * abs(tau)
     r = int(n_realizations)
-    counts = [min(_MC_CHUNK, r - start) for start in range(0, r, _MC_CHUNK)]
-    sampler = _mc_amplitudes(lattice, tau, window, seed, counts)
-    amp = np.concatenate([sampler(i) for i in range(len(counts))])
+    amp = _mc_amplitudes(lattice, tau, window, seed, r)
 
     total = amp.sum()
     sq = np.abs(amp) ** 2
@@ -381,6 +379,11 @@ def curve(
     maximum would bias the values and leave that noise out of the
     standard errors), "peak" otherwise. A caller who wants a
     peak-scaled mc curve calls peak_normalized().
+
+    "mc" spreads the points over `threads` workers (0: one per CPU), no
+    more than the CPUs or the points. Each point's streams are keyed by
+    the seed and its delay, and results keep grid order, so the curve
+    does not depend on the thread count.
     """
     if not tau_max > tau_min:
         raise ValueError("tau_max must exceed tau_min")
@@ -401,11 +404,13 @@ def curve(
     elif method == "mc":
         if seed is None:
             raise ValueError("the mc method requires a seed")
-        pairs = map_ordered(
-            lambda t: g2_mc_envelope(lattice, t, n_realizations, seed),
-            list(tau_ret),
-            threads=threads,
-        )
+        if threads < 0:
+            raise ValueError("threads must be non-negative")
+        cpus = os.cpu_count() or 1
+        with ThreadPoolExecutor(min(threads or cpus, cpus, len(tau_ret))) as pool:
+            pairs = list(
+                pool.map(lambda t: g2_mc_envelope(lattice, t, n_realizations, seed), tau_ret)
+            )
         # The unbiased estimator fluctuates below zero in the valleys;
         # clip for the curve, whose values are nonnegative by contract.
         values = np.maximum(np.array([p[0] for p in pairs]), 0.0)

@@ -80,8 +80,8 @@ class EventStream:
         if ts.ndim != 1:
             raise ValueError("timestamps must be a 1-d array")
         if ts.size:
-            if not np.all(ts[1:] > ts[:-1]):
-                raise ValueError("timestamps must be strictly increasing")
+            if not np.all(ts[1:] >= ts[:-1]):
+                raise ValueError("timestamps must be non-decreasing")
             # Written so that a NaN fails it too, as do the checks below.
             if not (ts[0] >= 0 and ts[-1] < self.duration):
                 raise ValueError("timestamps must lie within [0, duration)")

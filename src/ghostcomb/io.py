@@ -189,9 +189,8 @@ class EventStreamFile:
     def chunks(self, size: int):
         """The timestamps in consecutive chunks of at most size events.
 
-        Each chunk is checked to be non-negative and strictly increasing
-        from the one before (a NaN fails), since the sweep needs sorted
-        input.
+        Each chunk is checked to be non-negative and non-decreasing from
+        the one before (a NaN fails), since the sweep needs sorted input.
         """
         with open(self.path, "rb") as fh:
             fh.seek(_HEADER.size)
@@ -201,11 +200,11 @@ class EventStreamFile:
                 chunk = np.fromfile(fh, dtype="<f8", count=n)
                 if chunk.size < n:
                     raise ValueError(f"{self.path}: truncated stream body")
-                if not (chunk[0] >= lowest and np.all(chunk[1:] > chunk[:-1])):
+                if not (chunk[0] >= lowest and np.all(chunk[1:] >= chunk[:-1])):
                     raise ValueError(
-                        f"{self.path}: timestamps must be non-negative and strictly increasing"
+                        f"{self.path}: timestamps must be non-negative and non-decreasing"
                     )
-                lowest = np.nextafter(chunk[-1], np.inf)
+                lowest = chunk[-1]
                 yield chunk
 
 

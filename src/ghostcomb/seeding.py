@@ -3,8 +3,9 @@
 Every stochastic routine in this package draws from a generator derived
 from a single master seed plus a small integer label that names the
 random stream. Two routines never share a label, so adding draws to one
-stream cannot shift the values produced by another. Chunked consumers
-append a chunk index so results are independent of thread count.
+stream cannot shift the values produced by another. The Monte Carlo
+envelope appends its delay's bits and a chunk index, so no value depends
+on the thread that draws it.
 """
 
 from __future__ import annotations

@@ -219,16 +219,18 @@ class TestCurveCommand:
 
     def test_peak_list_is_capped_without_listing_every_order(self):
         # +-25 s holds 1e6 comb orders; listing them all traced 40 MB.
-        cfg = load_config(overrides={"tau_min_s": -25.0, "tau_max_s": 25.0})
-        tracemalloc.start()
-        try:
-            peaks, truncated = cli._peak_list(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e6
-        assert truncated
-        assert peaks == [n / 20e3 for n in range(-500_000, -500_000 + 1001)]
+        # +-1e15 s holds 4e19, more than len() of their range can count.
+        for span, first in ((25.0, -500_000), (1e15, -2 * 10**19)):
+            cfg = load_config(overrides={"tau_min_s": -span, "tau_max_s": span})
+            tracemalloc.start()
+            try:
+                peaks, truncated = cli._peak_list(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
+            assert truncated
+            assert peaks == [float(n) / 20e3 for n in range(first, first + 1001)]
 
 
 class TestSimulateCommand:
@@ -610,7 +612,7 @@ class TestDeterminism:
 
     def test_mc_curve_bytes_stable_across_threads(self, tmp_path, capsys):
         outs = []
-        for name, threads in (("a", "1"), ("b", "4")):
+        for name, threads in (("a", "1"), ("b", "4"), ("c", "0")):
             out = tmp_path / name
             code, _, err = run(
                 capsys, "curve", "--out", str(out), "--method", "mc",
@@ -620,7 +622,7 @@ class TestDeterminism:
             )
             assert code == 0, err
             outs.append(self.tree_bytes(out))
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
 
     # SHA-256 of one dense run with accidentals (sim-dense rates over
     # 20 s: 3.3e5 events per detector, about 4 tallied pairs per event).

@@ -537,16 +537,27 @@ class TestEventStreamFiles:
         assert np.concatenate(chunks).tobytes() == stream.timestamps.tobytes()
 
     @pytest.mark.parametrize(
-        "body", [[0.5, 0.25, 0.75], [0.25, 0.25, 0.5], [-0.5, 0.25, 0.5], [0.25, np.nan, 0.5]],
-        ids=["unsorted", "repeated", "negative", "nan"],
+        "body",
+        [[0.5, 0.25, 0.75], [0.25, 0.25, 0.125], [-0.5, 0.25, 0.5], [0.25, np.nan, 0.5]],
+        ids=["unsorted", "unsorted-after-repeat", "negative", "nan"],
     )
     def test_chunked_reader_refuses_an_unsorted_body(self, tmp_path, body):
         # One event per chunk, so only the check across chunks sees it.
         path = tmp_path / "s.bin"
         head = struct.pack("<4sHHQ", b"GCEV", 1, 1, len(body))
         path.write_bytes(head + np.array(body, dtype="<f8").tobytes())
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="non-negative and non-decreasing"):
             list(EventStreamFile(path).chunks(1))
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_chunked_reader_accepts_a_repeated_timestamp(self, tmp_path, size):
+        # Uniform doubles repeat in a long stream; the sweep needs them
+        # sorted, not distinct, within a chunk and across chunks alike.
+        path = tmp_path / "s.bin"
+        body = np.array([0.25, 0.25, 0.5], dtype="<f8")
+        path.write_bytes(struct.pack("<4sHHQ", b"GCEV", 1, 1, body.size) + body.tobytes())
+        chunks = list(EventStreamFile(path).chunks(size))
+        assert np.concatenate(chunks).tobytes() == body.tobytes()
 
     @pytest.mark.parametrize(
         "timestamps",

@@ -1,6 +1,7 @@
 """Tests for the correlation evaluators and comb descriptors."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from ghostcomb import (
 )
 from ghostcomb import correlation
 from ghostcomb.correlation import SINC_SQ_HALF_POWER, _mc_amplitudes
-from ghostcomb.parallel import map_ordered
 from ghostcomb.seeding import LABEL_MC_ENVELOPE, derive_rng
 
 CARRIER = 2.82e14
@@ -247,9 +247,8 @@ class TestMcEnvelope:
         # The same seed gives the same estimate, on the calling thread
         # or on pool threads, as curve() runs it.
         a = g2_mc_envelope(self.LAT, 5e-5, 1500, seed=77)
-        b, c = map_ordered(
-            lambda _: g2_mc_envelope(self.LAT, 5e-5, 1500, seed=77), [0, 1], threads=2
-        )
+        with ThreadPoolExecutor(2) as pool:
+            b, c = pool.map(lambda _: g2_mc_envelope(self.LAT, 5e-5, 1500, seed=77), [0, 1])
         assert a == b == c
 
     def test_different_seeds_differ(self):
@@ -305,7 +304,7 @@ class TestMcSampler:
     @pytest.mark.parametrize("tau", TAUS)
     def test_drawn_chunk(self, tau):
         window = self.window(tau)
-        amp = _mc_amplitudes(self.LAT, tau, window, 11, [self.ROWS])(0)
+        amp = _mc_amplitudes(self.LAT, tau, window, 11, self.ROWS)
         tau_bits = int(np.float64(tau).view(np.uint64))
         rng = derive_rng(11, LABEL_MC_ENVELOPE, tau_bits, 0)
         t0 = rng.uniform(0.0, window, size=(self.ROWS, self.LAT.n_modes))
@@ -326,7 +325,7 @@ class TestMcSampler:
         t0[0] = rng.choice(forced, self.LAT.n_modes)  # a row of nothing else
         epochs = ForcedEpochs(t0)
         monkeypatch.setattr(correlation, "derive_rng", lambda *key: epochs)
-        amp = _mc_amplitudes(self.LAT, tau, window, 11, [self.ROWS])(0)
+        amp = _mc_amplitudes(self.LAT, tau, window, 11, self.ROWS)
         assert epochs.consumed
         self.assert_matches_reference(amp, tau, t0)
 
@@ -405,6 +404,63 @@ class TestCurve:
             curve(lat, self.GEOM, 0.0, 1.0, 1, "closed")
         with pytest.raises(ValueError):
             curve(lat, self.GEOM, 0.0, 1.0, 10, "nope")
+
+
+class RecordingExecutor:
+    """Stands in for ThreadPoolExecutor: records the pool size, runs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestCurvePool:
+    """The mc curve's one pool: at most one thread per point and per CPU."""
+
+    LAT = lattice(4, delta_nu=100.0)
+    GEOM = DetectorGeometry(r1=0.0, r2=0.0)
+
+    def mc_curve(self, threads, n_points=3):
+        return curve(
+            self.LAT, self.GEOM, -1e-5, 1e-5, n_points, "mc",
+            n_realizations=8, seed=3, threads=threads,
+        )
+
+    @pytest.fixture
+    def recorder(self, monkeypatch):
+        monkeypatch.setattr(correlation, "ThreadPoolExecutor", RecordingExecutor)
+        RecordingExecutor.sizes = []
+        return RecordingExecutor
+
+    @pytest.mark.parametrize(
+        "threads, cpus, expected",
+        [(10**5, 64, 3), (10**5, 2, 2), (1, 8, 1), (8, 1, 1), (0, 2, 2), (0, 64, 3), (8, None, 1)],
+    )
+    def test_pool_size(self, recorder, monkeypatch, threads, cpus, expected):
+        # min(threads, points, CPUs); 0 threads is every CPU, and an
+        # unknown CPU count is one.
+        monkeypatch.setattr(correlation.os, "cpu_count", lambda: cpus)
+        inline = self.mc_curve(threads)
+        assert recorder.sizes == [expected]
+        monkeypatch.undo()
+        pooled = self.mc_curve(2)
+        assert inline.values.tobytes() == pooled.values.tobytes()
+        assert inline.stderrs.tobytes() == pooled.stderrs.tobytes()
+
+    def test_negative_threads_refused(self, recorder):
+        with pytest.raises(ValueError, match="threads"):
+            self.mc_curve(-1)
+        assert recorder.sizes == []
 
 
 class TestCorrelationCurve:

@@ -53,16 +53,22 @@ class TestEventStream:
         s = EventStream(1, np.array([0.1, 0.5, 0.9]), 1.0)
         assert len(s) == 3
 
+    def test_accepts_a_repeated_timestamp(self):
+        # Uniform doubles repeat in a long stream; the sweep needs them
+        # sorted, not distinct.
+        s = EventStream(1, np.array([0.5, 0.5]), 1.0)
+        assert len(s) == 2
+
     def test_validation(self):
         good = np.array([0.1, 0.5])
         with pytest.raises(ValueError):
             EventStream(3, good, 1.0)
         with pytest.raises(ValueError):
             EventStream(1, good.reshape(2, 1), 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-decreasing"):
             EventStream(1, np.array([0.5, 0.1]), 1.0)
-        with pytest.raises(ValueError):
-            EventStream(1, np.array([0.5, 0.5]), 1.0)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            EventStream(1, np.array([0.5, 0.5, 0.25]), 1.0)
         with pytest.raises(ValueError):
             EventStream(1, np.array([-0.1, 0.5]), 1.0)
         with pytest.raises(ValueError):
@@ -544,6 +550,20 @@ class TestBuildHistogram:
                     brute[int((d - tau_min) / bin_width)] += 1
         assert np.array_equal(h.counts, brute)
 
+    def test_matches_brute_force_with_repeated_timestamps(self):
+        # Ties within each stream and across them, some pair delays on
+        # bin edges and on both range bounds.
+        t1 = np.repeat([0.5, 1.0, 1.25, 2.0], [3, 1, 2, 2])
+        t2 = np.repeat([0.5, 0.75, 1.25, 2.5], [2, 3, 1, 2])
+        s1, s2 = EventStream(1, t1, 4.0), EventStream(2, t2, 4.0)
+        bin_width, tau_min, tau_max = 0.25, -0.75, 0.75
+        expected = brute_force_counts(t1, t2, bin_width, tau_min, tau_max)
+        assert expected.sum() > 0
+        for size in (1, 2, 1 << 15):
+            with mock.patch.object(detection, "_HISTOGRAM_CHUNK", size):
+                h = build_histogram(s1, s2, bin_width, tau_min, tau_max)
+            assert np.array_equal(h.counts, expected)
+
     def test_bin_count_rule(self):
         s = EventStream(1, np.array([1.0]), 2.0)
         h = build_histogram(s, s, 1e-3, -5e-3, 5e-3)
@@ -690,8 +710,8 @@ class TestRank:
 
 
 # Sorted event times on a 0.025 grid over [0, 10), so delays often
-# fall on bin edges; empty streams included.
-event_times = st.lists(st.integers(0, 399), unique=True, max_size=80).map(
+# fall on bin edges; repeated times and empty streams included.
+event_times = st.lists(st.integers(0, 399), max_size=80).map(
     lambda v: np.array(sorted(v), dtype=float) * 0.025
 )
 
