@@ -37,7 +37,7 @@ from .detection import (
     StreamWithSingles,
     build_histogram,
     contrast,
-    histogram_bins_error,
+    histogram_grid,
     sample_pairs,
 )
 from .fock import build_coherent_product, build_perturbation_state, state_fidelity
@@ -230,9 +230,8 @@ def _fit_dict(fit: CombFit) -> dict:
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     # Refuse a histogram, or a fit of it, that would fail, before any work.
     span = (cfg.tau_min_s, cfg.tau_max_s)
-    if error := histogram_bins_error(cfg.bin_width_s, *span) or comb_fit_error(
-        cfg.n_modes, cfg.nu_b_hz, cfg.bin_width_s, *span
-    ):
+    histogram_grid(cfg.bin_width_s, *span)
+    if error := comb_fit_error(cfg.n_modes, cfg.nu_b_hz, cfg.bin_width_s, *span):
         raise ValueError(error)
     lattice = cfg.lattice()
     geom = cfg.geometry()

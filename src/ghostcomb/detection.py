@@ -53,7 +53,7 @@ _HISTOGRAM_CHUNK = 1 << 15
 # a few arrays of this length (about 5 MB), well under one stream of a
 # dense run, so the tally's blocks do not set the peak of `simulate`.
 _PAIR_BUDGET = 1 << 17
-# Most histogram bins; at this cap the counts alone take 80 MB.
+# Most histogram bins (see histogram_grid); the counts alone take 80 MB.
 _MAX_HISTOGRAM_BINS = 10_000_000
 # Events per slab of a StreamWithSingles, and per block its singles
 # are drawn in: its buffers hold about this many events (4 MB), well
@@ -318,19 +318,29 @@ def sample_pairs(
     return EventStream(1, t1, duration), EventStream(2, t2, duration)
 
 
-def histogram_bins_error(bin_width: float, tau_min: float, tau_max: float) -> str | None:
-    """Why a histogram of this binning is refused, or None.
+def histogram_grid(bin_width: float, tau_min: float, tau_max: float) -> tuple[int, float]:
+    """(n_bins, grid_tau_max) over [tau_min, tau_max): the one bin-grid rule.
 
-    Checked before anything is allocated, so a tiny bin width fails
-    with a message instead of asking for billions of bins.
+    A range within one part in 1e6 of whole bins keeps tau_max; any other
+    is expanded up to the next whole bin. A bin width that is not
+    positive, a range of no finite, positive number of bins and more than
+    _MAX_HISTOGRAM_BINS bins are refused by key, before any allocation.
     """
-    bins = (tau_max - tau_min) / bin_width
-    if bins > _MAX_HISTOGRAM_BINS:
-        return (
-            f"bin_width_s={bin_width!r} gives {bins:.3g} histogram bins over "
+    if not bin_width > 0:
+        raise ValueError(f"bin_width_s={bin_width!r} must be positive")
+    ratio = (tau_max - tau_min) / bin_width
+    if not 0 < ratio < math.inf:
+        raise ValueError(f"[tau_min_s, tau_max_s) holds {ratio!r} bins of bin_width_s")
+    n_bins = round(ratio)
+    if n_bins < 1 or abs(ratio - n_bins) > 1e-6 * ratio:
+        n_bins = math.ceil(ratio)
+        tau_max = tau_min + n_bins * bin_width
+    if n_bins > _MAX_HISTOGRAM_BINS:
+        raise ValueError(
+            f"bin_width_s={bin_width!r} gives {ratio:.3g} histogram bins over "
             f"[tau_min_s, tau_max_s); at most {_MAX_HISTOGRAM_BINS} are allowed"
         )
-    return None
+    return n_bins, tau_max
 
 
 def _rank(w: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -414,31 +424,19 @@ def build_histogram(
     and added to the counts in place. So the working set beyond the
     counts is bounded by those constants and one event's window,
     whatever the stream lengths, the pair density or the number of
-    bins. If bin_width does not divide the range to within one part in
-    1e6, the range is expanded upward to a whole number of bins and the
-    expansion is recorded in the metadata (and warned about). More than
-    _MAX_HISTOGRAM_BINS bins are refused before any allocation.
+    bins. The bins are histogram_grid's; if it expands the range, the
+    expansion is recorded in the metadata (and warned about).
     """
-    if not bin_width > 0:
-        raise ValueError("bin_width must be positive")
-    if not tau_max > tau_min:
-        raise ValueError("tau_max must exceed tau_min")
-    if error := histogram_bins_error(bin_width, tau_min, tau_max):
-        raise ValueError(error)
-    span = tau_max - tau_min
-    ratio = span / bin_width
-    n_bins = int(round(ratio))
+    n_bins, grid_max = histogram_grid(bin_width, tau_min, tau_max)
     meta = dict(metadata) if metadata else {}
-    if n_bins < 1 or abs(ratio - n_bins) > 1e-6 * ratio:
-        n_bins = int(math.ceil(ratio))
-        new_max = tau_min + n_bins * bin_width
+    if grid_max != tau_max:
         warnings.warn(
             f"bin_width does not divide the range; expanding tau_max "
-            f"from {tau_max!r} to {new_max!r}",
+            f"from {tau_max!r} to {grid_max!r}",
             stacklevel=2,
         )
         meta["range_expanded_from"] = tau_max
-        tau_max = new_max
+        tau_max = grid_max
 
     counts = np.zeros(n_bins, dtype=np.int64)
     # Pairs with tau_min <= t1 - t2 < tau_max, i.e. t2 in

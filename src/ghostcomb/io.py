@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import CoincidenceHistogram
+from .detection import CoincidenceHistogram, histogram_grid
 
 _MAGIC = b"GCEV"
 _VERSION = 1
@@ -99,42 +99,37 @@ def write_histogram(path_csv, path_meta, hist: CoincidenceHistogram) -> None:
 def read_histogram(path_csv, path_meta) -> CoincidenceHistogram:
     """Rebuild a histogram from its CSV and metadata sidecar.
 
-    Counts are authoritative from the CSV, whose count column alone is
-    read, straight into int64, so the counts are held once; binning
-    comes from the sidecar because bin centers in the CSV are rounded
-    to 12 digits. numpy releases that parse "2.5" as an integer through
-    a float only warn (DeprecationWarning) and truncate, so that warning
-    is made an error here, whatever the caller's warning filters. The
-    two files may come from outside the program, so a sidecar that lacks
-    a key, a row count off the sidecar's grid and a total_pairs other
-    than the counts' sum are refused.
+    The sidecar is read first; its grid is histogram_grid's, so a broken
+    or over-cap grid is refused before the CSV is opened, and at most one
+    row past the grid is read. Of the CSV only the counts are read (its
+    bin centres are rounded to 12 digits), straight into int64, so they
+    are held once. numpy releases that parse "2.5" as an integer through
+    a float only warn and truncate, so that DeprecationWarning is made an
+    error here, whatever the caller's warning filters. The files may come
+    from outside the program, so a sidecar that lacks a key, a row count
+    off its grid and a total_pairs other than the counts' sum are refused.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            counts = np.loadtxt(
-                path_csv, delimiter=",", skiprows=1, usecols=1, ndmin=1, dtype=np.int64
-            )
-    except (ValueError, DeprecationWarning) as err:
-        raise ValueError(f"{path_csv}: histogram counts must be integers: {err}") from None
     meta = json.loads(Path(path_meta).read_text())
     for key in ("bin_width_s", "tau_min_s", "tau_max_s", "total_pairs"):
         if key not in meta:
             raise ValueError(f"{path_meta}: sidecar lacks {key!r}")
-    hist = CoincidenceHistogram(
-        bin_width=float(meta["bin_width_s"]),
-        tau_min=float(meta["tau_min_s"]),
-        tau_max=float(meta["tau_max_s"]),
-        counts=counts,
-        metadata=dict(meta.get("metadata", {})),
-    )
-    # Written so that an infinite or NaN grid fails it too.
-    bins = (hist.tau_max - hist.tau_min) / hist.bin_width
-    if not abs(bins - counts.size) < 0.5:
+    grid = [float(meta[key]) for key in ("bin_width_s", "tau_min_s", "tau_max_s")]
+    n_bins = histogram_grid(*grid)[0]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            counts = np.loadtxt(
+                path_csv, delimiter=",", skiprows=1, usecols=1, ndmin=1, dtype=np.int64,
+                max_rows=n_bins + 1,
+            )
+    except (ValueError, DeprecationWarning) as err:
+        raise ValueError(f"{path_csv}: histogram counts must be integers: {err}") from None
+    if counts.size != n_bins:
         raise ValueError(
             f"{path_csv} has {counts.size} rows, but its sidecar {path_meta} "
-            f"gives a grid of {bins:.0f} bins"
+            f"gives a grid of {n_bins} bins"
         )
+    hist = CoincidenceHistogram(*grid, counts, dict(meta.get("metadata", {})))
     if hist.total_pairs != int(meta["total_pairs"]):
         raise ValueError(
             f"{path_csv}: counts sum to {hist.total_pairs}, but its sidecar "

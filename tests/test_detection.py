@@ -594,8 +594,9 @@ class TestBuildHistogram:
         s = EventStream(1, np.array([1.0]), 2.0)
         with pytest.raises(ValueError, match="bin_width_s"):
             build_histogram(s, s, 1e-15, -1.25e-4, 1.25e-4)
-        # The paper-scale comb at 10 bins per peak width fits under the cap.
-        assert detection.histogram_bins_error(5e-11, -1.25e-4, 1.25e-4) is None
+        # The paper-scale comb at 10 bins per peak width fits under the
+        # cap, on a grid that keeps its edge.
+        assert detection.histogram_grid(5e-11, -1.25e-4, 1.25e-4) == (5_000_000, 1.25e-4)
 
 
 class TestBinBlocks:
