@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import io as gio
-from .config import _METHODS, RunConfig, load_config, parse_overrides
+from .config import _METHODS, RunConfig, check_value, load_config, parse_overrides
 from .correlation import (
     comb_peak_orders,
     comb_peak_positions,
@@ -372,7 +372,8 @@ def cmd_fit(cfg: RunConfig, out: Path, hist_path: str, meta_path: str | None) ->
 
     The comb (n_modes, nu_b) comes from the sidecar's run record when it
     names both, as `simulate` writes it, else from the config. The
-    geometry is never read.
+    record's values pass the config's rules for n_modes and nu_b_hz,
+    or are refused by sidecar and key. The geometry is never read.
     """
     csv_path = Path(hist_path)
     if meta_path is None:
@@ -382,6 +383,8 @@ def cmd_fit(cfg: RunConfig, out: Path, hist_path: str, meta_path: str | None) ->
     hist = gio.read_histogram(csv_path, meta)
     record = hist.metadata
     if "n_modes" in record and "nu_b" in record:
+        check_value("n_modes", record["n_modes"], f"{meta}: run record ")
+        check_value("nu_b_hz", record["nu_b"], f"{meta}: run record ")
         n_modes, nu_b = int(record["n_modes"]), float(record["nu_b"])
     else:
         n_modes, nu_b = cfg.n_modes, cfg.nu_b_hz

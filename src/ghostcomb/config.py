@@ -16,8 +16,16 @@ import operator
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
+import numpy as np
+
 from .correlation import _MAX_MODES
-from .fock import _MAX_CUTOFF, build_coherent_product, build_perturbation_state
+from .fock import (
+    _MAX_CUTOFF,
+    FockOracle,
+    build_coherent_product,
+    build_perturbation_state,
+    entangled_coherent_pairs,
+)
 from .lattice import SPEED_OF_LIGHT, DetectorGeometry, ModeLattice
 
 _METHODS = ("closed", "direct", "mc", "fock", "all")
@@ -111,15 +119,8 @@ class RunConfig:
 
         Each refusal is a ValueError that names the key or keys at fault.
         """
-        for key, kind in _FIELD_TYPES.items():
-            value = getattr(self, key)
-            if not isinstance(value, _TYPES[kind]) or isinstance(value, bool):
-                raise ValueError(f"{key} must be of type {kind}, got {value!r}")
-            if kind == "float" and not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value!r}")
-            for op, bound in _RULES[key]:
-                if not _TESTS[op](value, bound):
-                    raise ValueError(f"{key} must be {op} {bound}, got {value!r}")
+        for key in _FIELD_TYPES:
+            check_value(key, getattr(self, key))
         if not self.tau_max_s > self.tau_min_s:
             raise ValueError("tau_max_s must exceed tau_min_s")
         if not self.delta_nu_hz < self.nu_b_hz:
@@ -137,6 +138,20 @@ class RunConfig:
             build_coherent_product(math.sqrt(pert.mean_pair_number()), cutoff)
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"fidelity_n={n} with fidelity_cutoff={cutoff}: {exc}") from exc
+        # The oracle's pair state, built as `curve` and `oracle` build it;
+        # its z^m / m! rows overflow for a large alpha.
+        alpha, cutoff = self.oracle_alpha, self.oracle_cutoff
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                state = entangled_coherent_pairs([alpha], cutoff)
+            peak = FockOracle(ModeLattice(1, self.nu_b_hz, self.nu_s0_hz), state).g2(0.0, 0.0)
+        except ValueError:
+            peak = math.nan
+        if not 0 < peak < math.inf:
+            raise ValueError(
+                f"oracle_alpha={alpha!r} with oracle_cutoff={cutoff}: the Fock oracle's "
+                f"pair state has no finite, positive peak"
+            )
         return self
 
     def as_dict(self) -> dict:
@@ -151,6 +166,19 @@ _TESTS = {
     "<=": operator.le,
     "in": lambda value, choices: value in choices,
 }
+
+def check_value(key: str, value, where: str = "") -> None:
+    """Refuse value unless it has key's type, is finite if a float and
+    passes _RULES[key]. where prefixes the refusal, which names the key."""
+    kind = _FIELD_TYPES[key]
+    if not isinstance(value, _TYPES[kind]) or isinstance(value, bool):
+        raise ValueError(f"{where}{key} must be of type {kind}, got {value!r}")
+    if kind == "float" and not math.isfinite(value):
+        raise ValueError(f"{where}{key} must be finite, got {value!r}")
+    for op, bound in _RULES[key]:
+        if not _TESTS[op](value, bound):
+            raise ValueError(f"{where}{key} must be {op} {bound}, got {value!r}")
+
 
 # Every key's bounds, as (test, bound) pairs that its value must pass.
 # Float values must also be finite. With the rules in validate() that
@@ -168,7 +196,7 @@ _RULES = {
     "tau_max_s": (),
     "n_points": ((">=", 2), ("<=", _MAX_POINTS)),
     "method": (("in", _METHODS),),
-    "mc_realizations": ((">=", 2), ("<=", _MAX_MC_REALIZATIONS)),
+    "mc_realizations": ((">=", 3), ("<=", _MAX_MC_REALIZATIONS)),
     "pair_rate_hz": ((">", 0),),
     "duration_s": ((">", 0),),
     "jitter_sigma_s": ((">=", 0),),
@@ -178,7 +206,7 @@ _RULES = {
     "contrast_floor": ((">=", 1),),
     "oracle_pairs": ((">=", 1),),
     "oracle_alpha": ((">", 0),),
-    "oracle_cutoff": ((">=", 0), ("<=", _MAX_CUTOFF)),
+    "oracle_cutoff": ((">=", 1), ("<=", _MAX_CUTOFF)),
     "oracle_n_points": ((">=", 2), ("<=", _MAX_POINTS)),
     "fidelity_n": ((">=", 0),),
     "fidelity_cutoff": ((">=", 0), ("<=", _MAX_FIDELITY_CUTOFF)),

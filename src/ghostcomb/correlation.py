@@ -36,7 +36,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -160,11 +159,12 @@ def g2_closed(lattice: ModeLattice, tau) -> np.ndarray | float:
     return comb[()]
 
 
-def comb_peak_positions(
-    lattice: ModeLattice, geom: DetectorGeometry, n_range: Iterable[int]
-) -> np.ndarray:
-    """Laboratory delays t1 - t2 of the comb maxima with indices n_range."""
-    orders = np.asarray(list(n_range), dtype=float)
+def comb_peak_positions(lattice: ModeLattice, geom: DetectorGeometry, n_range) -> np.ndarray:
+    """Laboratory delays t1 - t2 of the comb maxima with the orders n_range.
+
+    n_range is any array-like of orders: a range, a list or an array.
+    """
+    orders = np.asarray(n_range, dtype=float)
     return orders / lattice.nu_b + geom.retarded_offset
 
 
@@ -283,15 +283,16 @@ def g2_mc_envelope(
     The window self-extends with |tau| so the evaluation points stay
     clear of the emission-epoch boundaries; without that margin the
     estimate acquires a deterministic truncation bias near the window
-    edges. Requires a strictly positive linewidth and at least two
-    realizations. Each chunk of _MC_CHUNK realizations derives its own RNG
-    stream and is summed without BLAS (see _mc_amplitudes), so the
-    estimate depends on neither BLAS threading nor the thread it runs on.
+    edges. Requires a strictly positive linewidth and at least three
+    realizations, which the jackknife needs. Each chunk of _MC_CHUNK
+    realizations derives its own RNG stream and is summed without BLAS
+    (see _mc_amplitudes), so the estimate depends on neither BLAS
+    threading nor the thread it runs on.
     """
     if lattice.delta_nu <= 0.0:
         raise ValueError("Monte Carlo envelope needs a positive linewidth")
-    if n_realizations < 2:
-        raise ValueError("need at least 2 realizations for the pair statistic")
+    if n_realizations < 3:
+        raise ValueError("need at least 3 realizations for the jackknife")
     tau = float(tau)
     window = 100.0 / lattice.delta_nu + 4.0 * abs(tau)
     r = int(n_realizations)
@@ -305,11 +306,8 @@ def g2_mc_envelope(
     # Jackknife over realizations.
     loo_total = total - amp
     loo_sq = sq_sum - sq
-    u_loo = (np.abs(loo_total) ** 2 - loo_sq) / ((r - 1) * (r - 2)) if r > 2 else None
-    if u_loo is None:
-        stderr = math.inf
-    else:
-        stderr = math.sqrt((r - 1) / r * float(np.sum((u_loo - u_loo.mean()) ** 2)))
+    u_loo = (np.abs(loo_total) ** 2 - loo_sq) / ((r - 1) * (r - 2))
+    stderr = math.sqrt((r - 1) / r * float(np.sum((u_loo - u_loo.mean()) ** 2)))
 
     # E[A] = sinc(dnu tau) K_N phases / (dnu window), so dividing the
     # pair statistic by (N / (dnu window))^2 lands on the peak-1 scale.

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlation import comb_peak_width, dirichlet_kernel
+from .correlation import comb_peak_positions, comb_peak_width, dirichlet_kernel
 from .lattice import DetectorGeometry, ModeLattice
 from .seeding import (
     LABEL_JITTER_DET1,
@@ -501,12 +501,12 @@ def contrast(
     # blocks of bins so no array of the bin count is formed.
     sums, sizes = [0, 0], [0, 0]
     for taus, block in hist.blocks():
-        # The nearest comb centre is the rounded order's or a
-        # neighbour's, each formed as comb_peak_positions forms it.
+        # The nearest comb centre is the rounded order's or a neighbour's.
         order = np.rint((taus - offset) * nu_b)
-        dist = np.abs(taus - (order / nu_b + offset))
+        dist = np.abs(taus - comb_peak_positions(lattice, geom, order))
         for step in (-1.0, 1.0):
-            np.minimum(dist, np.abs(taus - ((order + step) / nu_b + offset)), out=dist)
+            nearer = np.abs(taus - comb_peak_positions(lattice, geom, order + step))
+            np.minimum(dist, nearer, out=dist)
         for i, region in enumerate((dist <= width, dist >= 3.0 * width)):
             sums[i] += int(block[region].sum())
             sizes[i] += int(np.count_nonzero(region))

@@ -91,7 +91,8 @@ class MultiPairState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.pair_count, self.cutoff + 1):
             raise ValueError("amplitudes must have one row of cutoff + 1 entries per pair")
-        if np.any(np.abs(np.linalg.norm(amps, axis=1) - 1.0) > 1e-12):
+        # Written so that a NaN row fails it too.
+        if not np.all(np.abs(np.linalg.norm(amps, axis=1) - 1.0) <= 1e-12):
             raise ValueError("every pair's amplitudes must be normalized")
         object.__setattr__(self, "amplitudes", amps)
 

@@ -107,12 +107,15 @@ def read_histogram(path_csv, path_meta) -> CoincidenceHistogram:
     a float only warn and truncate, so that DeprecationWarning is made an
     error here, whatever the caller's warning filters. The files may come
     from outside the program, so a sidecar that lacks a key, a row count
-    off its grid and a total_pairs other than the counts' sum are refused.
+    off its grid, a metadata that is not an object and a total_pairs other
+    than the counts' sum are refused.
     """
     meta = json.loads(Path(path_meta).read_text())
     for key in ("bin_width_s", "tau_min_s", "tau_max_s", "total_pairs"):
         if key not in meta:
             raise ValueError(f"{path_meta}: sidecar lacks {key!r}")
+    if not isinstance(meta.get("metadata", {}), dict):
+        raise ValueError(f"{path_meta}: 'metadata' must be an object")
     grid = [float(meta[key]) for key in ("bin_width_s", "tau_min_s", "tau_max_s")]
     n_bins = histogram_grid(*grid)[0]
     try:

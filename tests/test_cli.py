@@ -384,6 +384,34 @@ class TestFitCommand:
         record = (tmp_path / "record" / "fit.json").read_bytes()
         assert (tmp_path / "config" / "fit.json").read_bytes() == record
 
+    @pytest.mark.parametrize(
+        "field, value, key",
+        [("n_modes", 2.5, "n_modes"), ("n_modes", True, "n_modes"),
+         ("nu_b", "abc", "nu_b_hz"), (None, [1, 2], "metadata")],
+        ids=["fractional-modes", "bool-modes", "text-spacing", "record-not-an-object"],
+    )
+    def test_bad_run_record_is_refused_by_sidecar_and_key(
+        self, tmp_path, capsys, field, value, key
+    ):
+        # int(2.5) once fitted a 2-mode comb to a 10-mode histogram.
+        sim = tmp_path / "sim"
+        code, _, err = run(capsys, "simulate", "--out", str(sim), "--seed", "19", *SIM_ARGS)
+        assert code == 0, err
+        sidecar = read_json(sim / "histogram_meta.json")
+        if field is None:
+            sidecar["metadata"] = value
+        else:
+            sidecar["metadata"][field] = value
+        bad = tmp_path / "bad_meta.json"
+        write_json(bad, sidecar)
+        code, _, err = run(
+            capsys, "fit", str(sim / "histogram.csv"), "--meta", str(bad),
+            "--out", str(tmp_path / "fit"),
+        )
+        assert code == 1
+        assert str(bad) in err and key in err
+        assert not (tmp_path / "fit" / "fit.json").exists()
+
     def test_explicit_meta_path(self, tmp_path, capsys):
         sim = tmp_path / "sim"
         run(capsys, "simulate", "--out", str(sim), "--seed", "19", *SIM_ARGS)

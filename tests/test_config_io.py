@@ -12,7 +12,8 @@ from ghostcomb import RunConfig, load_config
 from ghostcomb import detection
 from ghostcomb import io as gio
 from ghostcomb.config import parse_overrides
-from ghostcomb.detection import CoincidenceHistogram, EventStream
+from ghostcomb.detection import CoincidenceHistogram, EventStream, build_histogram
+from ghostcomb.fock import entangled_coherent_pairs
 from ghostcomb.io import (
     EventStreamFile,
     read_curve_csv,
@@ -106,6 +107,7 @@ class TestRunConfig:
             ("tau_min_s", 1.0),
             ("n_points", 1),
             ("mc_realizations", 1),
+            ("mc_realizations", 2),
             ("mc_realizations", 10**6 + 1),
             ("pair_rate_hz", 0.0),
             ("duration_s", 0.0),
@@ -117,6 +119,9 @@ class TestRunConfig:
             ("oracle_pairs", 0),
             ("oracle_alpha", 0.0),
             ("oracle_cutoff", -1),
+            ("oracle_cutoff", 0),
+            ("oracle_alpha", 1e30),
+            ("oracle_alpha", 1e-100),
             ("oracle_cutoff", 13),
             ("oracle_n_points", 1),
             ("oracle_n_points", 10**7 + 1),
@@ -180,6 +185,7 @@ class TestRunConfig:
             cfg.lattice()
             cfg.geometry()
             cfg.oracle_lattice()
+            entangled_coherent_pairs([cfg.oracle_alpha], cfg.oracle_cutoff)
 
     @pytest.mark.parametrize(
         "key,text",
@@ -341,6 +347,43 @@ class TestHistogramFiles:
         with pytest.raises(ValueError, match="5 rows.*grid of 6 bins") as refused:
             read_histogram(csv, meta)
         assert str(csv) in str(refused.value) and str(meta) in str(refused.value)
+
+    def test_half_bin_range_round_trips(self, tmp_path):
+        # (tau_max - tau_min) / bin_width is exactly 2**19 + 0.5: within one
+        # part in 1e6 of 2**19 bins, so the writer keeps tau_max, and the
+        # reader must find the same 2**19 bins.
+        bin_width = 2.0**-30
+        tau_max = (2**19 + 0.5) * bin_width / 2
+        s = EventStream(1, np.array([1.0]), 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hist = build_histogram(s, s, bin_width, -tau_max, tau_max)
+        assert (hist.counts.size, hist.tau_max) == (2**19, tau_max)
+        csv, meta = tmp_path / "h.csv", tmp_path / "h_meta.json"
+        write_histogram(csv, meta, hist)
+        back = read_histogram(csv, meta)
+        assert np.array_equal(back.counts, hist.counts)
+        assert (back.bin_width, back.tau_min, back.tau_max) == (bin_width, -tau_max, tau_max)
+
+    def test_sidecar_grid_over_the_cap_is_refused_before_the_csv(self, tmp_path):
+        meta = tmp_path / "h_meta.json"
+        write_json(
+            meta,
+            {"bin_width_s": 1e-15, "tau_min_s": -1.25e-4, "tau_max_s": 1.25e-4,
+             "total_pairs": 0},
+        )
+        with pytest.raises(ValueError, match="bin_width_s.*at most 10000000"):
+            read_histogram(tmp_path / "absent.csv", meta)
+
+    def test_rows_past_the_grid_are_refused_unread(self, tmp_path):
+        # Only one row past the sidecar's grid is read: the malformed
+        # rows after it never reach the parser.
+        csv, meta = tmp_path / "h.csv", tmp_path / "h_meta.json"
+        write_histogram(csv, meta, self.make_hist())
+        with open(csv, "a") as fh:
+            fh.write("3.5e-06,0\n" + "x,not a count\n" * 3)
+        with pytest.raises(ValueError, match="7 rows.*grid of 6 bins"):
+            read_histogram(csv, meta)
 
     @pytest.mark.parametrize("key", ["bin_width_s", "tau_min_s", "tau_max_s", "total_pairs"])
     def test_sidecar_without_a_key_is_refused(self, tmp_path, key):

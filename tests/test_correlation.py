@@ -226,8 +226,8 @@ class TestMcEnvelope:
             g2_mc_envelope(lattice(8), 0.0, 100, seed=1)
 
     def test_rejects_too_few_realizations(self):
-        with pytest.raises(ValueError, match="realizations"):
-            g2_mc_envelope(self.LAT, 0.0, 1, seed=1)
+        with pytest.raises(ValueError, match="at least 3 realizations for the jackknife"):
+            g2_mc_envelope(self.LAT, 0.0, 2, seed=1)
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):

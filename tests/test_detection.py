@@ -584,9 +584,9 @@ class TestBuildHistogram:
 
     def test_validation(self):
         s = EventStream(1, np.array([1.0]), 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bin_width_s"):
             build_histogram(s, s, 0.0, -1.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau_min_s, tau_max_s"):
             build_histogram(s, s, 0.1, 1.0, -1.0)
 
     def test_bin_count_cap(self):

@@ -263,6 +263,10 @@ class TestMultiPairState:
         amps[1, 0] = 2.0
         with pytest.raises(ValueError, match="normalized"):
             MultiPairState(2, 2, amps)
+        # An overflowed row normalizes to NaN, which must fail too.
+        amps[1, 0] = np.nan
+        with pytest.raises(ValueError, match="normalized"):
+            MultiPairState(2, 2, amps)
 
     def test_requires_matching_shape(self):
         amps = np.zeros((3, 4), dtype=complex)

@@ -1,6 +1,7 @@
 """The README's documented library use runs as written."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from ghostcomb import RunConfig
@@ -48,3 +49,17 @@ def test_config_table_lists_every_key_with_its_default():
     assert sorted(table) == sorted(defaults)
     for key, text in table.items():
         assert parse_overrides([f"{key}={text}"])[key] == defaults[key], key
+
+
+def test_config_table_keys_are_the_runconfig_fields():
+    # Each field once: a key listed twice, or a field with no row, fails.
+    text = README.read_text()
+    section = text[text.index("## Config keys") :]
+    section = section[: section.index("\n## ", 1)]
+    keys = [
+        key
+        for line in section.splitlines()
+        if line.startswith("| `")
+        for key in re.findall(r"`(\w+)`", line.split("|")[1])
+    ]
+    assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
