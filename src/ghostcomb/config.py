@@ -138,8 +138,9 @@ class RunConfig:
             build_coherent_product(math.sqrt(pert.mean_pair_number()), cutoff)
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"fidelity_n={n} with fidelity_cutoff={cutoff}: {exc}") from exc
-        # The oracle's pair state, built as `curve` and `oracle` build it;
-        # its z^m / m! rows overflow for a large alpha.
+        # The oracle's pair state, built as `curve` and `oracle` build it:
+        # a large alpha overflows its z^m / m! rows, and a tiny one leaves
+        # the vacuum, whose peak is zero.
         alpha, cutoff = self.oracle_alpha, self.oracle_cutoff
         try:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -166,6 +167,7 @@ _TESTS = {
     "<=": operator.le,
     "in": lambda value, choices: value in choices,
 }
+
 
 def check_value(key: str, value, where: str = "") -> None:
     """Refuse value unless it has key's type, is finite if a float and
