@@ -31,13 +31,10 @@ from .correlation import (
 )
 from .fock import (
     MultiPairState,
-    TruncatedPairState,
-    build_coherent_product,
-    build_perturbation_state,
     entangled_coherent_pairs,
+    fidelity_report,
     FockOracle,
     phase_scrambled_curve,
-    state_fidelity,
 )
 from .detection import (
     CoincidenceHistogram,
@@ -62,11 +59,8 @@ __all__ = [
     "ModeLattice",
     "MultiPairState",
     "RunConfig",
-    "TruncatedPairState",
     "beat_phase",
-    "build_coherent_product",
     "build_histogram",
-    "build_perturbation_state",
     "comb_peak_orders",
     "comb_peak_positions",
     "comb_peak_width",
@@ -77,6 +71,7 @@ __all__ = [
     "entangled_coherent_pairs",
     "envelope_first_zero",
     "envelope_fwhm",
+    "fidelity_report",
     "fit_comb",
     "g2_closed",
     "g2_mc_envelope",
@@ -84,5 +79,4 @@ __all__ = [
     "phase_scrambled_curve",
     "psi_direct",
     "sample_pairs",
-    "state_fidelity",
 ]

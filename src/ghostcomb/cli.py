@@ -14,7 +14,6 @@ output bytes.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -40,7 +39,7 @@ from .detection import (
     histogram_grid,
     sample_pairs,
 )
-from .fock import build_coherent_product, build_perturbation_state, state_fidelity
+from .fock import fidelity_report
 from .lattice import DetectorGeometry
 from .seeding import LABEL_ACCIDENTAL_DET1, LABEL_ACCIDENTAL_DET2
 from .timing import CombFit, comb_fit_error, fit_comb
@@ -340,22 +339,7 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> int:
         [fock.taus, fock.values, closed.values, rel_err],
     )
 
-    pert, raw_coeff = build_perturbation_state(cfg.fidelity_n, cfg.fidelity_cutoff)
-    alpha = math.sqrt(pert.mean_pair_number())
-    coh = build_coherent_product(alpha, cfg.fidelity_cutoff)
-    report = {
-        "interaction_count_n": cfg.fidelity_n,
-        "cutoff": cfg.fidelity_cutoff,
-        "mean_pair_number": pert.mean_pair_number(),
-        "alpha_matched": alpha,
-        "fidelity": state_fidelity(pert, coh),
-        "coherent_offdiag_norm_sq": coh.offdiag_norm_sq,
-        "coherent_truncation_deficit": max(
-            0.0, 1.0 - (coh.diag_norm_sq + coh.offdiag_norm_sq)
-        ),
-        "max_raw_coefficient": float(raw_coeff.max()),
-        "alpha_matching_rule": "mean pair number",
-    }
+    report = fidelity_report(cfg.fidelity_n, cfg.fidelity_cutoff)
     gio.write_json(out / "fidelity_report.json", report)
     _write_manifest(
         out, cfg, "oracle", ["oracle_comparison.csv", "fidelity_report.json"]

@@ -19,13 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import _MAX_MODES
-from .fock import (
-    _MAX_CUTOFF,
-    FockOracle,
-    build_coherent_product,
-    build_perturbation_state,
-    entangled_coherent_pairs,
-)
+from .fock import _MAX_CUTOFF, FockOracle, entangled_coherent_pairs, fidelity_report
 from .lattice import SPEED_OF_LIGHT, DetectorGeometry, ModeLattice
 
 _METHODS = ("closed", "direct", "mc", "fock", "all")
@@ -131,11 +125,10 @@ class RunConfig:
                 f"(pair_rate_hz + accidental_rate_hz) * duration_s gives {events:.3g} "
                 f"expected events per detector; at most {_MAX_EVENTS:.0e} are allowed"
             )
-        # The fidelity diagnostic's states, built as `oracle` builds them.
+        # The fidelity diagnostic, computed as `oracle` writes it.
         n, cutoff = self.fidelity_n, self.fidelity_cutoff
         try:
-            pert, _ = build_perturbation_state(n, cutoff)
-            build_coherent_product(math.sqrt(pert.mean_pair_number()), cutoff)
+            fidelity_report(n, cutoff)
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"fidelity_n={n} with fidelity_cutoff={cutoff}: {exc}") from exc
         # The oracle's pair state, built as `curve` and `oracle` build it:

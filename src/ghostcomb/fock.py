@@ -1,4 +1,5 @@
-"""Truncated Fock-space states and an exact correlation oracle.
+"""Truncated Fock-space states, an exact correlation oracle and the
+fidelity diagnostic.
 
 This module verifies the analytic comb from first principles. States
 live in a photon-number basis truncated at a per-mode cutoff, and the
@@ -14,12 +15,13 @@ evaluates. The independent content is the floor (the comb contrast as a
 function of the pump strength alpha) and the normalization of the
 truncated states.
 
-Pair states are stored through their diagonal amplitudes c_m on the
+Pair states are held through their diagonal amplitudes c_m on the
 kets |m⟩_s |m⟩_i. For phase-averaged coherent pairs this is the exact
-description. A plain two-mode coherent product also has off-diagonal
-number components; those carry no pair correlations and are tracked
-only as an aggregate squared weight so that norms and fidelities stay
-exact without materializing the off-diagonal block.
+description. The fidelity diagnostic's plain two-mode coherent product
+also has off-diagonal number components; those carry no pair
+correlations and enter only as an aggregate squared weight, so that its
+norm and fidelity stay exact without materializing the off-diagonal
+block.
 """
 
 from __future__ import annotations
@@ -34,44 +36,6 @@ from .lattice import ModeLattice
 TWO_PI = 2.0 * math.pi
 
 _MAX_CUTOFF = 12
-
-
-@dataclass(frozen=True)
-class TruncatedPairState:
-    """State of one mode pair, truncated at `cutoff` photons per mode.
-
-    amplitudes[m] is the coefficient on |m⟩_s |m⟩_i. offdiag_norm_sq
-    aggregates the squared weight of any number-off-diagonal components
-    the represented state has beyond the stored diagonal; it enters
-    norms and fidelities but carries no structure of its own.
-    """
-
-    cutoff: int
-    amplitudes: np.ndarray
-    offdiag_norm_sq: float = 0.0
-
-    def __post_init__(self):
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be non-negative")
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.cutoff + 1,):
-            raise ValueError("amplitudes must have cutoff + 1 entries")
-        if self.offdiag_norm_sq < 0.0:
-            raise ValueError("offdiag_norm_sq must be non-negative")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def diag_norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.diag_norm_sq + self.offdiag_norm_sq)
-
-    def mean_pair_number(self) -> float:
-        """Mean photon number per mode over the diagonal component."""
-        probs = np.abs(self.amplitudes) ** 2
-        return float(np.sum(probs * np.arange(self.cutoff + 1)) / np.sum(probs))
 
 
 @dataclass(frozen=True)
@@ -97,15 +61,15 @@ class MultiPairState:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def build_perturbation_state(n: int, cutoff: int) -> tuple[TruncatedPairState, np.ndarray]:
-    """State from the order-n expansion of the pair-creation exponential.
+def _perturbation_amplitudes(n: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair state from the order-n expansion of the pair-creation exponential.
 
     The unnormalized coefficient on |m, m⟩ is the falling factorial
     n (n-1) ... (n-m+1), equal to binom(n, m) * m!, for m up to
-    min(n, cutoff) and zero beyond. Returns the normalized state along
-    with the raw coefficients, which are exact integers as long as they
-    fit a double mantissa. The construction fails if any coefficient
-    would overflow a double.
+    min(n, cutoff) and zero beyond. Returns the normalized amplitudes
+    along with the raw coefficients, which are exact integers as long as
+    they fit a double mantissa. The construction fails if any
+    coefficient would overflow a double.
     """
     if n < 0:
         raise ValueError("interaction count must be non-negative")
@@ -122,56 +86,65 @@ def build_perturbation_state(n: int, cutoff: int) -> tuple[TruncatedPairState, n
     # Scaled by a power of two first, which is exact, so the squared norm
     # stays finite whenever the coefficients do.
     scaled = np.ldexp(raw, -math.frexp(raw[top])[1])
-    amps = scaled / np.linalg.norm(scaled)
-    return TruncatedPairState(cutoff, amps.astype(complex)), raw
+    return (scaled / np.linalg.norm(scaled)).astype(complex), raw
 
 
-def build_coherent_product(alpha: complex, cutoff: int) -> TruncatedPairState:
-    """Two-mode coherent product |alpha⟩_s |alpha⟩_i, truncated.
+def _coherent_amplitudes(alpha: float, cutoff: int) -> tuple[np.ndarray, float]:
+    """Two-mode coherent product |alpha⟩_s |alpha⟩_i for real alpha >= 0, truncated.
 
-    The stored diagonal amplitude on |m, m⟩ is the exact coefficient
-    e^{-|alpha|^2} alpha^{2m} / m! of the normalized product state; the
-    squared weight of the off-diagonal number components below the
-    cutoff goes into offdiag_norm_sq. Fails if truncation discards more
-    than 1e-9 of the state's norm.
+    Returns the exact diagonal amplitudes e^{-alpha^2} alpha^{2m} / m! of
+    the normalized product state on |m, m⟩, and the squared weight of
+    its off-diagonal number components below the cutoff. Fails if
+    truncation discards more than 1e-9 of the state's norm.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    alpha = complex(alpha)
-    a2 = abs(alpha) ** 2
+    a2 = alpha**2
     ms = np.arange(cutoff + 1)
-    # Single-mode probabilities P(m) = e^{-a2} a2^m / m!, by recurrence.
+    # Single-mode probabilities P(m) = e^{-a2} a2^m / m!.
     log_probs = -a2 + ms * (math.log(a2) if a2 > 0 else 0.0) - np.array(
         [math.lgamma(m + 1) for m in ms]
     )
     probs = np.exp(log_probs) if a2 > 0 else np.eye(1, cutoff + 1, 0).ravel()
     kept = float(probs.sum())
-    deficit = 1.0 - kept**2
-    if deficit > 1e-9:
+    if 1.0 - kept**2 > 1e-9:
         raise ValueError(
             f"cutoff {cutoff} keeps only {kept**2:.12f} of the norm; "
             "raise the cutoff"
         )
-    phase = np.ones(cutoff + 1, dtype=complex)
-    if alpha != 0:
-        unit = alpha / abs(alpha)
-        phase = unit ** (2 * ms)
-    diag = probs * phase  # |c_m| = e^{-a2} a2^m / m!
-    diag_norm_sq = float(np.sum(probs**2))
-    offdiag = kept**2 - diag_norm_sq
-    return TruncatedPairState(cutoff, diag, max(offdiag, 0.0))
+    offdiag = kept**2 - float(np.sum(probs**2))
+    return probs.astype(complex), max(offdiag, 0.0)
 
 
-def state_fidelity(a: TruncatedPairState, b: TruncatedPairState) -> float:
-    """Squared overlap |⟨a|b⟩|^2 between normalized pair states.
+def fidelity_report(n: int, cutoff: int) -> dict:
+    """Overlap of the order-n pair state with a coherent pair product.
 
-    Off-diagonal weight enters through the norms only; this is exact
-    whenever at least one argument is purely diagonal.
+    The coherent product |alpha⟩_s |alpha⟩_i has the order-n state's
+    mean pair number, and both are truncated at `cutoff` photons per
+    mode. The fidelity is |⟨a|b⟩|^2 over the two norms; the coherent
+    product's off-diagonal weight enters through its norm only, which is
+    exact because the order-n state is purely diagonal. Returns the
+    fields `oracle` writes to fidelity_report.json. Raises ValueError or
+    OverflowError for a pair that cannot be built.
     """
-    if a.cutoff != b.cutoff:
-        raise ValueError("states must share a cutoff")
-    overlap = np.vdot(a.amplitudes, b.amplitudes) / (a.norm * b.norm)
-    return float(abs(overlap) ** 2)
+    pert, raw = _perturbation_amplitudes(n, cutoff)
+    probs = np.abs(pert) ** 2
+    mean = float(np.sum(probs * np.arange(cutoff + 1)) / np.sum(probs))
+    alpha = math.sqrt(mean)
+    coh, offdiag = _coherent_amplitudes(alpha, cutoff)
+    coh_diag = float(np.sum(np.abs(coh) ** 2))
+    norms = math.sqrt(float(np.sum(probs))) * math.sqrt(coh_diag + offdiag)
+    return {
+        "interaction_count_n": n,
+        "cutoff": cutoff,
+        "mean_pair_number": mean,
+        "alpha_matched": alpha,
+        "fidelity": float(abs(np.vdot(pert, coh) / norms) ** 2),
+        "coherent_offdiag_norm_sq": offdiag,
+        "coherent_truncation_deficit": max(0.0, 1.0 - (coh_diag + offdiag)),
+        "max_raw_coefficient": float(raw.max()),
+        "alpha_matching_rule": "mean pair number",
+    }
 
 
 def entangled_coherent_pairs(

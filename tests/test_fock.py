@@ -1,4 +1,4 @@
-"""Tests for truncated pair states and the Fock-space oracle."""
+"""Tests for truncated pair states, the fidelity diagnostic and the Fock-space oracle."""
 
 import math
 import tracemalloc
@@ -10,15 +10,13 @@ from ghostcomb import (
     FockOracle,
     ModeLattice,
     MultiPairState,
-    TruncatedPairState,
-    build_coherent_product,
-    build_perturbation_state,
     dirichlet_kernel,
     entangled_coherent_pairs,
+    fidelity_report,
     g2_closed,
     phase_scrambled_curve,
-    state_fidelity,
 )
+from ghostcomb.fock import _coherent_amplitudes, _perturbation_amplitudes
 
 CARRIER = 2.82e14
 
@@ -83,17 +81,17 @@ def dense_reference_g2(lat, state, taus):
 
 class TestPerturbationState:
     def test_low_order_examples(self):
-        _, raw = build_perturbation_state(1, 2)
+        _, raw = _perturbation_amplitudes(1, 2)
         assert np.array_equal(raw, [1.0, 1.0, 0.0])
-        _, raw = build_perturbation_state(0, 2)
+        _, raw = _perturbation_amplitudes(0, 2)
         assert np.array_equal(raw, [1.0, 0.0, 0.0])
-        _, raw = build_perturbation_state(2, 3)
+        _, raw = _perturbation_amplitudes(2, 3)
         assert np.array_equal(raw, [1.0, 2.0, 2.0, 0.0])
 
     def test_matches_integer_falling_factorial(self):
         # Exact integer reference: n (n-1) ... (n-m+1) = C(n, m) m!.
         for n in range(61):
-            _, raw = build_perturbation_state(n, 12)
+            _, raw = _perturbation_amplitudes(n, 12)
             for m in range(13):
                 exact = math.comb(n, m) * math.factorial(m) if m <= n else 0
                 if exact == 0:
@@ -103,110 +101,119 @@ class TestPerturbationState:
 
     def test_ratio_recurrence(self):
         n = 37
-        _, raw = build_perturbation_state(n, 20)
+        _, raw = _perturbation_amplitudes(n, 20)
         for m in range(min(n, 20)):
             assert raw[m + 1] / raw[m] == pytest.approx(n - m, rel=1e-12)
 
     def test_overflow_is_an_error(self):
         with pytest.raises(OverflowError):
-            build_perturbation_state(171, 171)
+            _perturbation_amplitudes(171, 171)
         # The same n is fine when the cutoff keeps coefficients small.
-        state, _ = build_perturbation_state(171, 10)
-        assert np.isfinite(state.amplitudes).all()
+        amps, _ = _perturbation_amplitudes(171, 10)
+        assert np.isfinite(amps).all()
 
     def test_normalized(self):
-        state, _ = build_perturbation_state(50, 120)
-        assert state.norm == pytest.approx(1.0, abs=1e-12)
-        assert np.all(state.amplitudes[51:] == 0)
+        amps, _ = _perturbation_amplitudes(50, 120)
+        assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(amps[51:] == 0)
 
     def test_normalized_when_the_squared_norm_would_overflow(self):
         # 100! is about 9e157, so the sum of squared coefficients passes
         # the double range although every coefficient fits.
         for n in (100, 150, 170):
-            state, raw = build_perturbation_state(n, 171)
+            amps, raw = _perturbation_amplitudes(n, 171)
             assert raw.max() > math.sqrt(np.finfo(float).max)
-            assert state.norm == pytest.approx(1.0, abs=1e-12)
-            assert state.mean_pair_number() == pytest.approx(n - 0.6978, abs=1e-3)
+            assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
+            mean = np.abs(amps) ** 2 @ np.arange(172)
+            assert mean == pytest.approx(n - 0.6978, abs=1e-3)
+        # Only n = 100 has a matched coherent product that 171 levels hold.
+        report = fidelity_report(100, 171)
+        assert report["mean_pair_number"] == pytest.approx(100 - 0.6978, abs=1e-3)
+        with pytest.raises(ValueError, match="raise the cutoff"):
+            fidelity_report(150, 171)
 
     def test_amplitudes_are_the_plain_normalization_where_it_fits(self):
         # Scaling by a power of two changes no bit while raw / |raw| is finite.
         for n in range(0, 98, 7):
             for cutoff in (0, 5, 120):
-                state, raw = build_perturbation_state(n, cutoff)
-                assert np.array_equal(state.amplitudes, raw / np.linalg.norm(raw))
+                amps, raw = _perturbation_amplitudes(n, cutoff)
+                assert np.array_equal(amps, raw / np.linalg.norm(raw))
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            build_perturbation_state(-1, 5)
+            _perturbation_amplitudes(-1, 5)
         with pytest.raises(ValueError):
-            build_perturbation_state(3, -1)
+            _perturbation_amplitudes(3, -1)
 
 
 class TestCoherentProduct:
     def test_vacuum(self):
-        state = build_coherent_product(0.0, 3)
-        assert np.array_equal(state.amplitudes, [1.0, 0.0, 0.0, 0.0])
-        assert state.offdiag_norm_sq == 0.0
+        amps, offdiag = _coherent_amplitudes(0.0, 3)
+        assert np.array_equal(amps, [1.0, 0.0, 0.0, 0.0])
+        assert offdiag == 0.0
 
     def test_amplitude_ratio(self):
-        alpha = 0.4 * np.exp(1j * 0.7)
-        state = build_coherent_product(alpha, 10)
-        assert state.amplitudes[1] / state.amplitudes[0] == pytest.approx(
-            alpha**2, rel=1e-12
-        )
+        alpha = 0.4
+        amps, _ = _coherent_amplitudes(alpha, 10)
+        assert amps[1] / amps[0] == pytest.approx(alpha**2, rel=1e-12)
 
     def test_weights_match_poisson(self):
         alpha, cutoff = 2.0, 40
-        state = build_coherent_product(alpha, cutoff)
+        amps, offdiag = _coherent_amplitudes(alpha, cutoff)
         a2 = abs(alpha) ** 2
         probs = np.array(
             [math.exp(-a2) * a2**m / math.factorial(m) for m in range(cutoff + 1)]
         )
-        assert np.allclose(np.abs(state.amplitudes), probs, rtol=1e-10, atol=0)
+        assert np.allclose(np.abs(amps), probs, rtol=1e-10, atol=0)
         kept = probs.sum()
-        assert state.norm == pytest.approx(kept, rel=1e-12)
+        norm = math.sqrt(np.sum(np.abs(amps) ** 2) + offdiag)
+        assert norm == pytest.approx(kept, rel=1e-12)
         # Off-diagonal weight is everything in the truncated two-mode
         # product that is not on the |m, m> diagonal.
-        offdiag = sum(
+        expected = sum(
             probs[m] * probs[n]
             for m in range(cutoff + 1)
             for n in range(cutoff + 1)
             if m != n
         )
-        assert state.offdiag_norm_sq == pytest.approx(offdiag, rel=1e-9)
+        assert offdiag == pytest.approx(expected, rel=1e-9)
         assert kept**2 >= 1 - 1e-9
 
     def test_undersized_cutoff_is_an_error(self):
         with pytest.raises(ValueError, match="norm"):
-            build_coherent_product(2.0, 4)
+            _coherent_amplitudes(2.0, 4)
 
 
 class TestStateFidelity:
     def test_self_fidelity(self):
-        state, _ = build_perturbation_state(8, 15)
-        assert state_fidelity(state, state) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_states(self):
-        a = TruncatedPairState(2, np.array([1.0, 0.0, 0.0], dtype=complex))
-        b = TruncatedPairState(2, np.array([0.0, 1.0, 0.0], dtype=complex))
-        assert state_fidelity(a, b) == 0.0
-
-    def test_cutoff_mismatch(self):
-        a = TruncatedPairState(1, np.array([1.0, 0.0], dtype=complex))
-        b = TruncatedPairState(2, np.array([1.0, 0.0, 0.0], dtype=complex))
-        with pytest.raises(ValueError):
-            state_fidelity(a, b)
+        # At n = 0 both states are the vacuum: the overlap of a state
+        # with itself.
+        for cutoff in (0, 3, 120):
+            report = fidelity_report(0, cutoff)
+            assert report["fidelity"] == 1.0
+            assert report["alpha_matched"] == 0.0
 
     def test_perturbation_vs_matched_coherent(self):
         # The order-n pair state is far from any coherent product even
         # at matched mean photon number; pin the diagnostic value.
-        state, _ = build_perturbation_state(50, 120)
-        mean = state.mean_pair_number()
-        assert mean == pytest.approx(49.302225342035996, rel=1e-12)
-        coherent = build_coherent_product(math.sqrt(mean), 120)
-        fid = state_fidelity(state, coherent)
+        report = fidelity_report(50, 120)
+        assert report["mean_pair_number"] == pytest.approx(49.302225342035996, rel=1e-12)
+        assert report["alpha_matched"] == math.sqrt(report["mean_pair_number"])
+        fid = report["fidelity"]
         assert 0 < fid <= 1
         assert fid == pytest.approx(0.01026468026412822, rel=1e-6)
+
+    def test_report_fields(self):
+        # The nine fields `oracle` writes, and no others.
+        report = fidelity_report(50, 120)
+        assert list(report) == [
+            "interaction_count_n", "cutoff", "mean_pair_number", "alpha_matched",
+            "fidelity", "coherent_offdiag_norm_sq", "coherent_truncation_deficit",
+            "max_raw_coefficient", "alpha_matching_rule",
+        ]
+        assert (report["interaction_count_n"], report["cutoff"]) == (50, 120)
+        assert report["max_raw_coefficient"] == pytest.approx(math.factorial(50), rel=1e-12)
+        assert report["alpha_matching_rule"] == "mean pair number"
 
 
 class TestEntangledCoherentPairs:
