@@ -356,8 +356,9 @@ def cmd_fit(cfg: RunConfig, out: Path, hist_path: str, meta_path: str | None) ->
 
     The comb (n_modes, nu_b) comes from the sidecar's run record when it
     names both, as `simulate` writes it, else from the config. The
-    record's values pass the config's rules for n_modes and nu_b_hz,
-    or are refused by sidecar and key. The geometry is never read.
+    record's values pass the config's rules for n_modes and nu_b_hz and
+    fit_comb's rules for the comb against the histogram's grid, or are
+    refused by sidecar and key. The geometry is never read.
     """
     csv_path = Path(hist_path)
     if meta_path is None:
@@ -367,9 +368,12 @@ def cmd_fit(cfg: RunConfig, out: Path, hist_path: str, meta_path: str | None) ->
     hist = gio.read_histogram(csv_path, meta)
     record = hist.metadata
     if "n_modes" in record and "nu_b" in record:
-        check_value("n_modes", record["n_modes"], f"{meta}: run record ")
-        check_value("nu_b_hz", record["nu_b"], f"{meta}: run record ")
+        where = f"{meta}: run record "
+        check_value("n_modes", record["n_modes"], where)
+        check_value("nu_b_hz", record["nu_b"], where)
         n_modes, nu_b = int(record["n_modes"]), float(record["nu_b"])
+        if error := comb_fit_error(n_modes, nu_b, hist.bin_width, hist.tau_min, hist.tau_max):
+            raise ValueError(where + error)
     else:
         n_modes, nu_b = cfg.n_modes, cfg.nu_b_hz
     fit = fit_comb(hist, n_modes, nu_b)

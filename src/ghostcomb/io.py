@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_value
 from .detection import CoincidenceHistogram, histogram_grid
 
 _MAGIC = b"GCEV"
@@ -106,17 +107,27 @@ def read_histogram(path_csv, path_meta) -> CoincidenceHistogram:
     are held once. numpy releases that parse "2.5" as an integer through
     a float only warn and truncate, so that DeprecationWarning is made an
     error here, whatever the caller's warning filters. The files may come
-    from outside the program, so a sidecar that lacks a key, a row count
-    off its grid, a metadata that is not an object and a total_pairs other
-    than the counts' sum are refused.
+    from outside the program, so a sidecar that is not an object or lacks
+    a key, a grid value its config key would refuse, a total_pairs that
+    is not a non-negative integer, a metadata that is not an object, a
+    row count off the grid, a negative count and a total_pairs other
+    than the counts' sum are refused, each naming its file.
     """
     meta = json.loads(Path(path_meta).read_text())
-    for key in ("bin_width_s", "tau_min_s", "tau_max_s", "total_pairs"):
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path_meta}: sidecar must be a JSON object")
+    grid_keys = ("bin_width_s", "tau_min_s", "tau_max_s")
+    for key in (*grid_keys, "total_pairs"):
         if key not in meta:
             raise ValueError(f"{path_meta}: sidecar lacks {key!r}")
     if not isinstance(meta.get("metadata", {}), dict):
         raise ValueError(f"{path_meta}: 'metadata' must be an object")
-    grid = [float(meta[key]) for key in ("bin_width_s", "tau_min_s", "tau_max_s")]
+    for key in grid_keys:
+        check_value(key, meta[key], f"{path_meta}: ")
+    total = meta["total_pairs"]
+    if not isinstance(total, int) or isinstance(total, bool) or total < 0:
+        raise ValueError(f"{path_meta}: total_pairs must be a non-negative integer, got {total!r}")
+    grid = [float(meta[key]) for key in grid_keys]
     n_bins = histogram_grid(*grid)[0]
     try:
         with warnings.catch_warnings():
@@ -132,11 +143,14 @@ def read_histogram(path_csv, path_meta) -> CoincidenceHistogram:
             f"{path_csv} has {counts.size} rows, but its sidecar {path_meta} "
             f"gives a grid of {n_bins} bins"
         )
-    hist = CoincidenceHistogram(*grid, counts, dict(meta.get("metadata", {})))
-    if hist.total_pairs != int(meta["total_pairs"]):
+    try:
+        hist = CoincidenceHistogram(*grid, counts, dict(meta.get("metadata", {})))
+    except ValueError as err:
+        raise ValueError(f"{path_csv}: {err}") from None
+    if hist.total_pairs != total:
         raise ValueError(
             f"{path_csv}: counts sum to {hist.total_pairs}, but its sidecar "
-            f"{path_meta} gives total_pairs={meta['total_pairs']}"
+            f"{path_meta} gives total_pairs={total}"
         )
     return hist
 

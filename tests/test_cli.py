@@ -387,8 +387,10 @@ class TestFitCommand:
     @pytest.mark.parametrize(
         "field, value, key",
         [("n_modes", 2.5, "n_modes"), ("n_modes", True, "n_modes"),
-         ("nu_b", "abc", "nu_b_hz"), (None, [1, 2], "metadata")],
-        ids=["fractional-modes", "bool-modes", "text-spacing", "record-not-an-object"],
+         ("nu_b", "abc", "nu_b_hz"), (None, [1, 2], "metadata"),
+         ("n_modes", 1, "n_modes"), ("n_modes", 100000, "bin_width_s")],
+        ids=["fractional-modes", "bool-modes", "text-spacing", "record-not-an-object",
+             "one-mode", "comb-finer-than-bins"],
     )
     def test_bad_run_record_is_refused_by_sidecar_and_key(
         self, tmp_path, capsys, field, value, key

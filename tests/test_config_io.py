@@ -1,5 +1,6 @@
 """Tests for config parsing and on-disk formats."""
 
+import json
 import struct
 import tracemalloc
 import warnings
@@ -403,6 +404,49 @@ class TestHistogramFiles:
         write_json(meta, sidecar)
         with pytest.raises(ValueError, match="sum to 23.*total_pairs=24"):
             read_histogram(csv, meta)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("bin_width_s", True, "bin_width_s must be of type float"),
+         ("tau_min_s", "abc", "tau_min_s must be of type float"),
+         ("tau_max_s", float("nan"), "tau_max_s must be finite"),
+         ("total_pairs", 23.9, "total_pairs must be a non-negative integer"),
+         ("total_pairs", True, "total_pairs must be a non-negative integer"),
+         ("total_pairs", -1, "total_pairs must be a non-negative integer")],
+        ids=["bool-width", "text-start", "nan-end", "fractional-total", "bool-total",
+             "negative-total"],
+    )
+    def test_sidecar_value_of_the_wrong_type_is_refused(self, tmp_path, key, value, message):
+        # int() once truncated a total_pairs of 23.9 to the counts' sum.
+        csv, meta = tmp_path / "h.csv", tmp_path / "h_meta.json"
+        write_histogram(csv, meta, self.make_hist())
+        sidecar = read_json(meta)
+        sidecar[key] = value
+        meta.write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match=message) as refused:
+            read_histogram(csv, meta)
+        assert str(refused.value).startswith(f"{meta}: ")
+
+    def test_sidecar_that_is_not_an_object_is_refused(self, tmp_path):
+        csv, meta = tmp_path / "h.csv", tmp_path / "h_meta.json"
+        write_histogram(csv, meta, self.make_hist())
+        meta.write_text("123\n")
+        with pytest.raises(ValueError, match="sidecar must be a JSON object") as refused:
+            read_histogram(csv, meta)
+        assert str(meta) in str(refused.value)
+
+    def test_negative_count_names_the_csv(self, tmp_path):
+        csv, meta = tmp_path / "h.csv", tmp_path / "h_meta.json"
+        write_histogram(csv, meta, self.make_hist())
+        sidecar = read_json(meta)
+        sidecar["total_pairs"] -= 1
+        write_json(meta, sidecar)
+        lines = csv.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",-1"
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="non-negative") as refused:
+            read_histogram(csv, meta)
+        assert str(refused.value).startswith(f"{csv}: ")
 
     def test_non_integer_counts_rejected(self, tmp_path):
         hist = self.make_hist()
