@@ -97,8 +97,6 @@ def _coherent_amplitudes(alpha: float, cutoff: int) -> tuple[np.ndarray, float]:
     its off-diagonal number components below the cutoff. Fails if
     truncation discards more than 1e-9 of the state's norm.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
     a2 = alpha**2
     ms = np.arange(cutoff + 1)
     # Single-mode probabilities P(m) = e^{-a2} a2^m / m!.
