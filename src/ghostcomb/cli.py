@@ -274,7 +274,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         del s1, s2, stream
         d1, d2 = (gio.EventStreamFile(path) for path in streams)
         hist = build_histogram(d1, d2, cfg.bin_width_s, cfg.tau_min_s, cfg.tau_max_s, metadata)
-        contrast_value = contrast(hist, lattice, geom, cfg.contrast_floor)
+        contrast_value = contrast(hist, lattice, geom)
         fit = fit_comb(hist, cfg.n_modes, cfg.nu_b_hz)
 
         gio.write_histogram(out / "histogram.csv", out / "histogram_meta.json", hist)

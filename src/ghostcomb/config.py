@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
 from .correlation import _MAX_MODES
-from .fock import _MAX_CUTOFF, FockOracle, entangled_coherent_pairs, fidelity_report
+from .fock import _MAX_CUTOFF, entangled_coherent_pairs, fidelity_report
 from .lattice import SPEED_OF_LIGHT, DetectorGeometry, ModeLattice
 
 _METHODS = ("closed", "direct", "mc", "fock", "all")
@@ -74,7 +75,6 @@ class RunConfig:
     window_periods: float = 5.0
     accidental_rate_hz: float = 0.0
     bin_width_s: float = 5e-9
-    contrast_floor: int = 1000
 
     # Fock oracle and fidelity diagnostics.
     oracle_pairs: int = 3
@@ -133,12 +133,12 @@ class RunConfig:
             raise ValueError(f"fidelity_n={n} with fidelity_cutoff={cutoff}: {exc}") from exc
         # The oracle's pair state, built as `curve` and `oracle` build it:
         # a large alpha overflows its z^m / m! rows, and a tiny one leaves
-        # the vacuum, whose peak is zero.
+        # the vacuum. Its peak g2(0, 0) = (mu - |beta|^2) + |beta|^2 = <m^2>.
         alpha, cutoff = self.oracle_alpha, self.oracle_cutoff
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 state = entangled_coherent_pairs([alpha], cutoff)
-            peak = FockOracle(ModeLattice(1, self.nu_b_hz, self.nu_s0_hz), state).g2(0.0, 0.0)
+            peak = float(np.abs(state.amplitudes[0]) ** 2 @ np.arange(cutoff + 1) ** 2)
         except ValueError:
             peak = math.nan
         if not 0 < peak < math.inf:
@@ -168,7 +168,8 @@ def check_value(key: str, value, where: str = "") -> None:
     kind = _FIELD_TYPES[key]
     if not isinstance(value, _TYPES[kind]) or isinstance(value, bool):
         raise ValueError(f"{where}{key} must be of type {kind}, got {value!r}")
-    if kind == "float" and not math.isfinite(value):
+    # Compared, since math.isfinite raises on an int beyond the float range.
+    if kind == "float" and not abs(value) <= sys.float_info.max:
         raise ValueError(f"{where}{key} must be finite, got {value!r}")
     for op, bound in _RULES[key]:
         if not _TESTS[op](value, bound):
@@ -198,7 +199,6 @@ _RULES = {
     "window_periods": ((">", 0),),
     "accidental_rate_hz": ((">=", 0),),
     "bin_width_s": ((">", 0),),
-    "contrast_floor": ((">=", 1),),
     "oracle_pairs": ((">=", 1),),
     "oracle_alpha": ((">", 0),),
     "oracle_cutoff": ((">=", 1), ("<=", _MAX_CUTOFF)),

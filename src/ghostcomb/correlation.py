@@ -69,9 +69,9 @@ _MC_GUARD = 0.1
 def beat_phase(nu_b: float, tau) -> np.ndarray | float:
     """Comb phase argument x = 2 pi nu_b tau.
 
-    Every evaluation route obtains its phase through this helper so that
-    identical (nu_b, tau) pairs map to bit-identical doubles before any
-    range reduction happens.
+    Every route but the Fock oracle (by design: it shares no code with
+    the routes it checks) takes its phase from here, so equal (nu_b, tau)
+    map to bit-identical doubles before any range reduction.
     """
     return TWO_PI * nu_b * np.asarray(tau, dtype=float)[()]
 

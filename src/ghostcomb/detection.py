@@ -63,6 +63,8 @@ _SLAB = 1 << 19
 # temporaries are a few arrays of this length whatever the bin count.
 # The fit sums floats block by block, so its results depend on it.
 _BIN_BLOCK = 1 << 15
+# Fewest tallied pairs in range that contrast() estimates from.
+_MIN_CONTRAST_COUNTS = 1000
 
 
 @dataclass(frozen=True)
@@ -471,29 +473,24 @@ def build_histogram(
     return CoincidenceHistogram(bin_width, tau_min, tau_max, counts, meta)
 
 
-def contrast(
-    hist: CoincidenceHistogram,
-    lattice: ModeLattice,
-    geom: DetectorGeometry,
-    min_counts: int = 1000,
-) -> float:
+def contrast(hist: CoincidenceHistogram, lattice: ModeLattice, geom: DetectorGeometry) -> float:
     """Peak-to-valley contrast (peak - valley) / (peak + valley).
 
     Peak bins lie within one peak width of a predicted comb center,
     valley bins at least three widths away from every center; the
     in-between skirt is excluded from both means. Centers and width
     are those of the given comb. Fails when total counts fall below
-    min_counts or when either region is empty within the range.
+    _MIN_CONTRAST_COUNTS or when either region is empty within the range.
 
     Even an ideal run's valley bins are not empty: they hold the
     squared Dirichlet kernel's side lobes, about 1/(3 pi^2) of the
     pairs for N >> 1. That is why the contrast reads 0.9998 and not 1
     at N=1000 with no background.
     """
-    if hist.total_pairs < min_counts:
+    if hist.total_pairs < _MIN_CONTRAST_COUNTS:
         raise ValueError(
             f"histogram has {hist.total_pairs} counts; "
-            f"at least {min_counts} required for a contrast estimate"
+            f"at least {_MIN_CONTRAST_COUNTS} required for a contrast estimate"
         )
     width = comb_peak_width(lattice)
     nu_b, offset = lattice.nu_b, geom.retarded_offset

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import TWO_PI
+from .correlation import TWO_PI, _wrap, beat_phase
 from .detection import CoincidenceHistogram
 
 # Fisher scoring from the folded start takes about 6 steps.
@@ -47,8 +47,7 @@ class CombFit:
 
 def _template(n_modes: int, nu_b: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The bare comb s(u) = K_N(2 pi nu_b u) / N^2 and its slope ds/du."""
-    phase = TWO_PI * nu_b * u
-    phase -= TWO_PI * np.round(phase / TWO_PI)
+    phase = _wrap(beat_phase(nu_b, u))
     half = 0.5 * phase
     sin_half = np.sin(half)
     # Within N |phase| < 1e-3 of a peak the quotients lose digits; the
@@ -153,6 +152,8 @@ def fit_comb(hist: CoincidenceHistogram, n_modes: int, nu_b: float) -> CombFit:
         terms = _scoring_terms(hist, n_modes, trial)
         # Halve a step that lowers the likelihood; full steps can cycle at a zero floor.
         if terms[2] > deviance and score @ step >= _TOL:
+            if score @ step < 16 * np.finfo(float).eps * hist.total_pairs:
+                break  # the deviance sum cannot resolve a gain this small
             step *= 0.5
             continue
         theta, (fisher, score, deviance) = trial, terms

@@ -297,12 +297,15 @@ class TestSimulateCommand:
         assert peak < 0.4 * stream_bytes
 
     def test_failure_leaves_no_stream_files(self, tmp_path, capsys):
+        # Too few pairs for a contrast: the run fails after both streams
+        # are written.
         code, _, err = run(
-            capsys, "simulate", "--out", str(tmp_path), "--seed", "11", *SIM_ARGS,
-            "--set", "contrast_floor=1000000000",
+            capsys, "simulate", "--out", str(tmp_path), "--seed", "11",
+            "--set", "pair_rate_hz=2", "--set", "duration_s=200",
+            "--set", "accidental_rate_hz=1",
         )
         assert code == 1
-        assert "at least 1000000000 required" in err
+        assert "histogram has 353 counts" in err
         assert not list(tmp_path.glob("stream_d*.bin"))
         # The accidentals' scratch files have no name in the directory.
         assert not list(tmp_path.iterdir())
@@ -388,9 +391,10 @@ class TestFitCommand:
         "field, value, key",
         [("n_modes", 2.5, "n_modes"), ("n_modes", True, "n_modes"),
          ("nu_b", "abc", "nu_b_hz"), (None, [1, 2], "metadata"),
-         ("n_modes", 1, "n_modes"), ("n_modes", 100000, "bin_width_s")],
+         ("n_modes", 1, "n_modes"), ("n_modes", 100000, "bin_width_s"),
+         ("nu_b", 10**400, "nu_b_hz")],
         ids=["fractional-modes", "bool-modes", "text-spacing", "record-not-an-object",
-             "one-mode", "comb-finer-than-bins"],
+             "one-mode", "comb-finer-than-bins", "spacing-past-float-range"],
     )
     def test_bad_run_record_is_refused_by_sidecar_and_key(
         self, tmp_path, capsys, field, value, key

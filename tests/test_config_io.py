@@ -176,6 +176,8 @@ class TestRunConfig:
             st.integers(min_value=-(10**30), max_value=10**30).map(str),
         ),
     )
+    # The oracle check once formed the phase 2 pi nu_b 0, which overflows.
+    @example(key="nu_b_hz", text="2.8611174857570283e+307")
     def test_any_set_value_is_accepted_or_refused_by_key(self, key, text):
         try:
             cfg = load_config(overrides=parse_overrides([f"{key}={text}"]))
@@ -410,11 +412,12 @@ class TestHistogramFiles:
         [("bin_width_s", True, "bin_width_s must be of type float"),
          ("tau_min_s", "abc", "tau_min_s must be of type float"),
          ("tau_max_s", float("nan"), "tau_max_s must be finite"),
+         ("tau_min_s", 10**400, "tau_min_s must be finite"),
          ("total_pairs", 23.9, "total_pairs must be a non-negative integer"),
          ("total_pairs", True, "total_pairs must be a non-negative integer"),
          ("total_pairs", -1, "total_pairs must be a non-negative integer")],
-        ids=["bool-width", "text-start", "nan-end", "fractional-total", "bool-total",
-             "negative-total"],
+        ids=["bool-width", "text-start", "nan-end", "huge-int-start", "fractional-total",
+             "bool-total", "negative-total"],
     )
     def test_sidecar_value_of_the_wrong_type_is_refused(self, tmp_path, key, value, message):
         # int() once truncated a total_pairs of 23.9 to the counts' sum.

@@ -817,11 +817,11 @@ class TestContrast:
 
     def test_mixture_arithmetic(self):
         hist = self.synthetic_histogram(90, 10, 50)
-        assert contrast(hist, LAT10, GEOM0, min_counts=100) == pytest.approx(0.8, rel=1e-12)
+        assert contrast(hist, LAT10, GEOM0) == pytest.approx(0.8, rel=1e-12)
 
     def test_flat_histogram_has_zero_contrast(self):
         hist = self.synthetic_histogram(25, 25, 25)
-        assert contrast(hist, LAT10, GEOM0, min_counts=100) == 0.0
+        assert contrast(hist, LAT10, GEOM0) == 0.0
 
     def test_simulated_pairs_are_high_contrast(self):
         # Many modes keep the between-peak side lobes small relative to
@@ -835,7 +835,7 @@ class TestContrast:
     def test_count_floor(self):
         hist = self.synthetic_histogram(1, 0, 0)
         with pytest.raises(ValueError, match="at least"):
-            contrast(hist, LAT10, GEOM0, min_counts=10_000)
+            contrast(hist, LAT10, GEOM0)
 
     def test_matches_broadcast_nearest_center_in_a_few_bin_arrays(self):
         n_bins = 500_000
@@ -905,4 +905,4 @@ class TestContrast:
         lat2 = ModeLattice(n_modes=2, nu_b=20e3, nu_s0=CARRIER)
         h = CoincidenceHistogram(5e-6, -2.5e-5, 2.5e-5, np.full(10, 100))
         with pytest.raises(ValueError, match="lacks"):
-            contrast(h, lat2, GEOM0, min_counts=10)
+            contrast(h, lat2, GEOM0)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ghostcomb import (
     CoincidenceHistogram,
@@ -86,6 +86,8 @@ class TestFitComb:
 
     @settings(max_examples=100, deadline=None)
     @given(delta=st.floats(min_value=-1.2e-5, max_value=1.2e-5, allow_nan=False))
+    # Optimal at step 2; later steps' gains lie below the deviance's resolution.
+    @example(delta=9.926437571526352e-07)
     def test_shift_equivariance(self, delta):
         fit = fit10(synthetic_histogram(offset=delta))
         assert fit.offset_est == pytest.approx(delta, abs=1e-8 * WIDTH10)
