@@ -30,10 +30,9 @@ from .correlation import (
     psi_direct,
 )
 from .fock import (
-    MultiPairState,
     entangled_coherent_pairs,
     fidelity_report,
-    FockOracle,
+    oracle_g2,
     phase_scrambled_curve,
 )
 from .detection import (
@@ -55,9 +54,7 @@ __all__ = [
     "CorrelationCurve",
     "DetectorGeometry",
     "EventStream",
-    "FockOracle",
     "ModeLattice",
-    "MultiPairState",
     "RunConfig",
     "beat_phase",
     "build_histogram",
@@ -76,6 +73,7 @@ __all__ = [
     "g2_closed",
     "g2_mc_envelope",
     "load_config",
+    "oracle_g2",
     "phase_scrambled_curve",
     "psi_direct",
     "sample_pairs",

@@ -138,7 +138,7 @@ class RunConfig:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 state = entangled_coherent_pairs([alpha], cutoff)
-            peak = float(np.abs(state.amplitudes[0]) ** 2 @ np.arange(cutoff + 1) ** 2)
+            peak = float(np.abs(state[0]) ** 2 @ np.arange(cutoff + 1) ** 2)
         except ValueError:
             peak = math.nan
         if not 0 < peak < math.inf:

@@ -414,11 +414,10 @@ def curve(
         values = np.maximum(np.array([p[0] for p in pairs]), 0.0)
         stderrs = np.array([p[1] for p in pairs])
     elif method == "fock":
-        from .fock import FockOracle, entangled_coherent_pairs
+        from .fock import entangled_coherent_pairs, oracle_g2
 
         state = entangled_coherent_pairs([alpha] * lattice.n_modes, cutoff)
-        oracle = FockOracle(lattice, state)
-        values = np.array([oracle.g2(t, 0.0) for t in tau_ret])
+        values = oracle_g2(lattice, state, tau_ret)
     else:
         raise ValueError(f"unknown method: {method!r}")
 

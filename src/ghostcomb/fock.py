@@ -5,9 +5,9 @@ This module verifies the analytic comb from first principles. States
 live in a photon-number basis truncated at a per-mode cutoff, and the
 fourth-order field moment behind g2 is evaluated by explicit operator
 algebra, with no appeal to the closed form. Every multi-pair state is a
-product of per-pair states, so a state of P pairs is held as P rows of
-cutoff + 1 diagonal amplitudes, and the oracle reduces each row to a
-few moments: O(P cutoff) memory and O(P) work per delay.
+product of per-pair states, so a state of P pairs is one (P, cutoff + 1)
+array, a row of diagonal amplitudes per pair, and the oracle reduces
+each row to a few moments: O(P cutoff) memory and O(P) work per delay.
 
 What the oracle checks on its own is limited at large P: its comb term
 is the same exponential sum over modes that the direct method
@@ -27,7 +27,6 @@ block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,29 +35,6 @@ from .lattice import ModeLattice
 TWO_PI = 2.0 * math.pi
 
 _MAX_CUTOFF = 12
-
-
-@dataclass(frozen=True)
-class MultiPairState:
-    """Product state over P mode pairs, diagonal per pair.
-
-    amplitudes has shape (P, cutoff + 1); row k holds pair k's
-    coefficients on |m⟩_s |m⟩_i, and the state is the tensor product of
-    the rows. Every row is normalized.
-    """
-
-    pair_count: int
-    cutoff: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.pair_count, self.cutoff + 1):
-            raise ValueError("amplitudes must have one row of cutoff + 1 entries per pair")
-        # Written so that a NaN row fails it too.
-        if not np.all(np.abs(np.linalg.norm(amps, axis=1) - 1.0) <= 1e-12):
-            raise ValueError("every pair's amplitudes must be normalized")
-        object.__setattr__(self, "amplitudes", amps)
 
 
 def _perturbation_amplitudes(n: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
@@ -145,41 +121,51 @@ def fidelity_report(n: int, cutoff: int) -> dict:
     }
 
 
-def entangled_coherent_pairs(
-    alphas, cutoff: int, pair_phases=None
-) -> MultiPairState:
+def entangled_coherent_pairs(alphas, cutoff: int) -> np.ndarray:
     """Product of phase-averaged coherent pair states, one per pair.
 
     Each pair contributes amplitudes proportional to alpha^{2m} / m! on
     |m, m⟩, the diagonal state left after averaging over the common
-    phase of a coherent pair. Optional pair_phases multiply pair k's
-    amplitude on |m, m⟩ by e^{i m theta_k}, which models idler phases
-    that are independent rather than anticorrelated with the signal.
-    Each pair's row is normalized.
+    phase of a coherent pair. Returns the (P, cutoff + 1) array of the
+    rows, each normalized or refused; the state is their tensor product.
     """
     alphas = np.asarray(alphas, dtype=complex)
     if alphas.ndim != 1 or alphas.size == 0:
         raise ValueError("alphas must be a non-empty 1-d sequence")
-    p = alphas.size
     if not 0 <= cutoff <= _MAX_CUTOFF:
         raise ValueError(f"cutoff must be in [0, {_MAX_CUTOFF}]")
-    if pair_phases is not None:
-        pair_phases = np.asarray(pair_phases, dtype=float)
-        if pair_phases.shape != (p,):
-            raise ValueError("pair_phases must have one entry per pair")
 
-    # Row k is z_k^m / m! with z_k = alpha_k^2 e^{i theta_k}, by recurrence.
-    z = alphas**2 if pair_phases is None else alphas**2 * np.exp(1j * pair_phases)
-    rows = np.empty((p, cutoff + 1), dtype=complex)
+    # Row k is z_k^m / m! with z_k = alpha_k^2, by recurrence.
+    z = alphas**2
+    rows = np.empty((alphas.size, cutoff + 1), dtype=complex)
     rows[:, 0] = 1.0
     for m in range(1, cutoff + 1):
         rows[:, m] = rows[:, m - 1] * z / m
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    return MultiPairState(p, cutoff, rows)
+    # Written so that a NaN row, left by an overflow, fails it too.
+    if not np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= 1e-12):
+        raise ValueError("every pair's amplitudes must be normalized")
+    return rows
 
 
-class FockOracle:
-    """Exact normally ordered intensity correlation for a lattice.
+def _moments(lattice: ModeLattice, amplitudes: np.ndarray) -> tuple[float, np.ndarray]:
+    """The oracle's flat floor and per-pair coherences β_k (see oracle_g2)."""
+    if lattice.n_modes != len(amplitudes):
+        raise ValueError("lattice must have one mode pair per state pair")
+    if lattice.delta_nu != 0.0:
+        raise ValueError("the oracle models single-frequency modes only")
+    ms = np.arange(amplitudes.shape[1])
+    probs = np.abs(amplitudes) ** 2
+    nbar = probs @ ms
+    mu2 = probs @ ms**2
+    beta = (amplitudes[:, :-1].conj() * amplitudes[:, 1:]) @ ms[1:]
+    floor = float(nbar.sum() ** 2 - np.sum(nbar**2) + np.sum(mu2 - np.abs(beta) ** 2))
+    return floor, beta
+
+
+def oracle_g2(lattice: ModeLattice, amplitudes: np.ndarray, taus) -> np.ndarray:
+    """Exact normally ordered intensity correlation of a pair state at
+    retarded delays τ = τ1 - τ2, one pair per lattice mode pair.
 
     The two detected fields are E1 = Σ_k e^{-i ω_{s,k} τ1} a_{s,k} and
     E2 = Σ_l e^{-i ω_{i,l} τ2} a_{i,l}, with signal modes routed to
@@ -198,30 +184,13 @@ class FockOracle:
     unit modulus and is dropped; field normalization constants are
     dropped as well, so values are meaningful up to an overall scale.
     """
-
-    def __init__(self, lattice: ModeLattice, state: MultiPairState):
-        if lattice.n_modes != state.pair_count:
-            raise ValueError("lattice must have one mode pair per state pair")
-        if lattice.delta_nu != 0.0:
-            raise ValueError("the oracle models single-frequency modes only")
-        self.lattice = lattice
-        self.state = state
-        amps = state.amplitudes
-        ms = np.arange(state.cutoff + 1)
-        probs = np.abs(amps) ** 2
-        nbar = probs @ ms
-        mu2 = probs @ ms**2
-        self._beta = (amps[:, :-1].conj() * amps[:, 1:]) @ ms[1:]
-        self._floor = float(
-            nbar.sum() ** 2 - np.sum(nbar**2) + np.sum(mu2 - np.abs(self._beta) ** 2)
-        )
-
-    def g2(self, tau1: float, tau2: float) -> float:
-        """Unnormalized correlation at retarded detector times tau1, tau2."""
-        k = np.arange(self.state.pair_count)
-        d = np.exp(-1j * TWO_PI * self.lattice.nu_b * k * (tau1 - tau2))
-        value = self._floor + abs(np.dot(self._beta, d)) ** 2
-        return max(float(value), 0.0)
+    floor, beta = _moments(lattice, amplitudes)
+    k = np.arange(len(beta))
+    values = []
+    for tau in taus:
+        d = np.exp(-1j * TWO_PI * lattice.nu_b * k * tau)
+        values.append(max(float(floor + abs(np.dot(beta, d)) ** 2), 0.0))
+    return np.array(values)
 
 
 def phase_scrambled_curve(lattice: ModeLattice, alphas, cutoff: int, taus) -> np.ndarray:
@@ -234,6 +203,6 @@ def phase_scrambled_curve(lattice: ModeLattice, alphas, cutoff: int, taus) -> np
     and the mean is floor + Σ|β_k|² at every delay. Returned values
     share the oracle's raw scale.
     """
-    oracle = FockOracle(lattice, entangled_coherent_pairs(alphas, cutoff))
-    level = oracle._floor + float(np.sum(np.abs(oracle._beta) ** 2))
+    floor, beta = _moments(lattice, entangled_coherent_pairs(alphas, cutoff))
+    level = floor + float(np.sum(np.abs(beta) ** 2))
     return np.full(np.shape(taus), level)
