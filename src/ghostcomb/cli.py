@@ -157,7 +157,7 @@ def cmd_curve(cfg: RunConfig, out: Path) -> int:
     primary = curves[primary_name]
 
     outputs = ["curve.csv", "curve_summary.json"]
-    gio.write_curve_csv(out / "curve.csv", primary.taus, primary.values)
+    gio.write_columns_csv(out / "curve.csv", ["tau_s", "g2"], [primary.taus, primary.values])
     if "mc" in curves and curves["mc"].stderrs is not None:
         gio.write_columns_csv(
             out / "curve_mc_stderr.csv",

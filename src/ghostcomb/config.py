@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlation import _MAX_MODES
+from .correlation import TWO_PI, _MAX_MODES
 from .fock import _MAX_CUTOFF, entangled_coherent_pairs, fidelity_report
 from .lattice import SPEED_OF_LIGHT, DetectorGeometry, ModeLattice
 
@@ -117,6 +117,18 @@ class RunConfig:
             check_value(key, getattr(self, key))
         if not self.tau_max_s > self.tau_min_s:
             raise ValueError("tau_max_s must exceed tau_min_s")
+        # The span, the retarded delays at the range ends and the comb
+        # phase there, each formed as curve() and beat_phase() form it.
+        lo, hi = float(self.tau_min_s), float(self.tau_max_s)
+        offset = self.geometry().retarded_offset
+        ends = (lo - offset, hi - offset)
+        phase = TWO_PI * self.nu_b_hz * max(map(abs, ends))
+        if not all(map(math.isfinite, (hi - lo, *ends, phase))):
+            raise ValueError(
+                "tau_max_s - tau_min_s, the retarded delays tau - (r1_m - r2_m) / c_mps "
+                "at the range ends and the comb phase 2 pi nu_b_hz tau there must be "
+                f"finite; got a span of {hi - lo!r}, ends {ends!r} and a phase of {phase!r}"
+            )
         if not self.delta_nu_hz < self.nu_b_hz:
             raise ValueError("delta_nu_hz must stay below nu_b_hz; modes would overlap")
         events = (self.pair_rate_hz + self.accidental_rate_hz) * self.duration_s

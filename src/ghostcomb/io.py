@@ -60,12 +60,6 @@ def _row_blocks(columns: list[np.ndarray]):
     )
 
 
-def write_curve_csv(path, taus, values) -> None:
-    """Write a correlation curve as rows of "tau_s,g2"."""
-    columns = [np.asarray(taus, dtype=float), np.asarray(values, dtype=float)]
-    _write_rows(path, ["tau_s", "g2"], "%.11e,%.11e\n", _row_blocks(columns))
-
-
 def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray]:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return data[:, 0], data[:, 1]

@@ -582,6 +582,29 @@ class TestErrorHandling:
         assert key in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "command, sets, key",
+        [
+            ("curve", ["nu_b_hz=2.8611174857570283e+307", "n_points=5", "n_modes=4"],
+             "nu_b_hz"),
+            ("oracle", ["nu_b_hz=2.8611174857570283e+307"], "nu_b_hz"),
+            ("curve", ["tau_min_s=-1e308", "tau_max_s=1e308", "n_points=3"], "tau_min_s"),
+            # The comb phase at the range ends is finite; only the span is not.
+            ("curve", ["nu_b_hz=0.01", "tau_min_s=-1e308", "tau_max_s=1e308", "n_points=3"],
+             "tau_max_s"),
+            ("curve", ["r1_m=1e300", "c_mps=1e-10", "n_points=3"], "r1_m"),
+        ],
+        ids=["curve-comb-phase", "oracle-comb-phase", "delay-span", "span-only", "path-offset"],
+    )
+    def test_non_finite_delay_or_comb_phase_is_refused_at_load(
+        self, tmp_path, capsys, command, sets, key
+    ):
+        argv = [arg for value in sets for arg in ("--set", value)]
+        code, _, err = run(capsys, command, "--out", str(tmp_path), *argv)
+        assert code == 1
+        assert key in err and "finite" in err
+        assert not list(tmp_path.iterdir())
+
     def test_config_file_flag(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_modes = 100\nn_points = 501\n")

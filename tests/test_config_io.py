@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from ghostcomb import RunConfig, load_config
+from ghostcomb import RunConfig, beat_phase, load_config
 from ghostcomb import detection
 from ghostcomb import io as gio
 from ghostcomb.config import parse_overrides
@@ -21,7 +21,6 @@ from ghostcomb.io import (
     read_histogram,
     read_json,
     write_columns_csv,
-    write_curve_csv,
     write_event_stream,
     write_histogram,
     write_json,
@@ -176,8 +175,10 @@ class TestRunConfig:
             st.integers(min_value=-(10**30), max_value=10**30).map(str),
         ),
     )
-    # The oracle check once formed the phase 2 pi nu_b 0, which overflows.
+    # 2 pi nu_b_hz overflows, so the comb phase at any nonzero delay is inf.
     @example(key="nu_b_hz", text="2.8611174857570283e+307")
+    # The span is finite, but the comb phase at the range's start is not.
+    @example(key="tau_min_s", text="-1e308")
     def test_any_set_value_is_accepted_or_refused_by_key(self, key, text):
         try:
             cfg = load_config(overrides=parse_overrides([f"{key}={text}"]))
@@ -189,6 +190,8 @@ class TestRunConfig:
             cfg.geometry()
             cfg.oracle_lattice()
             entangled_coherent_pairs([cfg.oracle_alpha], cfg.oracle_cutoff)
+            ends = np.array([cfg.tau_min_s, cfg.tau_max_s]) - cfg.geometry().retarded_offset
+            assert np.isfinite(beat_phase(cfg.nu_b_hz, ends)).all()
 
     @pytest.mark.parametrize(
         "key,text",
@@ -214,7 +217,7 @@ class TestCurveCsv:
         rng = np.random.default_rng(1)
         taus = np.sort(rng.uniform(-1e-4, 1e-4, 64))
         values = rng.uniform(0, 1, 64)
-        write_curve_csv(path, taus, values)
+        write_columns_csv(path, ["tau_s", "g2"], [taus, values])
         t, v = read_curve_csv(path)
         assert np.allclose(t, taus, rtol=1e-10, atol=0)
         assert np.allclose(v, values, rtol=1e-10, atol=1e-300)
@@ -269,7 +272,7 @@ class TestWriterBytes:
     def test_curve_csv(self, tmp_path, rows):
         taus, values = [r[0] for r in rows], [r[1] for r in rows]
         path = tmp_path / "curve.csv"
-        write_curve_csv(path, taus, values)
+        write_columns_csv(path, ["tau_s", "g2"], [taus, values])
         expected = reference_rows(["tau_s", "g2"], [taus, values], [".11e"] * 2)
         assert path.read_bytes() == expected
 
@@ -313,7 +316,7 @@ class TestWriterBytes:
 
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="equal length"):
-            write_curve_csv(tmp_path / "c.csv", [1.0, 2.0], [1.0])
+            write_columns_csv(tmp_path / "c.csv", ["tau_s", "g2"], [[1.0, 2.0], [1.0]])
 
 
 class TestHistogramFiles:
