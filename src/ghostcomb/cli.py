@@ -57,6 +57,19 @@ _MODE_SUM_MAX_MODES = 10**6
 _MC_SAMPLE_CAP = 10**9
 
 
+class RunDir:
+    """A run's output directory: `out / name` records each name, which `main`
+    lists in the manifest if the command succeeds and removes if it fails."""
+
+    def __init__(self, root: Path):
+        self.root = root
+        self.names: list[str] = []
+
+    def __truediv__(self, name: str) -> Path:
+        self.names.append(name)
+        return self.root / name
+
+
 def _write_manifest(out: Path, cfg: RunConfig, command: str, outputs: list[str]) -> None:
     gio.write_json(
         out / "manifest.json",
@@ -129,7 +142,7 @@ def _applicable_methods(cfg: RunConfig) -> list[str]:
     return [m for m in offered if _method_error(cfg, m) is None]
 
 
-def cmd_curve(cfg: RunConfig, out: Path) -> int:
+def cmd_curve(cfg: RunConfig, out: RunDir) -> None:
     lattice = cfg.lattice()
     geom = cfg.geometry()
     if cfg.method == "all":
@@ -156,7 +169,6 @@ def cmd_curve(cfg: RunConfig, out: Path) -> int:
     primary_name = "closed" if cfg.method == "all" else cfg.method
     primary = curves[primary_name]
 
-    outputs = ["curve.csv", "curve_summary.json"]
     gio.write_columns_csv(out / "curve.csv", ["tau_s", "g2"], [primary.taus, primary.values])
     if "mc" in curves and curves["mc"].stderrs is not None:
         gio.write_columns_csv(
@@ -164,7 +176,6 @@ def cmd_curve(cfg: RunConfig, out: Path) -> int:
             ["tau_s", "stderr"],
             [curves["mc"].taus, curves["mc"].stderrs],
         )
-        outputs.append("curve_mc_stderr.csv")
     if cfg.method == "all":
         header = ["tau_s"] + [f"g2_{m}" for m in methods]
         columns = [primary.taus] + [curves[m].values for m in methods]
@@ -182,7 +193,6 @@ def cmd_curve(cfg: RunConfig, out: Path) -> int:
             header.append(f"rel_err_{m}")
             columns.append(np.abs(curves[m].values - base))
         gio.write_columns_csv(out / "curve_comparison.csv", header, columns)
-        outputs.append("curve_comparison.csv")
 
     peaks, truncated = _peak_list(cfg)
     summary = {
@@ -206,12 +216,10 @@ def cmd_curve(cfg: RunConfig, out: Path) -> int:
     if "mc" in curves:
         summary["mc"] = {"seed": cfg.seed, "n_realizations": cfg.mc_realizations}
     gio.write_json(out / "curve_summary.json", summary)
-    _write_manifest(out, cfg, "curve", outputs)
     print(
         f"curve method={cfg.method} points={cfg.n_points} "
         f"peak_width={comb_peak_width(lattice) if cfg.n_modes >= 2 else float('nan'):.3e} s"
     )
-    return 0
 
 
 def _fit_dict(fit: CombFit) -> dict:
@@ -226,7 +234,7 @@ def _fit_dict(fit: CombFit) -> dict:
     }
 
 
-def cmd_simulate(cfg: RunConfig, out: Path) -> int:
+def cmd_simulate(cfg: RunConfig, out: RunDir) -> None:
     # Refuse a histogram, or a fit of it, that would fail, before any work.
     span = (cfg.tau_min_s, cfg.tau_max_s)
     histogram_grid(cfg.bin_width_s, *span)
@@ -260,58 +268,39 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     # No detector stream is held whole: the accidentals are sorted into
     # each stream a slab at a time as it is written, through a scratch
     # file in the output directory, and the tally reads both streams
-    # back from their files in chunks. A run that fails leaves no
-    # stream files.
+    # back from their files in chunks.
     streams = [out / "stream_d1.bin", out / "stream_d2.bin"]
     labels = [LABEL_ACCIDENTAL_DET1, LABEL_ACCIDENTAL_DET2]
-    try:
-        n_events = []
-        for path, stream, label in zip(streams, (s1, s2), labels):
-            if cfg.accidental_rate_hz > 0:
-                stream = StreamWithSingles(stream, cfg.accidental_rate_hz, cfg.seed, label, out)
-            gio.write_event_stream(path, stream)
-            n_events.append(len(stream))
-        del s1, s2, stream
-        d1, d2 = (gio.EventStreamFile(path) for path in streams)
-        hist = build_histogram(d1, d2, cfg.bin_width_s, cfg.tau_min_s, cfg.tau_max_s, metadata)
-        contrast_value = contrast(hist, lattice, geom)
-        fit = fit_comb(hist, cfg.n_modes, cfg.nu_b_hz)
+    n_events = []
+    for path, stream, label in zip(streams, (s1, s2), labels):
+        if cfg.accidental_rate_hz > 0:
+            stream = StreamWithSingles(stream, cfg.accidental_rate_hz, cfg.seed, label, out.root)
+        gio.write_event_stream(path, stream)
+        n_events.append(len(stream))
+    del s1, s2, stream
+    d1, d2 = (gio.EventStreamFile(path) for path in streams)
+    hist = build_histogram(d1, d2, cfg.bin_width_s, cfg.tau_min_s, cfg.tau_max_s, metadata)
+    contrast_value = contrast(hist, lattice, geom)
+    fit = fit_comb(hist, cfg.n_modes, cfg.nu_b_hz)
 
-        gio.write_histogram(out / "histogram.csv", out / "histogram_meta.json", hist)
-        results = {
-            "contrast": contrast_value,
-            "n_events_d1": n_events[0],
-            "n_events_d2": n_events[1],
-            "total_pairs_in_range": hist.total_pairs,
-            "geometry_offset_s": geom.retarded_offset,
-            "fit": _fit_dict(fit),
-        }
-        gio.write_json(out / "results.json", results)
-        _write_manifest(
-            out,
-            cfg,
-            "simulate",
-            [
-                "stream_d1.bin",
-                "stream_d2.bin",
-                "histogram.csv",
-                "histogram_meta.json",
-                "results.json",
-            ],
-        )
-    except BaseException:
-        for path in streams:
-            path.unlink(missing_ok=True)
-        raise
+    gio.write_histogram(out / "histogram.csv", out / "histogram_meta.json", hist)
+    results = {
+        "contrast": contrast_value,
+        "n_events_d1": n_events[0],
+        "n_events_d2": n_events[1],
+        "total_pairs_in_range": hist.total_pairs,
+        "geometry_offset_s": geom.retarded_offset,
+        "fit": _fit_dict(fit),
+    }
+    gio.write_json(out / "results.json", results)
     print(
         f"simulate contrast={contrast_value:.4f} "
         f"nu_b_est={fit.nu_b_est:.6f} Hz "
         f"offset_est={fit.offset_est:.6e} s +/- {fit.offset_stderr:.2e} s"
     )
-    return 0
 
 
-def cmd_oracle(cfg: RunConfig, out: Path) -> int:
+def cmd_oracle(cfg: RunConfig, out: RunDir) -> None:
     if error := _mode_sum_error(
         cfg.oracle_n_points, cfg.oracle_pairs, "oracle_n_points", "oracle_pairs"
     ):
@@ -341,17 +330,13 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> int:
 
     report = fidelity_report(cfg.fidelity_n, cfg.fidelity_cutoff)
     gio.write_json(out / "fidelity_report.json", report)
-    _write_manifest(
-        out, cfg, "oracle", ["oracle_comparison.csv", "fidelity_report.json"]
-    )
     print(
         f"oracle pairs={cfg.oracle_pairs} max_rel_err={rel_err.max():.3e} "
         f"fidelity(n={cfg.fidelity_n})={report['fidelity']:.6f}"
     )
-    return 0
 
 
-def cmd_fit(cfg: RunConfig, out: Path, hist_path: str, meta_path: str | None) -> int:
+def cmd_fit(cfg: RunConfig, out: RunDir, hist_path: str, meta_path: str | None) -> None:
     """Fit the comb to a histogram and write fit.json.
 
     The comb (n_modes, nu_b) comes from the sidecar's run record when it
@@ -378,13 +363,11 @@ def cmd_fit(cfg: RunConfig, out: Path, hist_path: str, meta_path: str | None) ->
         n_modes, nu_b = cfg.n_modes, cfg.nu_b_hz
     fit = fit_comb(hist, n_modes, nu_b)
     gio.write_json(out / "fit.json", _fit_dict(fit))
-    _write_manifest(out, cfg, "fit", ["fit.json"])
     print(
         f"fit nu_b_est={fit.nu_b_est:.6f} Hz "
         f"offset_est={fit.offset_est:.6e} s +/- {fit.offset_stderr:.2e} s "
         f"deviance/dof={fit.deviance_per_dof:.3f}"
     )
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -439,20 +422,26 @@ def main(argv=None) -> int:
             if getattr(args, key, None) is not None:
                 overrides[key] = getattr(args, key)
         cfg = load_config(args.config, overrides)
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        if args.command == "curve":
-            return cmd_curve(cfg, out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out)
-        if args.command == "oracle":
-            return cmd_oracle(cfg, out)
-        if args.command == "fit":
-            return cmd_fit(cfg, out, args.histogram, args.meta)
-        raise ValueError(f"unknown command {args.command!r}")
+        out = RunDir(Path(cfg.out_dir))
+        out.root.mkdir(parents=True, exist_ok=True)
+        try:
+            if args.command == "curve":
+                cmd_curve(cfg, out)
+            elif args.command == "simulate":
+                cmd_simulate(cfg, out)
+            elif args.command == "oracle":
+                cmd_oracle(cfg, out)
+            else:
+                cmd_fit(cfg, out, args.histogram, args.meta)
+            _write_manifest(out.root, cfg, args.command, out.names)
+        except BaseException:
+            for name in out.names:
+                (out.root / name).unlink(missing_ok=True)
+            raise
     except Exception as exc:  # surface a clean one-line failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

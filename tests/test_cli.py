@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ghostcomb import cli, detection
+from ghostcomb import io as gio
 from ghostcomb.cli import _applicable_methods, main
 from ghostcomb.config import load_config
 from ghostcomb.correlation import g2_closed
@@ -267,7 +268,7 @@ class TestSimulateCommand:
         })
         tracemalloc.start()
         try:
-            assert cli.cmd_simulate(cfg, tmp_path) == 0
+            cli.cmd_simulate(cfg, cli.RunDir(tmp_path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -288,7 +289,7 @@ class TestSimulateCommand:
         })
         tracemalloc.start()
         try:
-            assert cli.cmd_simulate(cfg, tmp_path) == 0
+            cli.cmd_simulate(cfg, cli.RunDir(tmp_path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -614,6 +615,94 @@ class TestErrorHandling:
         assert code == 0, err
         taus, _ = read_curve_csv(tmp_path / "curve.csv")
         assert taus.size == 501
+
+
+# Small runs of each command that writes files from its config alone.
+SMALL_RUNS = {
+    "curve": ["curve", "--set", "n_modes=100", "--set", "n_points=11"],
+    "curve-all": ["curve", "--method", "all", "--set", "n_modes=4", "--set", "n_points=11"],
+    "curve-all-mc": ["curve", "--method", "all", "--seed", "1", "--set", "n_modes=16",
+                     "--set", "delta_nu_hz=200", "--set", "n_points=5",
+                     "--set", "mc_realizations=200"],
+    "oracle": ["oracle", "--set", "oracle_n_points=11"],
+    "simulate": ["simulate", "--seed", "11", *SIM_ARGS],
+}
+
+
+def written(root):
+    return sorted(p.name for p in root.iterdir() if p.name != "manifest.json")
+
+
+class TestRunDirectory:
+    """A run that exits 0 lists in its manifest exactly the files it
+    wrote; a run that fails, however late, leaves none of them."""
+
+    @pytest.mark.parametrize(
+        "name, outputs",
+        [
+            ("curve", ["curve.csv", "curve_summary.json"]),
+            ("curve-all", ["curve.csv", "curve_comparison.csv", "curve_summary.json"]),
+            ("curve-all-mc", ["curve.csv", "curve_comparison.csv", "curve_mc_stderr.csv",
+                              "curve_summary.json"]),
+            ("oracle", ["fidelity_report.json", "oracle_comparison.csv"]),
+            ("simulate", ["histogram.csv", "histogram_meta.json", "results.json",
+                          "stream_d1.bin", "stream_d2.bin"]),
+        ],
+    )
+    def test_manifest_lists_every_file_written(self, tmp_path, capsys, name, outputs):
+        code, _, err = run(capsys, *SMALL_RUNS[name], "--out", str(tmp_path))
+        assert code == 0, err
+        assert read_json(tmp_path / "manifest.json")["outputs"] == written(tmp_path) == outputs
+
+    def test_fit_manifest_lists_every_file_written(self, tmp_path, capsys):
+        sim, fit = tmp_path / "sim", tmp_path / "fit"
+        code, _, err = run(capsys, *SMALL_RUNS["simulate"], "--out", str(sim))
+        assert code == 0, err
+        code, _, err = run(capsys, "fit", str(sim / "histogram.csv"), "--out", str(fit))
+        assert code == 0, err
+        assert read_json(fit / "manifest.json")["outputs"] == written(fit) == ["fit.json"]
+
+    @pytest.mark.parametrize(
+        "name, target",
+        [("curve-all", "_peak_list"), ("curve-all-mc", "_peak_list"),
+         ("oracle", "fidelity_report")],
+    )
+    def test_late_failure_leaves_no_file(self, tmp_path, capsys, monkeypatch, name, target):
+        # Each target runs after the command has written a data file.
+        def fail(*args, **kwargs):
+            raise ValueError("late failure")
+
+        monkeypatch.setattr(cli, target, fail)
+        code, _, err = run(capsys, *SMALL_RUNS[name], "--out", str(tmp_path))
+        assert code == 1
+        assert "late failure" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_fit_failure_after_writing_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        sim, fit = tmp_path / "sim", tmp_path / "fit"
+        code, _, err = run(capsys, *SMALL_RUNS["simulate"], "--out", str(sim))
+        assert code == 0, err
+        write_json = gio.write_json
+
+        def write_then_fail(path, payload):
+            write_json(path, payload)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(gio, "write_json", write_then_fail)
+        code, _, err = run(capsys, "fit", str(sim / "histogram.csv"), "--out", str(fit))
+        assert code == 1
+        assert "disk full" in err
+        assert not list(fit.iterdir())
+
+    @pytest.mark.parametrize("name", ["curve-all", "oracle", "simulate"])
+    def test_interrupt_leaves_no_file(self, tmp_path, monkeypatch, name):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_write_manifest", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main([*SMALL_RUNS[name], "--out", str(tmp_path)])
+        assert not list(tmp_path.iterdir())
 
 
 def test_cli_import_leaves_scipy_unloaded():
