@@ -5,10 +5,10 @@ curves (analytic, direct, Monte Carlo, Fock oracle, or all applicable
 and cross-compared), `simulate` runs the two-detector coincidence
 experiment end to end, `oracle` emits the Fock-space cross-check and
 state-construction diagnostics, and `fit` recovers comb parameters from
-a previously written histogram. Every run echoes its effective
-configuration, seed, and library versions into a manifest so it can be
-reproduced exactly from that file alone; the thread count never affects
-output bytes.
+a previously written histogram. A run that succeeds echoes its effective
+configuration, seed, library versions and output names into a manifest,
+from which it can be reproduced exactly; one that fails removes what it
+wrote. The thread count never affects output bytes.
 """
 
 from __future__ import annotations

@@ -39,6 +39,8 @@ _MAX_EVENTS = 10**8
 # Most levels in the fidelity diagnostic's states: its cost and memory
 # grow with the cutoff (about 80 bytes per level), and 120 is the default.
 _MAX_FIDELITY_CUTOFF = 10**4
+# Fewest float steps of the farthest retarded delay a comb tooth must span.
+_TOOTH_STEPS = 1000
 # Most worker threads accepted at load; curve() further clamps its
 # pool to the CPU count and the number of grid points.
 _MAX_THREADS = 1024
@@ -117,18 +119,26 @@ class RunConfig:
             check_value(key, getattr(self, key))
         if not self.tau_max_s > self.tau_min_s:
             raise ValueError("tau_max_s must exceed tau_min_s")
-        # The span, the retarded delays at the range ends and the comb
-        # phase there, each formed as curve() and beat_phase() form it.
+        # Formed as curve, beat_phase, psi_direct and g2_mc_envelope form them.
         lo, hi = float(self.tau_min_s), float(self.tau_max_s)
         offset = self.geometry().retarded_offset
         ends = (lo - offset, hi - offset)
-        phase = TWO_PI * self.nu_b_hz * max(map(abs, ends))
-        if not all(map(math.isfinite, (hi - lo, *ends, phase))):
-            raise ValueError(
-                "tau_max_s - tau_min_s, the retarded delays tau - (r1_m - r2_m) / c_mps "
-                "at the range ends and the comb phase 2 pi nu_b_hz tau there must be "
-                f"finite; got a span of {hi - lo!r}, ends {ends!r} and a phase of {phase!r}"
-            )
+        reach = max(map(abs, ends))
+        at = "at the retarded range ends tau - (r1_m - r2_m) / c_mps, tau = tau_min_s, tau_max_s"
+        window = 100.0 / self.delta_nu_hz + 4.0 * reach if self.delta_nu_hz > 0 else 0.0
+        for what, value in {
+            "tau_max_s - tau_min_s": hi - lo,
+            f"the delay {at}": reach,
+            f"the comb phase 2 pi nu_b_hz tau {at}": TWO_PI * self.nu_b_hz * reach,
+            f"the pump phase pi (2 nu_s0_hz) tau {at}": math.pi * (2.0 * self.nu_s0_hz) * reach,
+            "the comb period 1 / nu_b_hz": 1 / self.nu_b_hz,
+            f"the mc window 100 / delta_nu_hz + 4 |tau| {at}": window,
+        }.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{what} must be finite, got {value!r}")
+        if not 1 / (self.n_modes * self.nu_b_hz) > _TOOTH_STEPS * math.ulp(reach):
+            tooth = f"a comb tooth 1 / (n_modes nu_b_hz) must span over {_TOOTH_STEPS} float steps"
+            raise ValueError(f"{tooth} of the delay {at}")
         if not self.delta_nu_hz < self.nu_b_hz:
             raise ValueError("delta_nu_hz must stay below nu_b_hz; modes would overlap")
         events = (self.pair_rate_hz + self.accidental_rate_hz) * self.duration_s

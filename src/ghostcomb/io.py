@@ -66,10 +66,14 @@ def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_columns_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write aligned numeric columns under the given header names."""
+    """Write aligned numeric columns under the given header names; a value
+    that is not finite is refused, by file and column, before any write."""
     if len(header) != len(columns):
         raise ValueError("one header name per column required")
     columns = [np.asarray(c, dtype=float) for c in columns]
+    for name, column in zip(header, columns):
+        if not np.isfinite(column).all():
+            raise ValueError(f"{path}: column {name!r} holds a value that is not finite")
     row_format = ",".join(["%.11e"] * len(columns)) + "\n"
     _write_rows(path, header, row_format, _row_blocks(columns))
 

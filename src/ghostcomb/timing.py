@@ -119,7 +119,7 @@ def comb_fit_error(
             f"{width / bin_width:.1f} bins per peak width 1/(n_modes nu_b_hz), need 10"
         )
     if tau_max - tau_min < 2.0 / nu_b:
-        return f"tau_max_s - tau_min_s is shorter than two comb periods, {2.0 / nu_b:.3g} s"
+        return f"tau_max_s - tau_min_s is under two comb periods 2 / nu_b_hz, {2.0 / nu_b:.3g} s"
     return None
 
 

@@ -8,11 +8,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ghostcomb import cli, detection
 from ghostcomb import io as gio
 from ghostcomb.cli import _applicable_methods, main
-from ghostcomb.config import load_config
+from ghostcomb.config import RunConfig, load_config
 from ghostcomb.correlation import g2_closed
 from ghostcomb.io import (
     EventStreamFile,
@@ -220,9 +221,11 @@ class TestCurveCommand:
 
     def test_peak_list_is_capped_without_listing_every_order(self):
         # +-25 s holds 1e6 comb orders; listing them all traced 40 MB.
-        # +-1e15 s holds 4e19, more than len() of their range can count.
+        # +-1e15 s holds 4e19, more than len() of their range can count;
+        # load refuses it (a tooth is finer than a float step of the
+        # delay there), so the helper is driven with the config unchecked.
         for span, first in ((25.0, -500_000), (1e15, -2 * 10**19)):
-            cfg = load_config(overrides={"tau_min_s": -span, "tau_max_s": span})
+            cfg = RunConfig(tau_min_s=-span, tau_max_s=span)
             tracemalloc.start()
             try:
                 peaks, truncated = cli._peak_list(cfg)
@@ -594,8 +597,20 @@ class TestErrorHandling:
             ("curve", ["nu_b_hz=0.01", "tau_min_s=-1e308", "tau_max_s=1e308", "n_points=3"],
              "tau_max_s"),
             ("curve", ["r1_m=1e300", "c_mps=1e-10", "n_points=3"], "r1_m"),
+            # 1 / nu_b_hz is inf: oracle's range and the tooth width.
+            ("oracle", ["nu_b_hz=1e-320"], "nu_b_hz"),
+            ("curve", ["nu_b_hz=1e-320", "n_points=3"], "nu_b_hz"),
+            # 1 / delta_nu_hz is inf: the envelope's first zero and width.
+            ("curve", ["delta_nu_hz=1e-320", "n_points=3"], "delta_nu_hz"),
+            # The mc epoch window 100 / delta_nu_hz overflows.
+            ("curve", ["delta_nu_hz=1e-307", "n_modes=4", "n_points=3", "mc_realizations=3",
+                       "method=mc"], "delta_nu_hz"),
+            # The direct sum's pump phase overflows.
+            ("curve", ["nu_s0_hz=1.7976931348623157e308", "n_modes=4", "n_points=5",
+                       "method=direct"], "nu_s0_hz"),
         ],
-        ids=["curve-comb-phase", "oracle-comb-phase", "delay-span", "span-only", "path-offset"],
+        ids=["curve-comb-phase", "oracle-comb-phase", "delay-span", "span-only", "path-offset",
+             "oracle-period", "curve-period", "envelope-width", "mc-window", "pump-phase"],
     )
     def test_non_finite_delay_or_comb_phase_is_refused_at_load(
         self, tmp_path, capsys, command, sets, key
@@ -604,6 +619,25 @@ class TestErrorHandling:
         code, _, err = run(capsys, command, "--out", str(tmp_path), *argv)
         assert code == 1
         assert key in err and "finite" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            ["tau_min_s=-1e15", "tau_max_s=1e15"],
+            ["r1_m=1e15"],
+            ["n_modes=100000", "nu_b_hz=1e12"],
+        ],
+        ids=["wide-range", "far-offset", "fine-teeth"],
+    )
+    def test_tooth_finer_than_the_delay_resolution_is_refused_at_load(
+        self, tmp_path, capsys, sets
+    ):
+        argv = [arg for value in sets + ["n_points=3"] for arg in ("--set", value)]
+        code, _, err = run(capsys, "curve", "--out", str(tmp_path), *argv)
+        assert code == 1
+        for key in ("n_modes", "nu_b_hz", "tau_min_s", "tau_max_s", "r1_m"):
+            assert key in err
         assert not list(tmp_path.iterdir())
 
     def test_config_file_flag(self, tmp_path, capsys):
@@ -703,6 +737,80 @@ class TestRunDirectory:
         with pytest.raises(KeyboardInterrupt):
             main([*SMALL_RUNS[name], "--out", str(tmp_path)])
         assert not list(tmp_path.iterdir())
+
+
+def output_numbers(root):
+    """Every number in every file of a run directory, as float arrays."""
+    for path in root.iterdir():
+        if path.suffix == ".csv":
+            yield np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        elif path.suffix == ".bin":
+            yield from EventStreamFile(path).chunks(1 << 20)
+        else:
+            yield np.array(list(json_numbers(read_json(path))), dtype=float)
+
+
+def json_numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from json_numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+FLOAT_KEYS = sorted(k for k, v in RunConfig().as_dict().items() if isinstance(v, float))
+EXTREME_TEXTS = [
+    "0", "-0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e-15", "1e15", "-1e15",
+    "1e300", "-1e300", "1.7976931348623157e308", "-1.7976931348623157e308",
+]
+GATE_SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def run_in_fresh_dir(capsys, tmp_path_factory, argv):
+    out = tmp_path_factory.mktemp("run")
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    return out, code, err
+
+
+class TestExtremeValues:
+    """Every float key at extreme values, in small runs of each command."""
+
+    @GATE_SETTINGS
+    @given(
+        name=st.sampled_from(["curve-all", "curve-all-mc", "oracle"]),
+        key=st.sampled_from(FLOAT_KEYS),
+        text=st.one_of(st.sampled_from(EXTREME_TEXTS), st.floats(allow_nan=False).map(repr)),
+    )
+    def test_curve_and_oracle_are_finite_or_refused_by_key(
+        self, capsys, tmp_path_factory, name, key, text
+    ):
+        argv = [*SMALL_RUNS[name], "--set", "mc_realizations=3", "--set", f"{key}={text}"]
+        out, code, err = run_in_fresh_dir(capsys, tmp_path_factory, argv)
+        if code == 0:
+            assert all(np.isfinite(a).all() for a in output_numbers(out))
+        else:
+            assert code == 1 and key in err, err
+            assert not list(out.iterdir())
+
+    @GATE_SETTINGS
+    @given(key=st.sampled_from(FLOAT_KEYS), text=st.sampled_from(EXTREME_TEXTS))
+    def test_simulate_is_finite_or_leaves_no_file(self, capsys, tmp_path_factory, key, text):
+        # Some of simulate's refusals come from the data and name no key
+        # (too few counts for a contrast, a fit that does not converge).
+        argv = [*SMALL_RUNS["simulate"], "--set", f"{key}={text}"]
+        out, code, err = run_in_fresh_dir(capsys, tmp_path_factory, argv)
+        if code == 0:
+            assert all(np.isfinite(a).all() for a in output_numbers(out))
+        else:
+            assert code == 1 and err.startswith("error: "), err
+            assert not list(out.iterdir())
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -245,7 +245,9 @@ def reference_rows(header, columns, formats):
 
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-310, 1e300, -1e300, 1.0, -2.5e-7]
-FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
+FLOATS = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(width=64, allow_nan=False, allow_infinity=False)
+)
 WRITER_SETTINGS = settings(
     max_examples=100,
     deadline=None,
@@ -313,6 +315,13 @@ class TestWriterBytes:
             ["tau_bin_center_s", "count"], [centres, hist.counts], [".11e", ""]
         )
         assert csv.read_bytes() == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_refused_before_the_file_opens(self, tmp_path, bad):
+        path = tmp_path / "c.csv"
+        with pytest.raises(ValueError, match=r"c\.csv: column 'g2' .* not finite"):
+            write_columns_csv(path, ["tau_s", "g2"], [[1.0, 2.0], [0.5, bad]])
+        assert not path.exists()
 
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="equal length"):
