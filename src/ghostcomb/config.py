@@ -39,7 +39,7 @@ _MAX_EVENTS = 10**8
 # Most levels in the fidelity diagnostic's states: its cost and memory
 # grow with the cutoff (about 80 bytes per level), and 120 is the default.
 _MAX_FIDELITY_CUTOFF = 10**4
-# Fewest float steps of the farthest retarded delay a comb tooth must span.
+# Fewest float steps of the farthest delay, in seconds or periods, a comb tooth must span.
 _TOOTH_STEPS = 1000
 # Most worker threads accepted at load; curve() further clamps its
 # pool to the CPU count and the number of grid points.
@@ -119,7 +119,7 @@ class RunConfig:
             check_value(key, getattr(self, key))
         if not self.tau_max_s > self.tau_min_s:
             raise ValueError("tau_max_s must exceed tau_min_s")
-        # Formed as curve, beat_phase, psi_direct and g2_mc_envelope form them.
+        # Formed as curve, beat_phase, psi_direct, g2_mc_envelope and _draw_delays do.
         lo, hi = float(self.tau_min_s), float(self.tau_max_s)
         offset = self.geometry().retarded_offset
         ends = (lo - offset, hi - offset)
@@ -136,9 +136,11 @@ class RunConfig:
         }.items():
             if not math.isfinite(value):
                 raise ValueError(f"{what} must be finite, got {value!r}")
+        tooth = f"a comb tooth 1 / (n_modes nu_b_hz) must span over {_TOOTH_STEPS} float steps"
         if not 1 / (self.n_modes * self.nu_b_hz) > _TOOTH_STEPS * math.ulp(reach):
-            tooth = f"a comb tooth 1 / (n_modes nu_b_hz) must span over {_TOOTH_STEPS} float steps"
             raise ValueError(f"{tooth} of the delay {at}")
+        if not 1 / self.n_modes > _TOOTH_STEPS * math.ulp(0.5 * self.window_periods):
+            raise ValueError(f"{tooth} of the sampled delay in periods, up to window_periods / 2")
         if not self.delta_nu_hz < self.nu_b_hz:
             raise ValueError("delta_nu_hz must stay below nu_b_hz; modes would overlap")
         events = (self.pair_rate_hz + self.accidental_rate_hz) * self.duration_s

@@ -66,8 +66,7 @@ def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_columns_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write aligned numeric columns under the given header names; a value
-    that is not finite is refused, by file and column, before any write."""
+    """Write aligned finite columns under the header names; refuse a non-finite value."""
     if len(header) != len(columns):
         raise ValueError("one header name per column required")
     columns = [np.asarray(c, dtype=float) for c in columns]

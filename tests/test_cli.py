@@ -31,6 +31,9 @@ SIM_ARGS = [
 ]
 
 
+RANGE_KEYS = ["tau_min_s", "tau_max_s", "r1_m", "r2_m", "c_mps"]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -622,21 +625,25 @@ class TestErrorHandling:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
-        "sets",
+        "command, sets, keys",
         [
-            ["tau_min_s=-1e15", "tau_max_s=1e15"],
-            ["r1_m=1e15"],
-            ["n_modes=100000", "nu_b_hz=1e12"],
+            ("curve", ["tau_min_s=-1e15", "tau_max_s=1e15"], RANGE_KEYS),
+            ("curve", ["r1_m=1e15"], RANGE_KEYS),
+            ("curve", ["n_modes=100000", "nu_b_hz=1e12"], RANGE_KEYS),
+            # The pair sampler forms delays in periods; past about 1.3e154
+            # periods its proposal density overflowed and it never returned.
+            ("simulate", ["window_periods=1e300"], ["window_periods"]),
+            ("simulate", ["n_modes=1000", "window_periods=1e13"], ["window_periods"]),
         ],
-        ids=["wide-range", "far-offset", "fine-teeth"],
+        ids=["wide-range", "far-offset", "fine-teeth", "huge-window", "wide-window"],
     )
     def test_tooth_finer_than_the_delay_resolution_is_refused_at_load(
-        self, tmp_path, capsys, sets
+        self, tmp_path, capsys, command, sets, keys
     ):
         argv = [arg for value in sets + ["n_points=3"] for arg in ("--set", value)]
-        code, _, err = run(capsys, "curve", "--out", str(tmp_path), *argv)
+        code, _, err = run(capsys, command, "--out", str(tmp_path), *argv)
         assert code == 1
-        for key in ("n_modes", "nu_b_hz", "tau_min_s", "tau_max_s", "r1_m"):
+        for key in ("n_modes", "nu_b_hz", *keys):
             assert key in err
         assert not list(tmp_path.iterdir())
 
