@@ -196,9 +196,7 @@ def cmd_curve(cfg: RunConfig, out: RunDir) -> None:
 
     peaks, truncated = _peak_list(cfg)
     summary = {
-        "lattice": {
-            key: getattr(cfg, key) for key in ("n_modes", "nu_b_hz", "nu_s0_hz", "delta_nu_hz")
-        },
+        "lattice": {key: getattr(cfg, key) for key in ("n_modes", "nu_b_hz", "delta_nu_hz")},
         "geometry": {"r1_m": cfg.r1_m, "r2_m": cfg.r2_m, "c_mps": cfg.c_mps},
         "method": cfg.method,
         "normalization": primary.normalization,
@@ -254,7 +252,6 @@ def cmd_simulate(cfg: RunConfig, out: RunDir) -> None:
     metadata = {
         "n_modes": cfg.n_modes,
         "nu_b": cfg.nu_b_hz,
-        "nu_s0": cfg.nu_s0_hz,
         "delta_nu": cfg.delta_nu_hz,
         "r1": cfg.r1_m,
         "r2": cfg.r2_m,

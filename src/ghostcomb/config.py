@@ -57,7 +57,6 @@ class RunConfig:
     # Mode lattice and detector geometry.
     n_modes: int = 1000
     nu_b_hz: float = 20e3
-    nu_s0_hz: float = 2.82e14
     delta_nu_hz: float = 0.0
     r1_m: float = 0.0
     r2_m: float = 0.0
@@ -92,23 +91,13 @@ class RunConfig:
     out_dir: str = "runs"
 
     def lattice(self) -> ModeLattice:
-        return ModeLattice(
-            n_modes=self.n_modes,
-            nu_b=self.nu_b_hz,
-            nu_s0=self.nu_s0_hz,
-            delta_nu=self.delta_nu_hz,
-        )
+        return ModeLattice(n_modes=self.n_modes, nu_b=self.nu_b_hz, delta_nu=self.delta_nu_hz)
 
     def geometry(self) -> DetectorGeometry:
         return DetectorGeometry(r1=self.r1_m, r2=self.r2_m, c=self.c_mps)
 
     def oracle_lattice(self) -> ModeLattice:
-        return ModeLattice(
-            n_modes=self.oracle_pairs,
-            nu_b=self.nu_b_hz,
-            nu_s0=self.nu_s0_hz,
-            delta_nu=0.0,
-        )
+        return ModeLattice(n_modes=self.oracle_pairs, nu_b=self.nu_b_hz)
 
     def validate(self) -> "RunConfig":
         """Check every key against _RULES, then the rules that join keys.
@@ -119,7 +108,9 @@ class RunConfig:
             check_value(key, getattr(self, key))
         if not self.tau_max_s > self.tau_min_s:
             raise ValueError("tau_max_s must exceed tau_min_s")
-        # Formed as curve, beat_phase, psi_direct, g2_mc_envelope and _draw_delays do.
+        # Formed as curve, beat_phase, g2_mc_envelope and _draw_delays do. The
+        # carrier phase is common to every pair and cancels in g2, so no
+        # route forms it and nothing here bounds it.
         lo, hi = float(self.tau_min_s), float(self.tau_max_s)
         offset = self.geometry().retarded_offset
         ends = (lo - offset, hi - offset)
@@ -130,7 +121,6 @@ class RunConfig:
             "tau_max_s - tau_min_s": hi - lo,
             f"the delay {at}": reach,
             f"the comb phase 2 pi nu_b_hz tau {at}": TWO_PI * self.nu_b_hz * reach,
-            f"the pump phase pi (2 nu_s0_hz) tau {at}": math.pi * (2.0 * self.nu_s0_hz) * reach,
             "the comb period 1 / nu_b_hz": 1 / self.nu_b_hz,
             f"the mc window 100 / delta_nu_hz + 4 |tau| {at}": window,
         }.items():
@@ -207,7 +197,6 @@ def check_value(key: str, value, where: str = "") -> None:
 _RULES = {
     "n_modes": ((">=", 1), ("<=", _MAX_MODES)),
     "nu_b_hz": ((">", 0),),
-    "nu_s0_hz": ((">", 0),),
     "delta_nu_hz": ((">=", 0),),
     "r1_m": ((">=", 0),),
     "r2_m": ((">=", 0),),

@@ -121,26 +121,24 @@ def dirichlet_kernel(n_modes: int, x) -> np.ndarray | float:
     return out[()]
 
 
-def psi_direct(lattice: ModeLattice, tau1: float, tau2: float) -> complex:
-    """Two-photon amplitude by direct summation over the mode lattice.
+def psi_direct(lattice: ModeLattice, tau: float) -> complex:
+    """Two-photon amplitude at retarded delay tau by direct summation
+    over the mode lattice.
 
     Valid for zero single-mode linewidth, where each mode pair
-    contributes a pure phase e^{-i n omega_b (tau1 - tau2)} under a
-    common pump prefactor e^{-i omega_p (tau1 + tau2) / 2}. All pairs
-    enter with unit weight, so |psi|^2 equals the Dirichlet kernel
-    exactly.
+    contributes a pure phase e^{-i n omega_b tau}. All pairs enter with
+    unit weight, so |psi|^2 equals the Dirichlet kernel exactly. The
+    carrier phase e^{-i omega_p (tau1 + tau2) / 2} is common to every
+    pair and has unit modulus, so it cancels in |psi|^2 and is not formed.
     """
     if lattice.delta_nu != 0.0:
         raise ValueError("psi_direct requires a zero-linewidth lattice")
 
-    x = float(beat_phase(lattice.nu_b, tau1 - tau2))
-    u = float(_wrap(x))
+    u = float(_wrap(beat_phase(lattice.nu_b, tau)))
     hi, lo = _split(np.float64(u))
     idx = np.arange(lattice.n_modes)
     terms = np.exp(-1j * (idx * float(hi))) * np.exp(-1j * (idx * float(lo)))
-    comb = complex(math.fsum(terms.real), math.fsum(terms.imag))
-    pump = np.exp(-1j * math.pi * (2.0 * lattice.nu_s0) * (tau1 + tau2))
-    return complex(pump) * comb
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
 def g2_closed(lattice: ModeLattice, tau) -> np.ndarray | float:
@@ -397,7 +395,7 @@ def curve(
     elif method == "direct":
         scale = float(lattice.n_modes) ** 2
         values = np.array(
-            [abs(psi_direct(lattice, t, 0.0)) ** 2 / scale for t in tau_ret]
+            [abs(psi_direct(lattice, t)) ** 2 / scale for t in tau_ret]
         )
     elif method == "mc":
         if seed is None:

@@ -3,10 +3,11 @@
 A resonator with free spectral range nu_b supports N signal/idler mode pairs
 around the degenerate point nu_s0, half the pump frequency. Pair n puts its
 signal at nu_s0 + n*nu_b and its idler at nu_s0 - n*nu_b, so every pair sums to
-the pump frequency 2*nu_s0 exactly. The comb depends only on the detunings n*nu_b and on the
-retarded delay tau = (t1 - t2) - (r1 - r2)/c, so the package never forms
-absolute optical frequencies (~1e14 Hz): a 20 kHz spacing is below the
-double-precision ulp of the carrier.
+the pump frequency 2*nu_s0 exactly. The carrier phase is therefore common to
+every pair and cancels in g2: the comb depends only on the detunings n*nu_b and
+on the retarded delay tau = (t1 - t2) - (r1 - r2)/c. So the package never forms
+absolute optical frequencies (~1e14 Hz; a 20 kHz spacing is below the
+double-precision ulp of the carrier), and nothing reads nu_s0.
 """
 
 from __future__ import annotations
@@ -25,13 +26,15 @@ class ModeLattice:
 
     n_modes   -- number of pairs N (>= 1)
     nu_b      -- mode spacing in Hz (finite, > 0); angular spacing is 2*pi*nu_b
-    nu_s0     -- signal central frequency in Hz (finite, > 0); the pump is 2*nu_s0
+    nu_s0     -- signal central frequency in Hz (finite, > 0); the pump is 2*nu_s0.
+                 No route reads it, since the carrier cancels; it is kept, with
+                 a default, only for callers that still pass it.
     delta_nu  -- per-mode spectral linewidth in Hz (0 = monochromatic modes)
     """
 
     n_modes: int
     nu_b: float
-    nu_s0: float
+    nu_s0: float = 2.82e14
     delta_nu: float = 0.0
 
     def __post_init__(self) -> None:

@@ -76,7 +76,7 @@ class TestDirichletKernel:
         # tolerance applies down to 1e-12 of the peak; below that both
         # paths sit in float cancellation noise of the same magnitude.
         lat = ModeLattice(n_modes=n, nu_b=1.0 / (2 * math.pi), nu_s0=CARRIER)
-        direct = abs(psi_direct(lat, x, 0.0)) ** 2
+        direct = abs(psi_direct(lat, x)) ** 2
         kernel = dirichlet_kernel(n, beat_phase(lat.nu_b, x))
         assert abs(direct - kernel) <= 1e-9 * max(kernel, 1e-12 * n * n)
 
@@ -84,37 +84,30 @@ class TestDirichletKernel:
 class TestPsiDirect:
     def test_constructive_sum(self):
         lat = lattice(2)
-        assert abs(psi_direct(lat, 0.0, 0.0)) ** 2 == pytest.approx(4.0, rel=1e-12)
+        assert abs(psi_direct(lat, 0.0)) ** 2 == pytest.approx(4.0, rel=1e-12)
 
     def test_two_mode_destructive(self):
         lat = lattice(2, nu_b=1.0)
         tau = 0.5  # omega_b * tau = pi
-        assert abs(psi_direct(lat, tau, 0.0)) ** 2 < 1e-28
+        assert abs(psi_direct(lat, tau)) ** 2 < 1e-28
 
     def test_large_lattice_matches_kernel(self):
         lat = lattice(1000)
         tau = (2 * math.pi / 3000) / (2 * math.pi * lat.nu_b)
-        direct = abs(psi_direct(lat, tau, 0.0)) ** 2
+        direct = abs(psi_direct(lat, tau)) ** 2
         kernel = dirichlet_kernel(1000, beat_phase(lat.nu_b, tau))
         assert direct == pytest.approx(kernel, rel=1e-9)
 
-    def test_pump_phase_has_unit_modulus(self):
-        lat = lattice(16)
-        value = psi_direct(lat, 1.0e-5, 0.3e-5)
-        lone = psi_direct(lattice(1), 1.0e-5, 0.3e-5)
-        assert abs(lone) == pytest.approx(1.0, rel=1e-12)
-        assert abs(value) <= 16 * (1 + 1e-12)
-
     def test_magnitude_independent_of_carrier(self):
+        # The carrier cancels in |psi|^2, so the sum does not form it.
+        ref = psi_direct(lattice(64), 1.7e-5)
         for nu_s0 in (1e13, 2.82e14, 5e14):
             lat = ModeLattice(n_modes=64, nu_b=20e3, nu_s0=nu_s0)
-            mag = abs(psi_direct(lat, 1.7e-5, 0.0)) ** 2
-            ref = abs(psi_direct(lattice(64), 1.7e-5, 0.0)) ** 2
-            assert mag == pytest.approx(ref, rel=1e-12)
+            assert psi_direct(lat, 1.7e-5) == ref
 
     def test_rejects_finite_linewidth(self):
         with pytest.raises(ValueError, match="zero-linewidth"):
-            psi_direct(lattice(4, delta_nu=10.0), 0.0, 0.0)
+            psi_direct(lattice(4, delta_nu=10.0), 0.0)
 
 
 class TestG2Closed:
