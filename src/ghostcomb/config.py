@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import TWO_PI, _MAX_MODES
+from .detection import _TOOTH_STEPS, window_error
 from .fock import _MAX_CUTOFF, entangled_coherent_pairs, fidelity_report
 from .lattice import SPEED_OF_LIGHT, DetectorGeometry, ModeLattice
 
@@ -39,8 +40,6 @@ _MAX_EVENTS = 10**8
 # Most levels in the fidelity diagnostic's states: its cost and memory
 # grow with the cutoff (about 80 bytes per level), and 120 is the default.
 _MAX_FIDELITY_CUTOFF = 10**4
-# Fewest float steps of the farthest delay, in seconds or periods, a comb tooth must span.
-_TOOTH_STEPS = 1000
 # Most worker threads accepted at load; curve() further clamps its
 # pool to the CPU count and the number of grid points.
 _MAX_THREADS = 1024
@@ -117,20 +116,25 @@ class RunConfig:
         reach = max(map(abs, ends))
         at = "at the retarded range ends tau - (r1_m - r2_m) / c_mps, tau = tau_min_s, tau_max_s"
         window = 100.0 / self.delta_nu_hz + 4.0 * reach if self.delta_nu_hz > 0 else 0.0
+        jittered = self.duration_s + 10.0 * self.jitter_sigma_s
         for what, value in {
             "tau_max_s - tau_min_s": hi - lo,
             f"the delay {at}": reach,
             f"the comb phase 2 pi nu_b_hz tau {at}": TWO_PI * self.nu_b_hz * reach,
             "the comb period 1 / nu_b_hz": 1 / self.nu_b_hz,
             f"the mc window 100 / delta_nu_hz + 4 |tau| {at}": window,
+            # sample_pairs adds Gaussian jitter to times in [0, duration_s). A
+            # draw past 10 sigma has odds near 1e-23, so none of the at most
+            # _MAX_EVENTS per detector overflows where this sum is finite.
+            "the jittered time duration_s + 10 jitter_sigma_s": jittered,
         }.items():
             if not math.isfinite(value):
                 raise ValueError(f"{what} must be finite, got {value!r}")
         tooth = f"a comb tooth 1 / (n_modes nu_b_hz) must span over {_TOOTH_STEPS} float steps"
         if not 1 / (self.n_modes * self.nu_b_hz) > _TOOTH_STEPS * math.ulp(reach):
             raise ValueError(f"{tooth} of the delay {at}")
-        if not 1 / self.n_modes > _TOOTH_STEPS * math.ulp(0.5 * self.window_periods):
-            raise ValueError(f"{tooth} of the sampled delay in periods, up to window_periods / 2")
+        if error := window_error(self.n_modes, self.window_periods):
+            raise ValueError(error)
         if not self.delta_nu_hz < self.nu_b_hz:
             raise ValueError("delta_nu_hz must stay below nu_b_hz; modes would overlap")
         events = (self.pair_rate_hz + self.accidental_rate_hz) * self.duration_s

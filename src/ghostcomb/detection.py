@@ -65,6 +65,8 @@ _SLAB = 1 << 19
 _BIN_BLOCK = 1 << 15
 # Fewest tallied pairs in range that contrast() estimates from.
 _MIN_CONTRAST_COUNTS = 1000
+# Fewest float steps of the farthest delay, in seconds or periods, a comb tooth must span.
+_TOOTH_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -272,6 +274,24 @@ def _draw_delays(lattice: ModeLattice, window_periods: float, rng, out: np.ndarr
     out /= nu_b
 
 
+def window_error(n_modes: int, window_periods: float) -> str | None:
+    """Why sample_pairs refuses this sampling window, or None; load asks first.
+
+    _draw_delays forms each delay in periods, up to window_periods / 2,
+    so a comb tooth, 1 / n_modes of a period, must span over _TOOTH_STEPS
+    float steps there. A window far past that made its proposal density
+    overflow, and the sampler never returned.
+    """
+    if not 0 < window_periods < math.inf:
+        return f"window_periods={window_periods!r} must be positive and finite"
+    if not 1 / n_modes > _TOOTH_STEPS * math.ulp(0.5 * window_periods):
+        return (
+            f"a comb tooth 1 / (n_modes nu_b_hz) must span over {_TOOTH_STEPS} float steps "
+            f"of the sampled delay in periods, up to window_periods / 2"
+        )
+    return None
+
+
 def sample_pairs(
     lattice: ModeLattice,
     geom: DetectorGeometry,
@@ -299,8 +319,8 @@ def sample_pairs(
         raise ValueError("duration must be positive")
     if not jitter_sigma >= 0:
         raise ValueError("jitter_sigma must be non-negative")
-    if not 0 < window_periods < math.inf:
-        raise ValueError("window_periods must be positive and finite")
+    if error := window_error(lattice.n_modes, window_periods):
+        raise ValueError(error)
 
     # The delays are drawn into t1's buffer and every later step works
     # in place, so at most three pair-sized arrays are held at once.
@@ -489,8 +509,9 @@ def contrast(hist: CoincidenceHistogram, lattice: ModeLattice, geom: DetectorGeo
     """
     if hist.total_pairs < _MIN_CONTRAST_COUNTS:
         raise ValueError(
-            f"histogram has {hist.total_pairs} counts; "
-            f"at least {_MIN_CONTRAST_COUNTS} required for a contrast estimate"
+            f"histogram has {hist.total_pairs} counts in [tau_min_s, tau_max_s); at least "
+            f"{_MIN_CONTRAST_COUNTS} required for a contrast estimate (raise pair_rate_hz "
+            f"or duration_s, or widen the range)"
         )
     width = comb_peak_width(lattice)
     nu_b, offset = lattice.nu_b, geom.retarded_offset

@@ -618,9 +618,13 @@ class TestErrorHandling:
             # The mc epoch window 100 / delta_nu_hz overflows.
             ("curve", ["delta_nu_hz=1e-307", "n_modes=4", "n_points=3", "mc_realizations=3",
                        "method=mc"], "delta_nu_hz"),
+            # The jitter overflows a timestamp, which np.mod turned into NaN.
+            # The refusal names the sum of both keys it is formed from.
+            ("simulate", [*SIM_ARGS[1::2], "jitter_sigma_s=1.7976931348623157e308"],
+             "duration_s + 10 jitter_sigma_s"),
         ],
         ids=["curve-comb-phase", "oracle-comb-phase", "delay-span", "span-only", "path-offset",
-             "oracle-period", "curve-period", "envelope-width", "mc-window"],
+             "oracle-period", "curve-period", "envelope-width", "mc-window", "jitter-overflow"],
     )
     def test_non_finite_delay_or_comb_phase_is_refused_at_load(
         self, tmp_path, capsys, command, sets, key
@@ -629,6 +633,16 @@ class TestErrorHandling:
         code, _, err = run(capsys, command, "--out", str(tmp_path), *argv)
         assert code == 1
         assert key in err and "finite" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_too_few_counts_for_a_contrast_names_the_keys(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "simulate", "--out", str(tmp_path), *SIM_ARGS, "--set", "pair_rate_hz=0.001"
+        )
+        assert code == 1
+        assert "histogram has 214 counts" in err
+        for key in ("pair_rate_hz", "duration_s", "tau_min_s", "tau_max_s"):
+            assert key in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
@@ -951,6 +965,22 @@ class TestDeterminism:
         assert code == 0, err
         digests = self.digests(sim, ["histogram_meta.json"]) | self.digests(fit, ["fit.json"])
         assert digests == self.GOLDEN_FIT
+
+    def test_sidecar_with_the_carrier_frequency_still_fits(self, tmp_path, capsys):
+        # Sidecars written before the run record lost nu_s0 still carry it.
+        sim, fit = tmp_path / "sim", tmp_path / "fit"
+        code, _, err = run(
+            capsys, "simulate", "--out", str(sim), "--seed", "11", "--threads", "1",
+            "--set", "r1_m=3.0", "--set", "pair_rate_hz=400", "--set", "duration_s=20",
+            "--set", "accidental_rate_hz=16000", "--set", "jitter_sigma_s=2e-9",
+        )
+        assert code == 0, err
+        sidecar = read_json(sim / "histogram_meta.json")
+        sidecar["metadata"]["nu_s0"] = 2.82e14
+        write_json(sim / "histogram_meta.json", sidecar)
+        code, _, err = run(capsys, "fit", str(sim / "histogram.csv"), "--out", str(fit))
+        assert code == 0, err
+        assert self.digests(fit, ["fit.json"]) == {"fit.json": self.GOLDEN_FIT["fit.json"]}
 
     # The curve comparison at N = 4 (direct, fock), the mc comparison
     # path (delta_nu > 0) and the oracle at the defaults. curve-all's
