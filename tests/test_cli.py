@@ -965,22 +965,13 @@ class TestDeterminism:
         assert code == 0, err
         digests = self.digests(sim, ["histogram_meta.json"]) | self.digests(fit, ["fit.json"])
         assert digests == self.GOLDEN_FIT
-
-    def test_sidecar_with_the_carrier_frequency_still_fits(self, tmp_path, capsys):
-        # Sidecars written before the run record lost nu_s0 still carry it.
-        sim, fit = tmp_path / "sim", tmp_path / "fit"
-        code, _, err = run(
-            capsys, "simulate", "--out", str(sim), "--seed", "11", "--threads", "1",
-            "--set", "r1_m=3.0", "--set", "pair_rate_hz=400", "--set", "duration_s=20",
-            "--set", "accidental_rate_hz=16000", "--set", "jitter_sigma_s=2e-9",
-        )
-        assert code == 0, err
+        # Older sidecars still carry the carrier frequency, and fit the same.
         sidecar = read_json(sim / "histogram_meta.json")
         sidecar["metadata"]["nu_s0"] = 2.82e14
         write_json(sim / "histogram_meta.json", sidecar)
-        code, _, err = run(capsys, "fit", str(sim / "histogram.csv"), "--out", str(fit))
+        code, _, err = run(capsys, "fit", str(sim / "histogram.csv"), "--out", str(tmp_path))
         assert code == 0, err
-        assert self.digests(fit, ["fit.json"]) == {"fit.json": self.GOLDEN_FIT["fit.json"]}
+        assert self.digests(tmp_path, ["fit.json"]) == {"fit.json": self.GOLDEN_FIT["fit.json"]}
 
     # The curve comparison at N = 4 (direct, fock), the mc comparison
     # path (delta_nu > 0) and the oracle at the defaults. curve-all's
