@@ -108,8 +108,7 @@ class RunConfig:
         if not self.tau_max_s > self.tau_min_s:
             raise ValueError("tau_max_s must exceed tau_min_s")
         # Formed as curve, beat_phase, g2_mc_envelope and _draw_delays do. The
-        # carrier phase is common to every pair and cancels in g2, so no
-        # route forms it and nothing here bounds it.
+        # carrier phase cancels in g2, so no route forms it.
         lo, hi = float(self.tau_min_s), float(self.tau_max_s)
         offset = self.geometry().retarded_offset
         ends = (lo - offset, hi - offset)

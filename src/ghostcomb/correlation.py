@@ -128,14 +128,14 @@ def psi_direct(lattice: ModeLattice, tau: float) -> complex:
     Valid for zero single-mode linewidth, where each mode pair
     contributes a pure phase e^{-i n omega_b tau}. All pairs enter with
     unit weight, so |psi|^2 equals the Dirichlet kernel exactly. The
-    carrier phase e^{-i omega_p (tau1 + tau2) / 2} is common to every
-    pair and has unit modulus, so it cancels in |psi|^2 and is not formed.
+    carrier phase e^{-i omega_p (t1 + t2) / 2}, at detection times t1
+    and t2, is common to every pair and cancels in |psi|^2, so it is not
+    formed.
     """
     if lattice.delta_nu != 0.0:
         raise ValueError("psi_direct requires a zero-linewidth lattice")
 
-    u = float(_wrap(beat_phase(lattice.nu_b, tau)))
-    hi, lo = _split(np.float64(u))
+    hi, lo = _split(_wrap(beat_phase(lattice.nu_b, tau)))
     idx = np.arange(lattice.n_modes)
     terms = np.exp(-1j * (idx * float(hi))) * np.exp(-1j * (idx * float(lo)))
     return complex(math.fsum(terms.real), math.fsum(terms.imag))

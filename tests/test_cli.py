@@ -624,7 +624,7 @@ class TestErrorHandling:
              "duration_s + 10 jitter_sigma_s"),
         ],
         ids=["curve-comb-phase", "oracle-comb-phase", "delay-span", "span-only", "path-offset",
-             "oracle-period", "curve-period", "envelope-width", "mc-window", "jitter-overflow"],
+             "oracle-period", "curve-period", "envelope-width", "mc-window", "jitter"],
     )
     def test_non_finite_delay_or_comb_phase_is_refused_at_load(
         self, tmp_path, capsys, command, sets, key
