@@ -38,6 +38,7 @@ from .detection import (
     contrast,
     histogram_grid,
     sample_pairs,
+    window_range_error,
 )
 from .fock import fidelity_report
 from .lattice import DetectorGeometry
@@ -240,6 +241,10 @@ def cmd_simulate(cfg: RunConfig, out: RunDir) -> None:
         raise ValueError(error)
     lattice = cfg.lattice()
     geom = cfg.geometry()
+    if error := window_range_error(
+        geom, cfg.nu_b_hz, cfg.window_periods, cfg.jitter_sigma_s, *span
+    ):
+        raise ValueError(error)
     s1, s2 = sample_pairs(
         lattice,
         geom,

@@ -26,8 +26,9 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sHHQ")
 
 
-# Rows per "%"-format call: bounds the text held in memory at once.
-_ROWS_PER_BLOCK = 1 << 16
+# Rows per "%"-format call: bounds the text and the Python floats held
+# at once to a few hundred kB, whatever the block a writer hands over.
+_ROWS_PER_BLOCK = 1 << 12
 # Events per write of a GCEV body; the bytes do not depend on it.
 _EVENTS_PER_WRITE = 1 << 20
 
@@ -35,29 +36,22 @@ _EVENTS_PER_WRITE = 1 << 20
 def _write_rows(path, header: list[str], row_format: str, blocks) -> None:
     """Write a CSV header, then one row_format line per row of each block.
 
-    A block is a sequence of equal-length columns. It is one "%"-format
+    A block is a sequence of equal-length columns. It is cut into groups
+    of at most _ROWS_PER_BLOCK rows, and each group is one "%"-format
     over its values flattened row by row, which gives the same bytes as
     formatting every value with an f-string, at a fraction of the cost.
     """
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for columns in blocks:
-            width, n_rows = len(columns), len(columns[0])
-            flat = [None] * (width * n_rows)
-            for j, column in enumerate(columns):
-                flat[j::width] = column.tolist()
-            fh.write(row_format * n_rows % tuple(flat))
-
-
-def _row_blocks(columns: list[np.ndarray]):
-    """Equal-length columns, cut into blocks of _ROWS_PER_BLOCK rows."""
-    n_rows = len(columns[0]) if columns else 0
-    if any(len(c) != n_rows for c in columns):
-        raise ValueError("columns must have equal length")
-    return (
-        [c[start : start + _ROWS_PER_BLOCK] for c in columns]
-        for start in range(0, n_rows, _ROWS_PER_BLOCK)
-    )
+            width = len(columns)
+            for start in range(0, len(columns[0]), _ROWS_PER_BLOCK):
+                group = [c[start : start + _ROWS_PER_BLOCK] for c in columns]
+                n_rows = len(group[0])
+                flat = [None] * (width * n_rows)
+                for j, column in enumerate(group):
+                    flat[j::width] = column.tolist()
+                fh.write(row_format * n_rows % tuple(flat))
 
 
 def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -73,8 +67,10 @@ def write_columns_csv(path, header: list[str], columns: list[np.ndarray]) -> Non
     for name, column in zip(header, columns):
         if not np.isfinite(column).all():
             raise ValueError(f"{path}: column {name!r} holds a value that is not finite")
+    if any(len(c) != len(columns[0]) for c in columns):
+        raise ValueError("columns must have equal length")
     row_format = ",".join(["%.11e"] * len(columns)) + "\n"
-    _write_rows(path, header, row_format, _row_blocks(columns))
+    _write_rows(path, header, row_format, [columns] if columns else [])
 
 
 def write_histogram(path_csv, path_meta, hist: CoincidenceHistogram) -> None:

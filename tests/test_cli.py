@@ -287,7 +287,8 @@ class TestSimulateCommand:
     def test_holds_no_stream_whole(self, tmp_path):
         # The sim-dense run: 4.1e6 events per detector, 32.8 MB a stream.
         # Holding detector 2 through the tally traced 37.8 MB here; the
-        # slab writer and the two-file tally trace about 7 MB.
+        # slab writer, the two-file tally and the row-group writers
+        # trace about 6.6 MB.
         cfg = load_config(None, {
             "r1_m": 3.0, "pair_rate_hz": 400.0, "duration_s": 250.0,
             "accidental_rate_hz": 16000.0, "jitter_sigma_s": 2e-9, "seed": 3,
@@ -642,6 +643,22 @@ class TestErrorHandling:
         assert code == 1
         assert "histogram has 214 counts" in err
         for key in ("pair_rate_hz", "duration_s", "tau_min_s", "tau_max_s"):
+            assert key in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("accidentals", ["0", "100"], ids=["pairs-only", "accidentals"])
+    def test_sampling_window_outside_the_range_is_refused_before_sampling(
+        self, tmp_path, capsys, accidentals
+    ):
+        # The comb lies 3.3e6 s from the range. Without accidentals the
+        # run failed on 0 counts, advising a higher pair rate; with them
+        # it fitted a range that holds no comb and exited 0.
+        code, _, err = run(
+            capsys, "simulate", "--out", str(tmp_path), *SIM_ARGS,
+            "--set", "r1_m=1e15", "--set", f"accidental_rate_hz={accidentals}",
+        )
+        assert code == 1
+        for key in ("r1_m", "r2_m", "c_mps", "window_periods", "tau_min_s", "tau_max_s"):
             assert key in err
         assert not list(tmp_path.iterdir())
 

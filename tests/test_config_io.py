@@ -258,7 +258,8 @@ WRITER_SETTINGS = settings(
 class TestWriterBytes:
     """The block "%"-format writers give the bytes of per-value f-strings.
 
-    The block sizes are cut to 3 rows so that block boundaries are crossed.
+    The block and row-group sizes are cut to 3 rows so that their
+    boundaries are crossed.
     """
 
     @pytest.fixture(autouse=True)
@@ -303,6 +304,18 @@ class TestWriterBytes:
     @example(-0.0, 5e-324, [])
     @example(-1e300, 1e300, [7])
     def test_histogram(self, tmp_path, tau_min, bin_width, counts):
+        self.check_histogram(tmp_path, tau_min, bin_width, counts)
+
+    @WRITER_SETTINGS
+    @given(st.lists(st.integers(0, 2**40), max_size=12))
+    @example([1, 2, 3, 4, 5, 6, 7])
+    def test_histogram_group_ends_inside_a_bin_block(self, tmp_path, monkeypatch, counts):
+        # Groups of 2 rows do not divide blocks of 3 bins.
+        monkeypatch.setattr(gio, "_ROWS_PER_BLOCK", 2)
+        self.check_histogram(tmp_path, -2.5e-7, 1e-9, counts)
+
+    @staticmethod
+    def check_histogram(tmp_path, tau_min, bin_width, counts):
         tau_max = float(np.nextafter(tau_min, np.inf))
         hist = CoincidenceHistogram(
             bin_width, tau_min, tau_max, np.array(counts, dtype=np.int64)

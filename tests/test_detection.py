@@ -276,6 +276,16 @@ class TestSamplePairs:
             with pytest.raises(ValueError, match="window_periods"):
                 sample_pairs(LAT10, GEOM0, 1.0, 10.0, 0.0, seed=1, window_periods=periods)
 
+    def test_window_outside_the_range_is_named(self):
+        # At 2e4 Hz and 10 periods every delay lies within 2.5e-4 s of
+        # the offset 0, widened by 10 sqrt(2) jitter_sigma.
+        geom = DetectorGeometry(r1=0.0, r2=0.0, c=1.0)
+        assert detection.window_range_error(geom, 2e4, 10.0, 0.0, 2.5e-4, 1.0) is None
+        assert detection.window_range_error(geom, 2e4, 10.0, 1e-6, 2.6e-4, 1.0) is None
+        for tau_min, tau_max in ((2.6e-4, 1.0), (-1.0, -2.5e-4)):
+            error = detection.window_range_error(geom, 2e4, 10.0, 0.0, tau_min, tau_max)
+            assert "window_periods" in error and "r1_m" in error
+
 
 def ks_distance(samples, cdf):
     """Kolmogorov-Smirnov distance of samples from the CDF cdf(x)."""
@@ -640,6 +650,11 @@ def brute_force_counts(t1, t2, bin_width, tau_min, tau_max):
     return counts
 
 
+# Six 8-byte arrays of the pair budget plus the chunk of t2 that w may
+# hold past it.
+TALLY_BOUND = 6 * 8 * (detection._PAIR_BUDGET + detection._HISTOGRAM_CHUNK)
+
+
 class TestTallyMemory:
     """The tally's working set is bounded by the pair budget, not the pair density."""
 
@@ -678,7 +693,7 @@ class TestTallyMemory:
         s1, s2 = EventStream(1, t1, 1.0), EventStream(2, t2, 1.0)
         tau = 2e-3
         h, peak = traced_peak(build_histogram, s1, s2, 1e-5, -tau, tau)
-        assert peak < 6 * 8 * detection._PAIR_BUDGET
+        assert peak < TALLY_BOUND
         lo = np.searchsorted(t2, t1 - tau, side="right")
         hi = np.searchsorted(t2, t1 + tau, side="right")
         assert h.total_pairs == int((hi - lo).sum()) > 2e6
@@ -785,10 +800,21 @@ class TestTallyAtManyBins:
         )
         assert h.counts.size == 5_000_000
         # One bincount of 5e6 bins per block took 40 MB beyond the counts.
-        assert peak - h.counts.nbytes < 6 * 8 * detection._PAIR_BUDGET
+        assert peak - h.counts.nbytes < TALLY_BOUND
         expected = brute_force_counts(t1, t2, self.BIN_WIDTH, self.TAU_MIN, self.TAU_MAX)
         assert h.total_pairs > 3e6
         assert np.array_equal(h.counts, expected)
+
+    def test_histogram_checks_its_counts_without_a_bin_sized_temporary(self):
+        # A check of counts < 0 took one byte per bin, 5 MB here.
+        n_bins = 5_000_000
+        h, peak = traced_peak(
+            lambda: CoincidenceHistogram(
+                self.BIN_WIDTH, self.TAU_MIN, self.TAU_MAX, np.zeros(n_bins, dtype=np.int64)
+            )
+        )
+        assert h.counts.size == n_bins
+        assert peak - h.counts.nbytes < 1e6
 
 
 def running_min_regions(hist, lattice, geom):
