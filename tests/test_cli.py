@@ -990,6 +990,24 @@ class TestDeterminism:
         assert code == 0, err
         assert self.digests(tmp_path, ["fit.json"]) == {"fit.json": self.GOLDEN_FIT["fit.json"]}
 
+    # SHA-256 of a run with no accidentals and no jitter (SIM_ARGS,
+    # seed 3): the streams are the pair streams alone, written straight
+    # from sample_pairs, and every event pairs in range.
+    GOLDEN_PAIRS_ONLY = {
+        "stream_d1.bin": "38c99e8ca155dcd022329e84319f0e0a1d3ca78f14891fa508fe14d6857b7bec",
+        "stream_d2.bin": "cef0dda89dd521dda9cfa9b2e05520afe4cf2b9607dd403e12dc39924a811464",
+        "histogram.csv": "25934d293e7bf16a864013765a494a90c586024ed8391d84fade0a85bbdd268d",
+        "histogram_meta.json": "8d7b3ef161f4a1881e870b74638e29f1772f207261d00d08690cf72313530528",
+        "results.json": "eac9f7c7208424829a13c197193cf8d27b92f2426f99e9830c3558fdfd9c07dd",
+    }
+
+    def test_pairs_only_simulate_matches_golden_digests(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "simulate", "--out", str(tmp_path), "--seed", "3", *SIM_ARGS
+        )
+        assert code == 0, err
+        assert self.digests(tmp_path, self.GOLDEN_PAIRS_ONLY) == self.GOLDEN_PAIRS_ONLY
+
     # The curve comparison at N = 4 (direct, fock), the mc comparison
     # path (delta_nu > 0) and the oracle at the defaults. curve-all's
     # comparison and summary were re-taken when the direct sum dropped
