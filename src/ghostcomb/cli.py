@@ -273,12 +273,10 @@ def cmd_simulate(cfg: RunConfig, out: RunDir) -> None:
     # back from their files in chunks.
     streams = [out / "stream_d1.bin", out / "stream_d2.bin"]
     labels = [LABEL_ACCIDENTAL_DET1, LABEL_ACCIDENTAL_DET2]
-    n_events = []
     for path, stream, label in zip(streams, (s1, s2), labels):
         if cfg.accidental_rate_hz > 0:
             stream = StreamWithSingles(stream, cfg.accidental_rate_hz, cfg.seed, label, out.root)
         gio.write_event_stream(path, stream)
-        n_events.append(len(stream))
     del s1, s2, stream
     d1, d2 = (gio.EventStreamFile(path) for path in streams)
     hist = build_histogram(d1, d2, cfg.bin_width_s, cfg.tau_min_s, cfg.tau_max_s, metadata)
@@ -288,8 +286,8 @@ def cmd_simulate(cfg: RunConfig, out: RunDir) -> None:
     gio.write_histogram(out / "histogram.csv", out / "histogram_meta.json", hist)
     results = {
         "contrast": contrast_value,
-        "n_events_d1": n_events[0],
-        "n_events_d2": n_events[1],
+        "n_events_d1": len(d1),
+        "n_events_d2": len(d2),
         "total_pairs_in_range": hist.total_pairs,
         "geometry_offset_s": geom.retarded_offset,
         "fit": _fit_dict(fit),

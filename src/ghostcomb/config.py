@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import TWO_PI, _MAX_MODES
-from .detection import _TOOTH_STEPS, window_error
+from .detection import _TOOTH_STEPS, sampling_error
 from .fock import _MAX_CUTOFF, entangled_coherent_pairs, fidelity_report
 from .lattice import SPEED_OF_LIGHT, DetectorGeometry, ModeLattice
 
@@ -31,12 +31,6 @@ _MAX_POINTS = 10**7
 # Most mc realizations per point: the jackknife holds about 80 bytes per
 # realization, so 80 MB per point in flight.
 _MAX_MC_REALIZATIONS = 10**6
-# Most expected events per detector in `simulate`. No stream is held
-# whole; the cap bounds each stream file (8 bytes per event, so 0.8 GB),
-# the pair streams sample_pairs holds (at most three pair-sized arrays)
-# and the slab writer's cut table ((events / slab)^2, about 36,000
-# entries).
-_MAX_EVENTS = 10**8
 # Most levels in the fidelity diagnostic's states: its cost and memory
 # grow with the cutoff (about 80 bytes per level), and 120 is the default.
 _MAX_FIDELITY_CUTOFF = 10**4
@@ -115,33 +109,25 @@ class RunConfig:
         reach = max(map(abs, ends))
         at = "at the retarded range ends tau - (r1_m - r2_m) / c_mps, tau = tau_min_s, tau_max_s"
         window = 100.0 / self.delta_nu_hz + 4.0 * reach if self.delta_nu_hz > 0 else 0.0
-        jittered = self.duration_s + 10.0 * self.jitter_sigma_s
         for what, value in {
             "tau_max_s - tau_min_s": hi - lo,
             f"the delay {at}": reach,
             f"the comb phase 2 pi nu_b_hz tau {at}": TWO_PI * self.nu_b_hz * reach,
             "the comb period 1 / nu_b_hz": 1 / self.nu_b_hz,
             f"the mc window 100 / delta_nu_hz + 4 |tau| {at}": window,
-            # sample_pairs adds Gaussian jitter to times in [0, duration_s). A
-            # draw past 10 sigma has odds near 1e-23, so none of the at most
-            # _MAX_EVENTS per detector overflows where this sum is finite.
-            "the jittered time duration_s + 10 jitter_sigma_s": jittered,
         }.items():
             if not math.isfinite(value):
                 raise ValueError(f"{what} must be finite, got {value!r}")
         tooth = f"a comb tooth 1 / (n_modes nu_b_hz) must span over {_TOOTH_STEPS} float steps"
         if not 1 / (self.n_modes * self.nu_b_hz) > _TOOTH_STEPS * math.ulp(reach):
             raise ValueError(f"{tooth} of the delay {at}")
-        if error := window_error(self.n_modes, self.window_periods):
+        events = (self.pair_rate_hz + self.accidental_rate_hz) * self.duration_s
+        if error := sampling_error(
+            self.n_modes, self.window_periods, self.duration_s, self.jitter_sigma_s, events
+        ):
             raise ValueError(error)
         if not self.delta_nu_hz < self.nu_b_hz:
             raise ValueError("delta_nu_hz must stay below nu_b_hz; modes would overlap")
-        events = (self.pair_rate_hz + self.accidental_rate_hz) * self.duration_s
-        if events > _MAX_EVENTS:
-            raise ValueError(
-                f"(pair_rate_hz + accidental_rate_hz) * duration_s gives {events:.3g} "
-                f"expected events per detector; at most {_MAX_EVENTS:.0e} are allowed"
-            )
         # The fidelity diagnostic, computed as `oracle` writes it.
         n, cutoff = self.fidelity_n, self.fidelity_cutoff
         try:

@@ -645,6 +645,15 @@ class TestErrorHandling:
         for key in ("pair_rate_hz", "duration_s", "tau_min_s", "tau_max_s"):
             assert key in err
         assert not list(tmp_path.iterdir())
+        # Here the pairs spread far past the range, so only a narrower
+        # spread helps, and the advice names the key that sets it.
+        for key, value in (("jitter_sigma_s", "1"), ("window_periods", "1e6")):
+            code, _, err = run(
+                capsys, "simulate", "--out", str(tmp_path), *SIM_ARGS, "--set", f"{key}={value}"
+            )
+            assert code == 1
+            assert "histogram has 0 counts" in err and key in err
+            assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("accidentals", ["0", "100"], ids=["pairs-only", "accidentals"])
     def test_sampling_window_outside_the_range_is_refused_before_sampling(

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 from ghostcomb import detection
@@ -41,6 +41,11 @@ CARRIER = 2.82e14
 LAT10 = ModeLattice(n_modes=10, nu_b=20e3, nu_s0=CARRIER)
 LAT1E5 = ModeLattice(n_modes=100_000, nu_b=20e3, nu_s0=CARRIER)
 GEOM0 = DetectorGeometry(r1=0.0, r2=0.0)
+# Values at and past every edge of the float range, and two plain ones.
+EXTREMES = [
+    0.0, -1.0, -1e300, math.nan, math.inf, -math.inf, 1e-320, 1.0, 5.0, 1e300,
+    1.7976931348623157e308,
+]
 
 
 def bin_centres(hist):
@@ -275,6 +280,47 @@ class TestSamplePairs:
         for periods in (0.0, -1.0, np.nan, np.inf, 1e300):
             with pytest.raises(ValueError, match="window_periods"):
                 sample_pairs(LAT10, GEOM0, 1.0, 10.0, 0.0, seed=1, window_periods=periods)
+
+    @pytest.mark.parametrize(
+        "args, keys",
+        [
+            # The jitter overflowed every timestamp, and np.mod made NaNs.
+            ((1.0, 10.0, 1.7e308), ("jitter_sigma_s", "duration_s")),
+            # numpy's Poisson draw refused the mean, naming no key.
+            ((1e20, 10.0, 0.0), ("pair_rate_hz", "duration_s")),
+        ],
+        ids=["jitter", "pair-count"],
+    )
+    def test_the_load_rules_refuse_by_key(self, args, keys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refused:
+                sample_pairs(LAT10, GEOM0, *args, seed=1)
+        assert all(key in str(refused.value) for key in keys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.tuples(*[st.sampled_from(EXTREMES)] * 4),
+        seed=st.integers(0, 2**32),
+    )
+    def test_extreme_inputs_give_sorted_streams_or_a_refusal_by_key(self, values, seed):
+        pair_rate, duration, jitter, periods = values
+        # No pair arrays between 1e3 and 1e19 expected pairs, which the
+        # pair cap of 1e8 refuses only in part.
+        assume(not 1e3 < pair_rate * duration < 1e19)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                streams = sample_pairs(
+                    LAT10, GEOM0, pair_rate, duration, jitter, seed, window_periods=periods
+                )
+            except ValueError as exc:
+                keys = ("pair_rate_hz", "duration_s", "jitter_sigma_s", "window_periods")
+                assert any(key in str(exc) for key in keys), exc
+                return
+        for s in streams:
+            assert np.all(np.isfinite(s.timestamps))
+            assert np.all(s.timestamps[1:] >= s.timestamps[:-1])
 
     def test_window_outside_the_range_is_named(self):
         # At 2e4 Hz and 10 periods every delay lies within 2.5e-4 s of
@@ -650,13 +696,13 @@ def brute_force_counts(t1, t2, bin_width, tau_min, tau_max):
     return counts
 
 
-# Six 8-byte arrays of the pair budget plus the chunk of t2 that w may
+# Six 8-byte arrays of one pair block plus the block of t2 that w may
 # hold past it.
-TALLY_BOUND = 6 * 8 * (detection._PAIR_BUDGET + detection._HISTOGRAM_CHUNK)
+TALLY_BOUND = 6 * 8 * 2 * detection._HISTOGRAM_CHUNK
 
 
 class TestTallyMemory:
-    """The tally's working set is bounded by the pair budget, not the pair density."""
+    """The tally's working set is bounded by its block size, not the pair density."""
 
     BIN_WIDTH, TAU_MIN, TAU_MAX = 1e-4, -0.05, 0.05
 
@@ -673,9 +719,9 @@ class TestTallyMemory:
         h, peak = traced_peak(
             build_histogram, s1, s2, self.BIN_WIDTH, self.TAU_MIN, self.TAU_MAX
         )
-        # Six 8-byte arrays of the budget's length. Expanding all 2e6
-        # pairs at 400 pairs per event at once peaked at 78 MB.
-        bound = 6 * 8 * detection._PAIR_BUDGET
+        # Six 8-byte arrays of one block. Expanding all 2e6 pairs at
+        # 400 pairs per event at once peaked at 78 MB.
+        bound = 6 * 8 * detection._HISTOGRAM_CHUNK
         assert bound < 64e6
         assert peak < bound
         expected = brute_force_counts(
@@ -698,12 +744,13 @@ class TestTallyMemory:
         hi = np.searchsorted(t2, t1 + tau, side="right")
         assert h.total_pairs == int((hi - lo).sum()) > 2e6
 
-    @pytest.mark.parametrize("budget", [150, 999, 4096])
-    def test_counts_exact_at_any_budget(self, budget, monkeypatch):
-        # 150 is below every event's pair count, so each event's window
-        # is tallied in slices; the others split chunks between events.
+    @pytest.mark.parametrize("block", [150, 999, 4096])
+    def test_counts_exact_at_any_budget(self, block, monkeypatch):
+        # A block of 150 is below every event's pair count, so each
+        # event's window is tallied in slices; the others split the pairs
+        # of a chunk between events.
         s1, s2 = self.streams(400, 300, seed=6)
-        monkeypatch.setattr(detection, "_PAIR_BUDGET", budget)
+        monkeypatch.setattr(detection, "_HISTOGRAM_CHUNK", block)
         h = build_histogram(s1, s2, self.BIN_WIDTH, self.TAU_MIN, self.TAU_MAX)
         expected = brute_force_counts(
             s1.timestamps, s2.timestamps, self.BIN_WIDTH, self.TAU_MIN, self.TAU_MAX
@@ -763,12 +810,10 @@ class TestTwoFileSweep:
             paths = [Path(d) / "stream_d1.bin", Path(d) / "stream_d2.bin"]
             write_event_stream(paths[0], s1)
             write_event_stream(paths[1], s2)
-            # A budget of 1 stops reading t2 one value past the first
+            # A block of 1 stops reading t2 one value past the first
             # event's window, so windows complete a few events at a time.
-            for size, budget in ((1, 1), (7, 3), (1 << 15, 1 << 17)):
-                with mock.patch.multiple(
-                    detection, _HISTOGRAM_CHUNK=size, _PAIR_BUDGET=budget
-                ):
+            for size in (1, 7, 1 << 15):
+                with mock.patch.object(detection, "_HISTOGRAM_CHUNK", size):
                     h = build_histogram(
                         EventStreamFile(paths[0]), EventStreamFile(paths[1]), 0.1, -1.0, 1.0
                     )

@@ -1,9 +1,12 @@
 """The README's documented library use runs as written."""
 
+import importlib
+import pkgutil
 import re
 from dataclasses import fields
 from pathlib import Path
 
+import ghostcomb
 from ghostcomb import RunConfig
 from ghostcomb.config import parse_overrides
 
@@ -63,3 +66,13 @@ def test_config_table_keys_are_the_runconfig_fields():
         for key in re.findall(r"`(\w+)`", line.split("|")[1])
     ]
     assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+
+
+def test_module_attributes_named_in_backticks_exist():
+    # A rename in the package leaves no stale `module.name` behind.
+    modules = {info.name for info in pkgutil.iter_modules(ghostcomb.__path__)}
+    named = re.findall(r"`(?:ghostcomb\.)?(\w+)\.(\w+)", README.read_text())
+    refs = {(module, name) for module, name in named if module in modules}
+    assert refs
+    for module, name in sorted(refs):
+        assert hasattr(importlib.import_module(f"ghostcomb.{module}"), name), f"{module}.{name}"
