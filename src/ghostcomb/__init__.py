@@ -39,10 +39,9 @@ from .detection import (
     CoincidenceHistogram,
     EventStream,
     build_histogram,
-    contrast,
     sample_pairs,
 )
-from .timing import CombFit, fit_comb
+from .timing import CombFit, contrast, fit_comb
 from .config import RunConfig, load_config
 from .seeding import derive_rng
 

@@ -35,7 +35,6 @@ from .correlation import (
 from .detection import (
     StreamWithSingles,
     build_histogram,
-    contrast,
     histogram_grid,
     sample_pairs,
     window_range_error,
@@ -43,7 +42,7 @@ from .detection import (
 from .fock import fidelity_report
 from .lattice import DetectorGeometry
 from .seeding import LABEL_ACCIDENTAL_DET1, LABEL_ACCIDENTAL_DET2
-from .timing import CombFit, comb_fit_error, fit_comb
+from .timing import _MIN_CONTRAST_COUNTS, comb_fit_error, contrast, fit_comb
 
 # Largest points * modes product accepted for a sum over the modes at
 # every point (the direct and fock methods); beyond this the cost stops
@@ -221,8 +220,10 @@ def cmd_curve(cfg: RunConfig, out: RunDir) -> None:
     )
 
 
-def _fit_dict(fit: CombFit) -> dict:
-    """The comb fit as written to results.json and fit.json."""
+def _analysis(hist, n_modes: int, nu_b: float) -> dict:
+    """The comb fit, and the contrast at the fitted comb, as fit.json
+    holds them and results.json splits them. The geometry is never read."""
+    fit = fit_comb(hist, n_modes, nu_b)
     return {
         "nu_b_est_hz": fit.nu_b_est,
         "nu_b_stderr_hz": fit.nu_b_stderr,
@@ -230,6 +231,7 @@ def _fit_dict(fit: CombFit) -> dict:
         "offset_stderr_s": fit.offset_stderr,
         "offset_period_s": fit.offset_period,
         "deviance_per_dof": fit.deviance_per_dof,
+        "contrast": contrast(hist, n_modes, fit.nu_b_est, fit.offset_est),
     }
 
 
@@ -280,23 +282,29 @@ def cmd_simulate(cfg: RunConfig, out: RunDir) -> None:
     del s1, s2, stream
     d1, d2 = (gio.EventStreamFile(path) for path in streams)
     hist = build_histogram(d1, d2, cfg.bin_width_s, cfg.tau_min_s, cfg.tau_max_s, metadata)
-    contrast_value = contrast(hist, lattice, geom)
-    fit = fit_comb(hist, cfg.n_modes, cfg.nu_b_hz)
+    if hist.total_pairs < _MIN_CONTRAST_COUNTS:
+        raise ValueError(
+            f"histogram has {hist.total_pairs} counts in [tau_min_s, tau_max_s); at least "
+            f"{_MIN_CONTRAST_COUNTS} required for a contrast estimate (raise pair_rate_hz "
+            f"or duration_s, widen the range, or lower jitter_sigma_s or window_periods)"
+        )
+    fit = _analysis(hist, cfg.n_modes, cfg.nu_b_hz)
 
     gio.write_histogram(out / "histogram.csv", out / "histogram_meta.json", hist)
+    c = fit.pop("contrast")
     results = {
-        "contrast": contrast_value,
+        "contrast": c,
         "n_events_d1": len(d1),
         "n_events_d2": len(d2),
         "total_pairs_in_range": hist.total_pairs,
         "geometry_offset_s": geom.retarded_offset,
-        "fit": _fit_dict(fit),
+        "fit": fit,
     }
     gio.write_json(out / "results.json", results)
     print(
-        f"simulate contrast={contrast_value:.4f} "
-        f"nu_b_est={fit.nu_b_est:.6f} Hz "
-        f"offset_est={fit.offset_est:.6e} s +/- {fit.offset_stderr:.2e} s"
+        f"simulate contrast={'null' if c is None else f'{c:.4f}'} "
+        f"nu_b_est={fit['nu_b_est_hz']:.6f} Hz "
+        f"offset_est={fit['offset_est_s']:.6e} s +/- {fit['offset_stderr_s']:.2e} s"
     )
 
 
@@ -361,12 +369,12 @@ def cmd_fit(cfg: RunConfig, out: RunDir, hist_path: str, meta_path: str | None) 
             raise ValueError(where + error)
     else:
         n_modes, nu_b = cfg.n_modes, cfg.nu_b_hz
-    fit = fit_comb(hist, n_modes, nu_b)
-    gio.write_json(out / "fit.json", _fit_dict(fit))
+    fit = _analysis(hist, n_modes, nu_b)
+    gio.write_json(out / "fit.json", fit)
     print(
-        f"fit nu_b_est={fit.nu_b_est:.6f} Hz "
-        f"offset_est={fit.offset_est:.6e} s +/- {fit.offset_stderr:.2e} s "
-        f"deviance/dof={fit.deviance_per_dof:.3f}"
+        f"fit nu_b_est={fit['nu_b_est_hz']:.6f} Hz "
+        f"offset_est={fit['offset_est_s']:.6e} s +/- {fit['offset_stderr_s']:.2e} s "
+        f"deviance/dof={fit['deviance_per_dof']:.3f}"
     )
 
 

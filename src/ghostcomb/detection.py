@@ -20,6 +20,7 @@ counts in place, so its working set stays a few arrays of that length
 whatever the number of pairs per event or bins. Accidental singles are
 sorted into a stream a slab at a time through a scratch file
 (StreamWithSingles), so `simulate` holds no detector stream whole.
+Nothing here reads a histogram back: its fit and contrast are timing's.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlation import comb_peak_positions, comb_peak_width, dirichlet_kernel
+from .correlation import dirichlet_kernel
 from .lattice import DetectorGeometry, ModeLattice
 from .seeding import (
     LABEL_JITTER_DET1,
@@ -69,8 +70,6 @@ _SLAB = 1 << 19
 # temporaries are a few arrays of this length whatever the bin count.
 # The fit sums floats block by block, so its results depend on it.
 _BIN_BLOCK = 1 << 15
-# Fewest tallied pairs in range that contrast() estimates from.
-_MIN_CONTRAST_COUNTS = 1000
 # Fewest float steps of the farthest delay, in seconds or periods, a comb tooth must span.
 _TOOTH_STEPS = 1000
 
@@ -536,46 +535,3 @@ def build_histogram(
             c1 = c1[n:]
 
     return CoincidenceHistogram(bin_width, tau_min, tau_max, counts, meta)
-
-
-def contrast(hist: CoincidenceHistogram, lattice: ModeLattice, geom: DetectorGeometry) -> float:
-    """Peak-to-valley contrast (peak - valley) / (peak + valley).
-
-    Peak bins lie within one peak width of a predicted comb center,
-    valley bins at least three widths away from every center; the
-    in-between skirt is excluded from both means. Centers and width
-    are those of the given comb. Fails when total counts fall below
-    _MIN_CONTRAST_COUNTS or when either region is empty within the range.
-
-    Even an ideal run's valley bins are not empty: they hold the
-    squared Dirichlet kernel's side lobes, about 1/(3 pi^2) of the
-    pairs for N >> 1. That is why the contrast reads 0.9998 and not 1
-    at N=1000 with no background.
-    """
-    if hist.total_pairs < _MIN_CONTRAST_COUNTS:
-        raise ValueError(
-            f"histogram has {hist.total_pairs} counts in [tau_min_s, tau_max_s); at least "
-            f"{_MIN_CONTRAST_COUNTS} required for a contrast estimate (raise pair_rate_hz "
-            f"or duration_s, widen the range, or lower jitter_sigma_s or window_periods)"
-        )
-    width = comb_peak_width(lattice)
-    nu_b, offset = lattice.nu_b, geom.retarded_offset
-    # Count sums and bin counts of the peak and valley regions, over
-    # blocks of bins so no array of the bin count is formed.
-    sums, sizes = [0, 0], [0, 0]
-    for taus, block in hist.blocks():
-        # The nearest comb centre is the rounded order's or a neighbour's.
-        order = np.rint((taus - offset) * nu_b)
-        dist = np.abs(taus - comb_peak_positions(lattice, geom, order))
-        for step in (-1.0, 1.0):
-            nearer = np.abs(taus - comb_peak_positions(lattice, geom, order + step))
-            np.minimum(dist, nearer, out=dist)
-        for i, region in enumerate((dist <= width, dist >= 3.0 * width)):
-            sums[i] += int(block[region].sum())
-            sizes[i] += int(np.count_nonzero(region))
-    if not all(sizes):
-        raise ValueError("histogram range lacks peak or valley bins")
-    peak_mean, valley_mean = sums[0] / sizes[0], sums[1] / sizes[1]
-    if peak_mean + valley_mean == 0:
-        return 0.0
-    return (peak_mean - valley_mean) / (peak_mean + valley_mean)

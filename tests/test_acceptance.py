@@ -150,7 +150,7 @@ def test_criterion_04_ideal_run_contrast_and_empty_valleys():
     s1, s2 = sample_pairs(lat, GEOM0, 4.0, duration, 0.0, seed=2026)
     hist = build_histogram(s1, s2, 5e-9, -1.25e-4, 1.25e-4)
     assert hist.total_pairs >= 1_000_000, "needs at least 1e6 tallied pairs"
-    c = contrast(hist, lat, GEOM0)
+    c = contrast(hist, lat.n_modes, lat.nu_b, GEOM0.retarded_offset)
     width = comb_peak_width(lat)
     centers = comb_peak_positions(lat, GEOM0, range(-3, 4))
     # Bin i's documented centre.

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -318,6 +319,24 @@ class TestSimulateCommand:
         # The accidentals' scratch files have no name in the directory.
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("n_modes", [2, 4, 5])
+    def test_comb_without_valleys_fits_with_null_contrast(self, tmp_path, capsys, n_modes):
+        # Below 6 modes no bin lies three tooth widths from every centre.
+        # The run once failed here after sampling, tallying and writing.
+        sim, fit = tmp_path / "sim", tmp_path / "fit"
+        code, out, err = run(
+            capsys, "simulate", "--out", str(sim), "--seed", "3", *SIM_ARGS,
+            "--set", f"n_modes={n_modes}",
+        )
+        assert code == 0, err
+        assert "contrast=null" in out
+        results = read_json(sim / "results.json")
+        assert results["contrast"] is None
+        assert results["fit"]["nu_b_est_hz"] == pytest.approx(20e3, rel=2e-3)
+        code, _, err = run(capsys, "fit", str(sim / "histogram.csv"), "--out", str(fit))
+        assert code == 0, err
+        assert read_json(fit / "fit.json") == results["fit"] | {"contrast": None}
+
     def test_accidentals_lower_contrast(self, tmp_path, capsys):
         clean = tmp_path / "clean"
         noisy = tmp_path / "noisy"
@@ -347,12 +366,13 @@ class TestFitCommand:
         assert code == 0, err
         assert out.startswith("fit")
         fit = read_json(fit_dir / "fit.json")
-        expected = read_json(sim / "results.json")["fit"]
-        assert fit == expected
+        results = read_json(sim / "results.json")
+        assert fit == results["fit"] | {"contrast": results["contrast"]}
 
     def test_fit_never_sees_the_offset(self, tmp_path, capsys):
         # r1, r2 and c in the sidecar give the true offset (r1 - r2) / c;
-        # the estimate must come out the same without them.
+        # the fit and the contrast must come out the same without them,
+        # and with a record that puts the offset far from the truth.
         sim = tmp_path / "sim"
         code, _, err = run(
             capsys, "simulate", "--out", str(sim), "--seed", "19", *SIM_ARGS,
@@ -360,18 +380,23 @@ class TestFitCommand:
         )
         assert code == 0, err
         sidecar = read_json(sim / "histogram_meta.json")
+        moved = tmp_path / "moved_meta.json"
+        write_json(moved, sidecar | {"metadata": sidecar["metadata"] | {"r1": 3e3, "c": 2e8}})
         for key in ("r1", "r2", "c"):
             del sidecar["metadata"][key]
         blind = tmp_path / "blind_meta.json"
         write_json(blind, sidecar)
-        for name, meta in (("full", sim / "histogram_meta.json"), ("blind", blind)):
+        names = {"full": sim / "histogram_meta.json", "blind": blind, "moved": moved}
+        for name, meta in names.items():
             code, _, err = run(
                 capsys, "fit", str(sim / "histogram.csv"),
                 "--meta", str(meta), "--out", str(tmp_path / name),
             )
             assert code == 0, err
         full = (tmp_path / "full" / "fit.json").read_bytes()
-        assert (tmp_path / "blind" / "fit.json").read_bytes() == full
+        assert read_json(tmp_path / "full" / "fit.json")["contrast"] > 0.9
+        for name in ("blind", "moved"):
+            assert (tmp_path / name / "fit.json").read_bytes() == full
 
     def test_fit_without_run_record_takes_the_comb_from_config(self, tmp_path, capsys):
         sim = tmp_path / "sim"
@@ -394,6 +419,7 @@ class TestFitCommand:
             assert code == 0, err
         record = (tmp_path / "record" / "fit.json").read_bytes()
         assert (tmp_path / "config" / "fit.json").read_bytes() == record
+        assert math.isfinite(read_json(tmp_path / "config" / "fit.json")["contrast"])
 
     @pytest.mark.parametrize(
         "field, value, key",
@@ -973,10 +999,11 @@ class TestDeterminism:
 
     # The sidecar of the GOLDEN_SIMULATE run, and fit.json from `fit`
     # on its histogram. The sidecar was re-taken when the run record
-    # lost the carrier frequency nu_s0.
+    # lost the carrier frequency nu_s0, and fit.json when it gained the
+    # contrast at the fitted comb (its other lines unchanged).
     GOLDEN_FIT = {
         "histogram_meta.json": "804393faf75043c2086ef61555a52a0388c4d55b682415f47a1c3a43c4b7c94d",
-        "fit.json": "cd7f312487a3b81c05b2077e2eda0b0a514c40b7686294b37f047074166b59c4",
+        "fit.json": "36264ca0e6002953a3f0a56eb3b8080dacdf78bb15112f730a0f5483685d6af9",
     }
 
     def test_sidecar_and_fit_match_golden_digests(self, tmp_path, capsys):
